@@ -128,6 +128,7 @@ class ScheduleBuilder:
         self._vmass: list[np.ndarray] = []
         self._exhausted = self._a[0] <= _EXHAUSTED
         self._steps_done = 0
+        self._snapshot: RegenerativeSchedule | None = None
 
     @classmethod
     def for_model(cls, model: CTMC, rewards: RewardStructure,
@@ -230,15 +231,24 @@ class ScheduleBuilder:
             self.step()
 
     def snapshot(self) -> RegenerativeSchedule:
-        """Freeze the current prefix into arrays."""
-        n = len(self._a)
-        a_arr = np.asarray(self._a)
-        c_arr = np.asarray(self._c)
-        q_arr = np.asarray(self._qmass)
+        """Freeze the current prefix into read-only arrays.
+
+        While no step has been taken since the last call, that snapshot
+        is returned again; its arrays are read-only so consumers sharing
+        it cannot see each other's writes.
+        """
+        snap = self._snapshot
+        if snap is not None and snap.n == len(self._a) \
+                and snap.exhausted == self._exhausted:
+            return snap
         if self._vmass:
             v_arr = np.vstack(self._vmass)
         else:
             v_arr = np.zeros((0, self.n_absorbing))
-        return RegenerativeSchedule(a=a_arr[:n], c=c_arr[:n],
-                                    qmass=q_arr, vmass=v_arr,
-                                    exhausted=self._exhausted)
+        arrays = (np.array(self._a), np.array(self._c),
+                  np.array(self._qmass), v_arr)
+        for arr in arrays:
+            arr.flags.writeable = False
+        snap = RegenerativeSchedule(*arrays, exhausted=self._exhausted)
+        self._snapshot = snap
+        return snap

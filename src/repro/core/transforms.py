@@ -20,20 +20,21 @@ Given the regenerative schedules and truncation points ``K, L`` the chain
 
 (The paper prints A(s) with sums to ``L`` and a trailing ``a'(L)γ^{L+1}``;
 the two forms are algebraically identical since ``s/(s+Λ) + γ = 1``. We
-re-derived the expressions from the chain's balance equations — see
-DESIGN.md — and the test-suite verifies them against a direct solution of
-the explicitly-built ``V_{K,L}``.)
+re-derived the expressions from the chain's balance equations, and
+``tests/core/test_transforms.py`` / ``tests/core/test_vkl.py`` verify them
+against a direct solution of the explicitly-built ``V_{K,L}``.)
 
 When ``α_r = 1`` there is no primed chain: ``A(s) = 1`` and the primed
 sums vanish (the paper's ``V_K`` case).
 
 Evaluation strategy: all sums are polynomials in ``γ`` with non-negative
-coefficients. For a batch of abscissae we form the matrix of powers
-``γ^k`` via ``exp(k·log γ)`` (``|γ| < 1`` for ``Re s > 0``, so this is
-stable and fully vectorized) and take inner products with the coefficient
-vectors; the powers matrix is shared by all five sums, and the transform
-also exposes ``p_absorbed_a`` — the transform of the probability of the
-truncation state — used by a-posteriori error checks.
+coefficients. For a batch of abscissae we form each chain's matrix of
+powers ``γ^k`` via ``exp(k·log γ)`` (``|γ| < 1`` for ``Re s > 0``, so this
+is stable and fully vectorized) and take inner products with the
+coefficient vectors. Every public transform builds each chain's powers
+matrix once per call and shares it between ``p̃_0`` and its own sums. The
+transform also exposes ``p_absorbed_a`` — the transform of the probability
+of the truncation state — used by a-posteriori error checks.
 """
 
 from __future__ import annotations
@@ -136,37 +137,48 @@ class VklTransform:
         ks = np.arange(n, dtype=np.float64)
         return np.exp(np.log(gamma)[:, None] * ks[None, :])
 
-    # -- transform components ---------------------------------------------
-
-    def p0(self, s: np.ndarray) -> np.ndarray:
-        """Transform of ``P[V(t) = s_0]`` at complex abscissae ``s``."""
-        s = np.asarray(s, dtype=np.complex128)
-        lam = self._rate
+    def _chain_powers(self, s: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Powers matrices of the main chain (``K + 1`` columns) and of the
+        primed chain (``L + 1`` columns, ``None`` if α_r = 1)."""
         pw = self._powers(s, self._k + 1)
+        if not self._has_primed:
+            return pw, None
+        return pw, self._powers(s, self._l + 1)
+
+    def _p0(self, s: np.ndarray, pw: np.ndarray,
+            pwp: np.ndarray | None) -> np.ndarray:
+        """``p̃_0(s)`` from precomputed powers matrices."""
+        lam = self._rate
         b_val = (s * (pw @ self._a)
                  + lam * (pw[:, : self._k] @ self._vsum)
                  + lam * self._a_tail * pw[:, self._k])
-        if not self._has_primed:
+        if pwp is None:
             return 1.0 / b_val
         lp = self._l
-        pwp = self._powers(s, lp + 1)
         a_val = (1.0
                  - (s / (s + lam)) * (pwp[:, :lp] @ self._ap[:lp])
                  - (lam / (s + lam)) * (pwp[:, :lp] @ self._vsum_p)
                  - self._ap_tail * pwp[:, lp])
         return a_val / b_val
 
+    # -- transform components ---------------------------------------------
+
+    def p0(self, s: np.ndarray) -> np.ndarray:
+        """Transform of ``P[V(t) = s_0]`` at complex abscissae ``s``."""
+        s = np.asarray(s, dtype=np.complex128)
+        return self._p0(s, *self._chain_powers(s))
+
     def trr(self, s: np.ndarray) -> np.ndarray:
         """Transform of ``TRR^a_{K,L}(t)`` at complex abscissae ``s``."""
         s = np.asarray(s, dtype=np.complex128)
         lam = self._rate
-        pw = self._powers(s, self._k + 1)
+        pw, pwp = self._chain_powers(s)
         main_reward = pw @ self._c
         main_absorb = (lam / s) * (pw[:, : self._k] @ self._rfv)
-        out = (main_reward + main_absorb) * self.p0(s)
-        if self._has_primed:
+        out = (main_reward + main_absorb) * self._p0(s, pw, pwp)
+        if pwp is not None:
             lp = self._l
-            pwp = self._powers(s, lp + 1)
             gamma = lam / (s + lam)
             out = out + (pwp @ self._cp) / (s + lam)
             out = out + (gamma / s) * (pwp[:, :lp] @ self._rfv_p)
@@ -188,10 +200,9 @@ class VklTransform:
         """
         s = np.asarray(s, dtype=np.complex128)
         lam = self._rate
-        pw = self._powers(s, self._k + 1)
-        out = (lam / s) * self._a_tail * pw[:, self._k] * self.p0(s)
-        if self._has_primed:
-            lp = self._l
-            pwp = self._powers(s, lp + 1)
-            out = out + (lam / s) * self._ap_tail * pwp[:, lp] / (s + lam)
+        pw, pwp = self._chain_powers(s)
+        p0 = self._p0(s, pw, pwp)
+        out = (lam / s) * self._a_tail * pw[:, self._k] * p0
+        if pwp is not None:
+            out = out + (lam / s) * self._ap_tail * pwp[:, self._l] / (s + lam)
         return out

@@ -31,6 +31,7 @@ measures, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,28 +73,54 @@ def truncation_error_bound(a_k: float, k: int, a_l: float | None,
     return float(err)
 
 
-def _scan(builder: ScheduleBuilder, weight, budget: float,
+def _excess_weights(rate_time: float, r_max: float, lo: int,
+                    hi: int) -> np.ndarray:
+    """``r_max · E[(N − k)^+]`` for ``k = lo .. hi-1``.
+
+    Elementwise the float operations of :func:`poisson_expected_excess`,
+    in the same order, so every entry equals
+    ``r_max * poisson_expected_excess(rate_time, k)`` bit for bit.
+    """
+    sf = poisson_sf(np.arange(lo - 1, hi), rate_time)  # P[N >= lo + j]
+    ks = np.arange(lo, hi, dtype=np.float64)
+    return r_max * np.maximum(rate_time * sf[:-1] - ks * sf[1:], 0.0)
+
+
+def _tail_weights(rate_time: float, r_max: float, lo: int,
+                  hi: int) -> np.ndarray:
+    """``r_max · P[N > k]`` for ``k = lo .. hi-1``."""
+    return r_max * poisson_sf(np.arange(lo, hi), rate_time)
+
+
+def _scan(builder: ScheduleBuilder, weights, budget: float,
           hard_cap: int) -> int:
     """Smallest k with ``a(k)·weight(k) <= budget`` (forward scan).
 
-    ``weight`` must be non-increasing in ``k``. Extends the builder on
-    demand; an exhausted builder satisfies any budget at its last index.
+    ``weights(lo, hi)`` returns ``weight(k)`` for ``k = lo .. hi-1``;
+    ``weight`` must be non-increasing in ``k``. The recorded prefix is
+    tested in one array expression; past it the builder is extended one
+    step at a time. An exhausted builder satisfies any budget at its last
+    index.
     """
-    k = 0
+    a = builder.snapshot().a[: hard_cap + 1]
+    hits = a * weights(0, a.size) <= budget
+    if hits.any():
+        return int(hits.argmax())
+    k = a.size
     while True:
-        builder.extend_to(k)
-        n = builder.n_recorded
-        if k >= n:
-            # Exhausted before reaching k: zero mass beyond the prefix.
-            return n - 1
-        if builder.a_at(k) * weight(k) <= budget:
-            return k
-        if builder.exhausted and k >= n - 1:
-            return n - 1
-        k += 1
+        if builder.exhausted and k >= builder.n_recorded:
+            # Zero mass beyond the prefix.
+            return builder.n_recorded - 1
         if k > hard_cap:
             raise TruncationError(
                 f"no admissible truncation point below {hard_cap}")
+        builder.extend_to(k)
+        if k >= builder.n_recorded:
+            # Exhausted before reaching k.
+            return builder.n_recorded - 1
+        if builder.a_at(k) * weights(k, k + 1)[0] <= budget:
+            return k
+        k += 1
 
 
 def select_truncation(main: ScheduleBuilder,
@@ -118,13 +145,11 @@ def select_truncation(main: ScheduleBuilder,
     rate_time = rate * t
     share = eps_budget / (2.0 if primed is not None else 1.0)
 
-    k_point = _scan(main,
-                    lambda k: r_max * poisson_expected_excess(rate_time, k),
+    k_point = _scan(main, partial(_excess_weights, rate_time, r_max),
                     share, hard_cap)
     l_point: int | None = None
     if primed is not None:
-        l_point = _scan(primed,
-                        lambda k: r_max * poisson_sf(k, rate_time),
+        l_point = _scan(primed, partial(_tail_weights, rate_time, r_max),
                         share, hard_cap)
     a_k = main.a_at(k_point)
     a_l = primed.a_at(l_point) if primed is not None else None

@@ -20,6 +20,8 @@ test consumes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["EpsilonAccelerator", "wynn_epsilon"]
@@ -55,7 +57,6 @@ class EpsilonAccelerator:
         self._diag: list[float] = []  # current anti-diagonal, ε_k^{(n-k)}
         self._n = 0
         self._last_estimate = 0.0
-        self._degenerate = False
 
     @property
     def n_terms(self) -> int:
@@ -74,22 +75,21 @@ class EpsilonAccelerator:
         new: list[float] = [s]
         # Build the next anti-diagonal: new[k] = ε_k^{(n-k)} where
         # ε_k = ε_{k-2}(shifted) + 1/(ε_{k-1}(new) − ε_{k-1}(old)).
-        # After a degenerate break the kept anti-diagonal is shorter than
-        # the term count; the table simply stops deepening past that point.
+        # The anti-diagonal is cut at a degenerate depth (below), so it
+        # can be shorter than the term count; each term lengthens it by at
+        # most one entry.
         for k in range(1, len(old) + 1):
             denom = new[k - 1] - old[k - 1]
             prev = old[k - 2] if k >= 2 else 0.0
             scale = abs(new[k - 1]) + abs(old[k - 1])
-            if (not np.isfinite(denom)
+            if (not math.isfinite(denom)
                     or abs(denom) <= _DEGENERATE_RTOL * scale + _TINY):
                 # Exact convergence at this depth (or an inf/inf collision
-                # in an odd column): stop deepening the table here. The
-                # last finished even column already holds the limit.
-                self._degenerate = True
+                # in an odd column): cut the anti-diagonal here. The last
+                # finished even column already holds the limit.
                 break
             nxt = prev + 1.0 / denom
-            if not np.isfinite(nxt):
-                self._degenerate = True
+            if not math.isfinite(nxt):
                 break
             new.append(nxt)
         self._diag = new

@@ -107,6 +107,46 @@ class TestInvariants:
         assert main.steps_done < 10  # exhausts after ~2 steps
 
 
+class TestSnapshot:
+    def test_extend_then_snapshot_sees_new_length(self, random_absorbing):
+        rewards = RewardStructure.constant(14)
+        main, _, _, _ = make_builders(random_absorbing, rewards)
+        main.extend_to(5)
+        first = main.snapshot()
+        main.extend_to(12)
+        second = main.snapshot()
+        assert first.n == 6 and second.n == 13
+        assert second.vmass.shape[0] == 12
+        assert np.array_equal(second.a[:6], first.a)
+
+    def test_unchanged_builder_returns_same_snapshot(self, random_absorbing):
+        rewards = RewardStructure.constant(14)
+        main, _, _, _ = make_builders(random_absorbing, rewards)
+        main.extend_to(7)
+        snap = main.snapshot()
+        main.extend_to(3)  # already recorded: no step taken
+        assert main.snapshot() is snap
+
+    def test_exhausted_builder_returns_same_snapshot(self, two_state):
+        model, rewards, *_ = two_state
+        main, _, _, _ = make_builders(model, rewards)
+        main.extend_to(500)
+        snap = main.snapshot()
+        main.step()  # no-op once exhausted
+        assert snap.exhausted and main.snapshot() is snap
+
+    def test_snapshot_arrays_are_read_only(self, random_absorbing):
+        rewards = RewardStructure.constant(14)
+        main, _, _, _ = make_builders(random_absorbing, rewards)
+        main.extend_to(4)
+        snap = main.snapshot()
+        for arr in (snap.a, snap.c, snap.qmass, snap.vmass):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        with pytest.raises(ValueError):
+            snap.a[:2] += 1.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=3, max_value=12),
        seed=st.integers(min_value=0, max_value=9999),

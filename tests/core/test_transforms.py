@@ -146,6 +146,31 @@ class TestAnalyticStructure:
                          rewards.rates[abs_idx])
 
 
+class TestPowersReuse:
+    """Each public transform builds one powers matrix per chain per call,
+    shared between ``p̃_0`` and its own sums."""
+
+    @pytest.mark.parametrize("alpha_r", [1.0, 0.6])
+    @pytest.mark.parametrize("name", ["trr", "cumulative", "p_absorbed_a",
+                                      "p0"])
+    def test_one_matrix_per_chain(self, monkeypatch, alpha_r, name):
+        tr, _, _ = make_case(alpha_r=alpha_r, absorbing=1, k=8, lp=6)
+        widths = []
+        powers = VklTransform._powers
+
+        def spy(self, s, n):
+            widths.append(n)
+            return powers(self, s, n)
+
+        monkeypatch.setattr(VklTransform, "_powers", spy)
+        getattr(tr, name)(np.array([0.4 + 1.0j, 2.0 + 0.0j, 0.1 - 3.0j]))
+        expected = [tr.k_point + 1]
+        if tr.l_point is not None:
+            expected.append(tr.l_point + 1)
+        assert widths == expected
+        assert (tr.l_point is None) == (alpha_r == 1.0)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

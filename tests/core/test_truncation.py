@@ -7,12 +7,14 @@ from repro import RewardStructure
 from repro.core.schedules import ScheduleBuilder
 from repro.core.truncation import (
     TruncationChoice,
+    _excess_weights,
+    _tail_weights,
     select_truncation,
     truncation_error_bound,
 )
 from repro.exceptions import TruncationError
-from repro.markov.poisson import poisson_expected_excess
-from repro.models import erlang_chain, random_ctmc
+from repro.markov.poisson import poisson_expected_excess, poisson_sf
+from repro.models import erlang_chain, random_ctmc, two_state_availability
 
 
 def builders_for(model, rewards, reg=0):
@@ -106,3 +108,105 @@ class TestBoundFunction:
         # With a'(L)=1 and L=0 the primed term is r_max·P[N >= 1] <= r_max.
         b = truncation_error_bound(0.0, 0, 1.0, 0, 5.0, 1.0)
         assert 0.9 < b <= 1.0
+
+
+def scalar_scan(builder, weight, budget):
+    """Reference selection: test ``a(k)·weight(k)`` one scalar k at a time
+    from k = 0, extending the builder on demand."""
+    k = 0
+    while True:
+        builder.extend_to(k)
+        n = builder.n_recorded
+        if k >= n:
+            return n - 1
+        if builder.a_at(k) * weight(k) <= budget:
+            return k
+        if builder.exhausted and k >= n - 1:
+            return n - 1
+        k += 1
+
+
+def primed_model():
+    """Random chain with α_r = 0.6, so a primed schedule exists."""
+    init = np.zeros(12)
+    init[0], init[4] = 0.6, 0.4
+    return random_ctmc(12, density=0.3, seed=21, absorbing=1, initial=init)
+
+
+PREFIX_CASES = {
+    "unprimed": lambda: (random_ctmc(15, density=0.3, seed=7),
+                         RewardStructure.constant(15)),
+    "primed": lambda: (primed_model(),
+                       RewardStructure(np.linspace(0.2, 1.5, 12))),
+    "exhausted": lambda: two_state_availability(1.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("rate_time", [0.3, 7.0, 1e3, 4.4e6])
+def test_array_weights_equal_scalar_weights(rate_time):
+    """The array weights of the prefix scan are bit-identical to the
+    scalar weights of a step-by-step scan."""
+    r_max = 1.7
+    lo, hi = (0, 400) if rate_time < 1e6 else (int(rate_time) - 200,
+                                                 int(rate_time) + 200)
+    excess = _excess_weights(rate_time, r_max, lo, hi)
+    tail = _tail_weights(rate_time, r_max, lo, hi)
+    for j, k in enumerate(range(lo, hi)):
+        assert excess[j] == r_max * poisson_expected_excess(rate_time, k)
+        assert tail[j] == r_max * poisson_sf(k, rate_time)
+    assert excess.shape == tail.shape == (hi - lo,)
+
+
+class TestPrefixScan:
+    """The recorded prefix is tested as one array: the choice must be the
+    one a step-by-step scalar scan from k = 0 makes, bit for bit."""
+
+    TIMES = (0.01, 1.0, 10.0, 300.0)
+    EPS = (1e-4, 1e-10, 1e-14)
+
+    @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+    def test_pre_extended_matches_fresh(self, case):
+        model, rewards = PREFIX_CASES[case]()
+        r_max = rewards.max_rate
+        pre_main, pre_primed, rate = builders_for(model, rewards)
+        pre_main.extend_to(3000)
+        if pre_primed is not None:
+            pre_primed.extend_to(3000)
+        assert (pre_primed is not None) == (case == "primed")
+        assert pre_main.exhausted == (case == "exhausted")
+        for t in self.TIMES:
+            for eps in self.EPS:
+                fresh_main, fresh_primed, _ = builders_for(model, rewards)
+                fresh = select_truncation(fresh_main, fresh_primed, rate,
+                                          t, eps, r_max)
+                steps = pre_main.steps_done
+                pre = select_truncation(pre_main, pre_primed, rate, t, eps,
+                                        r_max)
+                assert pre == fresh, (t, eps)
+                assert pre_main.steps_done == steps
+
+                ref_main, ref_primed, _ = builders_for(model, rewards)
+                share = eps / (2.0 if ref_primed is not None else 1.0)
+                k_ref = scalar_scan(
+                    ref_main,
+                    lambda k: r_max * poisson_expected_excess(rate * t, k),
+                    share)
+                assert pre.k_point == k_ref
+                if ref_primed is not None:
+                    l_ref = scalar_scan(
+                        ref_primed,
+                        lambda k: r_max * poisson_sf(k, rate * t), share)
+                    assert pre.l_point == l_ref
+                    assert pre.l_point >= 0
+                else:
+                    assert pre.l_point is None
+
+    def test_selection_inside_prefix_takes_no_step(self):
+        model, rewards = PREFIX_CASES["primed"]()
+        main, primed, rate = builders_for(model, rewards)
+        first = select_truncation(main, primed, rate, 50.0, 1e-12, 1.5)
+        done = (main.steps_done, primed.steps_done)
+        again = select_truncation(main, primed, rate, 5.0, 1e-12, 1.5)
+        assert (main.steps_done, primed.steps_done) == done
+        assert again.k_point <= first.k_point
+        assert again.l_point <= first.l_point
