@@ -54,7 +54,8 @@ import numpy as np
 
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.runner import get_solver
-from repro.batch.planner import ExecutionPlan, SolveRequest
+from repro.batch.planner import (ExecutionPlan, SolveRequest,
+                                 cached_model)
 from repro.batch.runner import BatchTask
 from repro.service.service import SolveService
 from repro.batch.scenarios import Scenario
@@ -307,12 +308,16 @@ def _steps_column(config: ExperimentConfig, g: int, kind: str,
     quantile — running the solver is not needed to know its cost). The
     measured columns — RR/RRL (identical transformation phases) and
     RSD's detection loop — are solve-shaped and flow through the planner
-    as :class:`SolveRequest` cells instead.
+    as :class:`SolveRequest` cells instead. ``Λ`` and ``r_max`` are read
+    off the planner's cached model of the same scenario, which the
+    table's RRL cell uses too, so the column builds no model of its own.
     """
     predict = get_spec(column).predict_steps
     if predict is None:
         raise ValueError(f"method {column!r} has no analytic step count")
-    model, rewards = _build(config, g, kind)
+    model, rewards = cached_model(SolveRequest(
+        scenario=_raid5_scenario(config, g, kind), measure=Measure.TRR,
+        times=config.times, eps=config.eps, method=column))
     lam = model.max_output_rate
     return [predict(lam * t, config.eps / rewards.max_rate,
                     Measure.TRR) - 1

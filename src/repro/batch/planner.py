@@ -70,6 +70,7 @@ __all__ = [
     "solve_requests",
     "run_request",
     "run_fused_group",
+    "cached_model",
     "worker_cache_clear",
     "worker_cache_info",
 ]
@@ -290,10 +291,13 @@ def _cache_entry(request: SolveRequest) -> list:
     return entry
 
 
-def _resolve_cached(request: SolveRequest
+def _resolve_cached(request: SolveRequest, *, with_kernel: bool = True
                     ) -> tuple[CTMC, RewardStructure,
                                UniformizationKernel | None]:
-    """Model, rewards and (when shareable) the cached default-rate kernel."""
+    """Model, rewards and (when shareable) the cached default-rate kernel.
+
+    ``with_kernel=False`` never builds or returns a kernel.
+    """
     with _worker_cache_lock:
         entry = _cache_entry(request)
         model = entry[0]
@@ -302,12 +306,23 @@ def _resolve_cached(request: SolveRequest
         if rewards is None:
             raise ModelError("request resolves to no reward structure")
         kernel: UniformizationKernel | None = None
-        if (registry.get_spec(request.method).kernel_aware
+        if (with_kernel
+                and registry.get_spec(request.method).kernel_aware
                 and "rate" not in request.solver_kwargs):
             if entry[2] is None:
                 entry[2] = UniformizationKernel.from_model(model)[0]
             kernel = entry[2]
     return model, rewards, kernel
+
+
+def cached_model(request: SolveRequest) -> tuple[CTMC, RewardStructure]:
+    """A request's model and rewards from this process's model cache.
+
+    Builds the model on a miss, like a solve would, but no kernel: for
+    callers that only read the model (rates, sizes).
+    """
+    model, rewards, _ = _resolve_cached(request, with_kernel=False)
+    return model, rewards
 
 
 # -- worker entry points ---------------------------------------------------

@@ -35,8 +35,10 @@ _TINY = 1e-300
 #: column entries means the column has converged to working precision —
 #: dividing by it would inject ``1/round-off`` garbage into deeper columns
 #: (the classic epsilon-table failure on exactly-geometric input, where
-#: ``ε_2`` is already exact and every deeper column is pure noise).
-_DEGENERATE_RTOL = 5e-14
+#: ``ε_2`` is already exact and every deeper column is pure noise). A
+#: looser threshold also fires on chance near-ties of columns still off
+#: by ~1e-9 and restarts the table shallow on a wrong plateau.
+_DEGENERATE_RTOL = 1e-14
 
 
 class EpsilonAccelerator:

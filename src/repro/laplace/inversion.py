@@ -10,7 +10,9 @@ The driver combines the three ingredients:
    occasionally unstable and Piessens' ``T = 16t`` stable but slow);
 3. **Epsilon acceleration** of the partial sums, declaring convergence
    when consecutive accelerated estimates differ by ``<= eps/100`` — the
-   paper's factor-25 safety margin on the ``eps/4`` truncation budget.
+   paper's factor-25 safety margin on the ``eps/4`` truncation budget —
+   and a second epsilon table over every other partial sum agrees with
+   the estimate within that ``eps/4``.
 
 The returned :class:`InversionResult` carries the abscissa count, which is
 the inversion cost the paper reports (105–329 abscissae; ~1–2% of total
@@ -80,18 +82,35 @@ def _drive(transform: Callable[[np.ndarray], np.ndarray],
            max_terms: int) -> InversionResult:
     """Run the accelerate-until-settled loop shared by both entry points."""
     acc = EpsilonAccelerator()
+    # The transforms RRL inverts belong to V_{K,L}, whose truncation
+    # state fills up in an Erlang-like ramp just past ``t``. The ramp adds
+    # a slowly oscillating, fast-fading component to the Durbin terms,
+    # and while it fades the epsilon table can hold still for several
+    # terms at a value off by up to ~10·eps. Three small steps in a row
+    # do not tell such a plateau from the limit. A second table over the
+    # partial sums 0, 2, 4, ... extrapolates from a window twice as long
+    # and rarely shares the plateau, so convergence also needs the two
+    # estimates to agree within the whole truncation budget
+    # (25·tol = eps/4). ``tol`` itself is too tight for that: at tight
+    # ``eps`` the rounding noise of the two tables alone exceeds it.
+    stride2 = EpsilonAccelerator()
+    stride2_est = np.nan
+    cross_tol = _SAFETY_FACTOR * tol
     prev = np.nan
     diff = np.inf
     hits = 0
     n = 0
     for partial in durbin_partial_sums(transform, t, a, t_period, max_terms):
         est = acc.add(partial)
+        if n % 2 == 0:
+            stride2_est = stride2.add(partial)
         n += 1
         if n >= _MIN_TERMS and np.isfinite(prev):
             diff = abs(est - prev)
             if diff <= tol:
                 hits += 1
-                if hits >= _CONSECUTIVE:
+                if (hits >= _CONSECUTIVE
+                        and abs(est - stride2_est) <= cross_tol):
                     return InversionResult(value=est, n_abscissae=n,
                                            damping=a, t_period=t_period,
                                            converged_diff=diff)

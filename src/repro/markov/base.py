@@ -87,6 +87,11 @@ class TransientSolution:
           the planner, or ``solve(..., schedule_cache=...)`` directly):
           whether this solve reused a cached transformation, and how
           many already-paid steps it inherited.
+        * ``stationary_residual`` — **RSD only**: ``max|π̂ Q|`` of the
+          stationary vector ``π̂`` that closes the series, with ``Q`` the
+          ``P − I`` of the randomized DTMC (for a chain on the sparse path
+          this is the value the solver's residual gate accepted). Absent
+          when the reward is identically 0 and no ``π̂`` is computed.
 
         Everything else (``k_ss``, ``K``/``L``, ``n_abscissae``, ...) is
         solver-specific and documented on the solver.

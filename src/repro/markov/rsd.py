@@ -16,6 +16,10 @@ small ``t`` and saturates at ``k_ss`` for large ``t``.
 
 Error budget: ``eps/2`` for Poisson truncation below ``k_ss`` plus
 ``δ = eps/(2 r_max)`` for the detection substitution.
+
+``π_∞`` comes from :func:`~repro.markov.steady_state.stationary_distribution`
+of the randomized DTMC; ``stats["stationary_residual"]`` reports how well
+it balances ``P − I``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,10 @@ from repro.markov.poisson import (
 )
 from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.standard import sr_required_steps
-from repro.markov.steady_state import stationary_distribution
+from repro.markov.steady_state import (
+    stationary_distribution,
+    stationary_residual,
+)
 from repro.solvers.registry import SolverSpec, register
 
 __all__ = ["SteadyStateDetectionSolver"]
@@ -155,6 +162,7 @@ class SteadyStateDetectionSolver:
                                      stats={"rate": rate, "k_ss": 0})
 
         pi_inf = stationary_distribution(dtmc)
+        pi_resid = stationary_residual(dtmc, pi_inf)
         d_inf = float(r @ pi_inf)
         delta = eps / (2.0 * r_max)
 
@@ -185,7 +193,8 @@ class SteadyStateDetectionSolver:
                                  stats={"rate": rate,
                                         "k_ss": k_ss,
                                         "d_inf": d_inf,
-                                        "detection_delta": delta})
+                                        "detection_delta": delta,
+                                        "stationary_residual": pi_resid})
 
     def solve_fused(self,
                     model: CTMC,
@@ -215,6 +224,7 @@ class SteadyStateDetectionSolver:
         width = len(cells)
         results: list[TransientSolution | None] = [None] * width
         pi_inf: np.ndarray | None = None
+        pi_resid = 0.0
 
         live: list[_FusedCellState] = []
         for idx, cell in enumerate(cells):
@@ -233,6 +243,7 @@ class SteadyStateDetectionSolver:
                 continue
             if pi_inf is None:
                 pi_inf = stationary_distribution(dtmc)
+                pi_resid = stationary_residual(dtmc, pi_inf)
             st = _FusedCellState()
             st.idx = idx
             st.cell = cell
@@ -290,6 +301,7 @@ class SteadyStateDetectionSolver:
                     stats={"rate": rate, "k_ss": st.k_ss,
                            "d_inf": st.d_inf,
                            "detection_delta": st.delta,
+                           "stationary_residual": pi_resid,
                            "fused_width": width})
         return results  # type: ignore[return-value]
 

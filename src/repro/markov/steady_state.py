@@ -6,26 +6,33 @@ Two algorithms:
   elimination on the generator; numerically exact to relative precision and
   the reference method, but dense ``O(n^3)``, so reserved for chains up to a
   size threshold.
-* **Sparse direct solve** — solve ``π Q = 0, Σπ = 1`` by replacing one
-  balance equation with the normalization row and calling SuperLU. This is
-  what the RSD baseline uses on the RAID chains (up to ~14k states).
+* **Sparse pinned solve** — fix ``π_j = 1`` at a high-probability state
+  ``j``, drop that state's balance equation, solve the remaining sparse
+  nonsingular system, then clip and renormalize. The system is solved by
+  GMRES preconditioned with an incomplete LU (``spilu``); when the
+  incomplete factorization fails, GMRES does not converge, or the
+  residual gate rejects the result, the complete sparse LU (SuperLU) of
+  the same system takes over. This is what the RSD baseline uses on the
+  RAID chains (5.5k and 20.6k states), where the complete LU fills to
+  ~15 M nonzeros at G=40 and the incomplete one keeps ~0.37 M.
 
 Both accept a :class:`~repro.markov.ctmc.CTMC` or a
 :class:`~repro.markov.dtmc.DTMC` (for a DTMC, ``Q = P - I``; for a
 uniformized chain the two stationary vectors coincide).
+:func:`stationary_residual` reports how well a vector balances ``Q``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, spilu, spsolve
 
 from repro.exceptions import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.dtmc import DTMC
 
-__all__ = ["stationary_distribution", "gth_solve"]
+__all__ = ["stationary_distribution", "stationary_residual", "gth_solve"]
 
 _GTH_MAX_STATES = 1200
 
@@ -96,56 +103,121 @@ def _bulk_state(q: sparse.csr_matrix) -> int:
     return int(np.argmax(pi))
 
 
+#: ``spilu`` drop tolerance of the GMRES preconditioner. On the G=40 RAID
+#: chain it keeps ~0.37 M factor nonzeros, where the complete LU fills to
+#: ~15 M.
+_ILU_DROP_TOL = 1e-3
+
+#: Relative residual GMRES must reach: what the complete LU itself
+#: reaches on the RAID chains (~3e-14). A tighter target only stalls.
+_GMRES_RTOL = 3e-14
+
+#: GMRES restart length and restart cycles. Started from the ILU solution,
+#: a solve that converges takes ~6 iterations on the RAID chains; the cap
+#: bounds a stalled one.
+_GMRES_RESTART = 20
+_GMRES_CYCLES = 5
+
+
+def _residual(q: sparse.csr_matrix, pi: np.ndarray) -> float:
+    """``max|π Q|``: how far ``π`` is from balancing the generator."""
+    return float(np.abs(pi @ q).max())
+
+
+def _pinned_solves(a: sparse.csc_matrix, b: np.ndarray):
+    """Yield solutions of ``a x = b``, cheapest first.
+
+    First GMRES preconditioned by an incomplete LU and started from the
+    ILU solution (where nothing is dropped, e.g. on a birth–death chain,
+    that start already meets the target and comes back unchanged). It is
+    skipped when ``spilu`` fails or GMRES misses ``_GMRES_RTOL``. Then
+    the complete LU (SuperLU, COLAMD ordering), which the caller only
+    asks for when the first solution is rejected.
+    """
+    try:
+        ilu = spilu(a, drop_tol=_ILU_DROP_TOL)
+    except RuntimeError:  # an exactly singular incomplete factor
+        pass
+    else:
+        precond = LinearOperator(a.shape, ilu.solve)
+        x, info = gmres(a, b, x0=ilu.solve(b), M=precond, rtol=_GMRES_RTOL,
+                        atol=0.0, restart=_GMRES_RESTART,
+                        maxiter=_GMRES_CYCLES)
+        if info == 0:
+            yield x
+    yield spsolve(a, b)
+
+
 def _sparse_stationary(q: sparse.csr_matrix) -> np.ndarray:
     """Solve ``π Q = 0`` by pinning one component and renormalizing.
 
     Setting ``π_j = 1`` for a bulk state ``j`` and dropping that state's
-    balance equation leaves a sparse nonsingular system that SuperLU
-    factorizes without fill-in trouble (a dense normalization row turned
-    the 20k-state RAID solve into a ~1-minute factorization; this form
-    takes milliseconds). Pinning a *bulk* state keeps the remaining
-    components ``<= O(1/π_j)``, avoiding overflow on strongly skewed
-    chains; if the first pin still misfires numerically, states 0 and
-    ``n-1`` are tried as fallbacks.
+    balance equation leaves a sparse nonsingular system ``A x = b``.
+    Pinning a *bulk* state keeps the remaining components
+    ``<= O(1/π_j)``, avoiding overflow on strongly skewed chains. Each
+    solution of the pinned system (see :func:`_pinned_solves`) is
+    clipped at 0, normalized and accepted only if its residual
+    ``max|π Q|`` is at most ``1e-8`` times the largest rate; a rejected
+    GMRES solution falls back to the complete LU of the same system, a
+    rejected LU solution to the next pin (states 0 and ``n-1``).
     """
     n = q.shape[0]
     qt = q.T.tocsc()
+    scale = float(np.abs(q.data).max()) if q.nnz else 1.0
     candidates = [_bulk_state(q), 0, n - 1]
     last_error: Exception | None = None
     for j in dict.fromkeys(candidates):
         keep = np.arange(n) != j
-        a = qt[keep][:, keep]
-        b = -np.asarray(qt[keep][:, [j]].todense()).ravel()
+        rows = qt[keep]
+        a = rows[:, keep].tocsc()
+        b = -rows[:, [j]].toarray().ravel()
         with np.errstate(all="ignore"):
-            # COLAMD (the default) orders the *pinned* system well — 3.9s
-            # on the G=40 RAID vs 26s with MMD_AT_PLUS_A and 56s for the
-            # dense-normalization-row formulation it replaced.
-            x = spsolve(a.tocsc(), b)
-        x = np.asarray(x).ravel()
-        if np.any(~np.isfinite(x)):
-            last_error = ModelError(
-                f"fixed-component solve at state {j} produced non-finite "
-                "entries")
-            continue
-        pi = np.empty(n)
-        pi[keep] = x
-        pi[j] = 1.0
-        pi = np.clip(pi, 0.0, None)
-        s = pi.sum()
-        if not np.isfinite(s) or s <= 0.0:
-            last_error = ModelError("stationary solve produced a zero or "
-                                    "non-finite vector")
-            continue
-        pi /= s
-        # Residual check guards against a silently-singular factorization.
-        resid = float(np.abs(pi @ q).max())
-        scale = float(np.abs(q.data).max()) if q.nnz else 1.0
-        if resid <= 1e-8 * scale:
-            return pi
-        last_error = ModelError(f"stationary residual {resid} too large")
+            for x in _pinned_solves(a, b):
+                x = np.asarray(x).ravel()
+                if np.any(~np.isfinite(x)):
+                    last_error = ModelError(
+                        f"fixed-component solve at state {j} produced "
+                        "non-finite entries")
+                    continue
+                pi = np.empty(n)
+                pi[keep] = x
+                pi[j] = 1.0
+                pi = np.clip(pi, 0.0, None)
+                s = pi.sum()
+                if not np.isfinite(s) or s <= 0.0:
+                    last_error = ModelError("stationary solve produced a "
+                                            "zero or non-finite vector")
+                    continue
+                pi /= s
+                resid = _residual(q, pi)
+                if resid <= 1e-8 * scale:
+                    return pi
+                last_error = ModelError(
+                    f"stationary residual {resid} too large")
     raise ModelError(
         "sparse stationary solve failed (chain not irreducible, or "
         f"numerically degenerate): {last_error}")
+
+
+def _generator(chain: CTMC | DTMC) -> sparse.csr_matrix:
+    """``Q`` of a CTMC, or ``P - I`` of a DTMC."""
+    if isinstance(chain, CTMC):
+        return chain.generator
+    if isinstance(chain, DTMC):
+        n = chain.n_states
+        return (chain.transition_matrix
+                - sparse.eye(n, format="csr")).tocsr()
+    raise TypeError("chain must be a CTMC or DTMC")
+
+
+def stationary_residual(chain: CTMC | DTMC, pi: np.ndarray) -> float:
+    """``max|π Q|`` of a candidate stationary vector ``π``.
+
+    ``Q`` is formed exactly as :func:`stationary_distribution` forms it,
+    so for a vector from the sparse path this is the value its residual
+    gate accepted.
+    """
+    return _residual(_generator(chain), pi)
 
 
 def stationary_distribution(chain: CTMC | DTMC, *,
@@ -157,16 +229,11 @@ def stationary_distribution(chain: CTMC | DTMC, *,
     chain:
         The chain. A DTMC is converted through ``Q = P - I``.
     method:
-        ``"gth"`` (dense, exact), ``"sparse"`` (SuperLU), or ``"auto"``
-        (GTH below ``1200`` states, sparse above).
+        ``"gth"`` (dense, exact), ``"sparse"`` (pinned system solved by
+        ILU-preconditioned GMRES, falling back to a complete sparse LU),
+        or ``"auto"`` (GTH up to ``1200`` states, sparse above).
     """
-    if isinstance(chain, CTMC):
-        q = chain.generator
-    elif isinstance(chain, DTMC):
-        n = chain.n_states
-        q = (chain.transition_matrix - sparse.eye(n, format="csr")).tocsr()
-    else:
-        raise TypeError("chain must be a CTMC or DTMC")
+    q = _generator(chain)
     n = q.shape[0]
     if method == "auto":
         method = "gth" if n <= _GTH_MAX_STATES else "sparse"

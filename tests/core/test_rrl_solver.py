@@ -55,6 +55,31 @@ class TestCorrectness:
         sol = RRLSolver().solve(model, rewards, TRR, [4.0], eps=1e-10)
         assert sol.values[0] == pytest.approx(ref.values[0], abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "n, density, seed, absorbing, scale, t, eps, regenerative", [
+            (10, 0.203125, 608, 1, 10.0, 42.75, 1e-10, None),
+            (10, 0.203125, 608, 1, 10.0, 42.6344303652401, 1e-10, None),
+            (9, 0.1281776981097547, 6238, 1, 10.0, 20.263208673808037,
+             1e-9, 4),
+            (9, 0.36235782644705794, 80297, 1, 10.0, 7.611582969440047,
+             1e-10, None),
+        ])
+    def test_inversion_does_not_stop_on_a_plateau(
+            self, n, density, seed, absorbing, scale, t, eps, regenerative):
+        """On these chains the epsilon table holds still for a few terms
+        at a value 3-9·eps off before it converges; the inversion must
+        not take that plateau for the limit."""
+        model = random_ctmc(n, density=density, seed=seed,
+                            absorbing=absorbing, rate_scale=scale)
+        rewards = RewardStructure(
+            np.random.default_rng(seed + 1).uniform(0.0, 2.0, n))
+        ref = StandardRandomizationSolver().solve(model, rewards, TRR, [t],
+                                                  eps=1e-14)
+        sol = RRLSolver(regenerative=regenerative).solve(
+            model, rewards, TRR, [t], eps=eps)
+        assert abs(sol.values[0] - ref.values[0]) <= eps * max(
+            1.0, rewards.max_rate)
+
     def test_queue_rewards(self):
         model, rewards = mm1k_queue(6, arrival=1.0, service=2.0)
         times = [1.0, 10.0, 100.0]

@@ -10,8 +10,14 @@ from repro import (
     StandardRandomizationSolver,
     SteadyStateDetectionSolver,
 )
+from repro.analysis.experiments import PAPER_TIMES, ExperimentConfig
 from repro.exceptions import ModelError
-from repro.models import birth_death, cyclic_chain, two_state_availability
+from repro.models import (
+    birth_death,
+    build_raid5_availability,
+    cyclic_chain,
+    two_state_availability,
+)
 from tests.conftest import exact_two_state_mrr, exact_two_state_ua
 
 
@@ -109,3 +115,25 @@ class TestGuards:
         pi = rho ** np.arange(8)
         pi /= pi.sum()
         assert sol.values[0] == pytest.approx(pi[7], rel=1e-6)
+
+
+class TestPaperSize:
+    """Table 1's RSD columns on the paper's RAID availability chains.
+
+    Their 5521 and 20641 states put π_∞ on the sparse stationary path,
+    which the G=5 golden fixture (GTH) never reaches.
+    """
+
+    @pytest.mark.parametrize("groups, steps, k_ss", [
+        (20, [66, 355, 2267, 2267, 2267, 2267], 2268),
+        (40, [99, 595, 4309, 4309, 4309, 4309], 4310),
+    ])
+    def test_table1_steps(self, groups, steps, k_ss):
+        params = ExperimentConfig.paper().params_for(groups)
+        model, rewards, _ = build_raid5_availability(params)
+        sol = SteadyStateDetectionSolver().solve(model, rewards, TRR,
+                                                 PAPER_TIMES, eps=1e-12)
+        assert sol.steps.tolist() == steps
+        assert sol.stats["k_ss"] == k_ss
+        assert 0.0 <= sol.stats["stationary_residual"] <= 1e-14
+

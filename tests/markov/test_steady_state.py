@@ -1,14 +1,59 @@
-"""Stationary solvers: GTH vs sparse LU vs closed forms."""
+"""Stationary solvers: GTH vs the sparse pinned solve vs closed forms.
+
+The sparse path solves the pinned system with ILU-preconditioned GMRES
+and falls back to the complete sparse LU. Its tests compare it with a
+local complete-LU solve of the same pinned system: on a paper RAID chain,
+on stiff chains against GTH, and on the two fallback triggers.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from repro import CTMC
+from repro.analysis.experiments import ExperimentConfig
 from repro.exceptions import ModelError
-from repro.markov.steady_state import gth_solve, stationary_distribution
-from repro.models import birth_death, random_ctmc
+from repro.markov import steady_state
+from repro.markov.steady_state import (
+    gth_solve,
+    stationary_distribution,
+    stationary_residual,
+)
+from repro.models import (
+    birth_death,
+    block_structured_ctmc,
+    build_raid5_availability,
+    random_ctmc,
+)
+
+
+def _complete_lu(q):
+    """The pinned system at the bulk state, solved by one complete LU."""
+    n = q.shape[0]
+    j = steady_state._bulk_state(q)
+    keep = np.arange(n) != j
+    qt = q.T.tocsc()
+    x = spsolve(qt[keep][:, keep].tocsc(),
+                -qt[keep][:, [j]].toarray().ravel())
+    pi = np.empty(n)
+    pi[keep] = x
+    pi[j] = 1.0
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def _l1(a, b):
+    return float(np.abs(a - b).sum())
+
+
+@pytest.fixture(scope="module")
+def raid_g20():
+    """Generator of the paper's G=20 RAID availability chain (5521 states)."""
+    params = ExperimentConfig.paper().params_for(20)
+    model, _, _ = build_raid5_availability(params)
+    return model
 
 
 class TestGth:
@@ -87,3 +132,63 @@ def test_gth_sparse_agree_property(n, seed):
     pi_g = stationary_distribution(model, method="gth")
     pi_s = stationary_distribution(model, method="sparse")
     assert np.allclose(pi_g, pi_s, atol=1e-9)
+
+
+class TestSparsePath:
+    def test_raid_matches_complete_lu(self, raid_g20, monkeypatch):
+        q = raid_g20.generator
+        want = _complete_lu(q)
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("complete LU called")
+
+        monkeypatch.setattr(steady_state, "spsolve", no_lu)
+        pi = stationary_distribution(raid_g20, method="sparse")
+        assert _l1(pi, want) <= 1e-14
+        assert stationary_residual(raid_g20, pi) <= 1e-8 * np.abs(q.data).max()
+
+    @pytest.mark.parametrize("model", [
+        birth_death(1000, 0.99, 1.0),
+        random_ctmc(600, density=0.01, seed=5),
+    ], ids=["birth-death-0.99", "random-sparse"])
+    def test_as_close_to_gth_as_complete_lu(self, model):
+        q = model.generator
+        exact = gth_solve(q.toarray())
+        pi = stationary_distribution(model, method="sparse")
+        assert _l1(pi, exact) <= _l1(_complete_lu(q), exact) + 1e-14
+
+    @pytest.mark.parametrize("inter_scale", [1e-3, 1e-6, 1e-9])
+    def test_nearly_decomposable_as_close_to_gth_as_complete_lu(
+            self, inter_scale):
+        # Both pinned solves lose digits to the conditioning here (L1
+        # errors of ~1e-11 / 1e-8 / 1e-5 against GTH), and which of the
+        # two lands closer on one chain is rounding noise. Over 8 chains
+        # the totals must agree within that noise.
+        got = lu = 0.0
+        for seed in range(8):
+            model, _ = block_structured_ctmc(8, 40, inter_scale=inter_scale,
+                                             seed=seed)
+            q = model.generator
+            exact = gth_solve(q.toarray())
+            got += _l1(stationary_distribution(model, method="sparse"),
+                       exact)
+            lu += _l1(_complete_lu(q), exact)
+        assert got <= 2.0 * lu + 1e-14
+
+    def test_ilu_failure_falls_back_to_complete_lu(self, raid_g20,
+                                                   monkeypatch):
+        def failing_ilu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(steady_state, "spilu", failing_ilu)
+        pi = stationary_distribution(raid_g20, method="sparse")
+        assert np.array_equal(pi, _complete_lu(raid_g20.generator))
+
+    def test_gmres_non_convergence_falls_back_to_complete_lu(
+            self, raid_g20, monkeypatch):
+        def stalled_gmres(a, b, **kwargs):
+            return np.zeros_like(b), 100
+
+        monkeypatch.setattr(steady_state, "gmres", stalled_gmres)
+        pi = stationary_distribution(raid_g20, method="sparse")
+        assert np.array_equal(pi, _complete_lu(raid_g20.generator))

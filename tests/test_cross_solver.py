@@ -150,6 +150,8 @@ def test_fused_equals_unfused_bitwise(scenario):
             assert np.array_equal(got.steps, solo.steps), \
                 f"fused {method} steps drifted on {scenario.name}"
             assert got.stats["fused_width"] == 4
+            assert got.stats.get("stationary_residual") == \
+                solo.stats.get("stationary_residual")
 
 
 def test_matrix_covers_every_registered_solver():
