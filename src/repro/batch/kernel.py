@@ -14,12 +14,22 @@ two things:
 The :class:`UniformizationKernel` centralizes (1). It stores ``P`` once as
 the CSR form of ``Pᵀ`` — the layout scipy's matvec walks sequentially for
 the left product ``π P = (Pᵀ πᵀ)ᵀ`` — and propagates a whole *stack* of
-vectors per step with a single CSR × dense-matrix product: the sparse
-matrix is traversed once per step no matter how many vectors ride along.
-Column ``j`` of a stacked product is bit-for-bit identical to propagating
-vector ``j`` alone (scipy's CSR multi-vector product accumulates each
-column in the same order as its matvec), so batching never changes any
-solver's numerics — a property the unit tests pin down.
+vectors per step with a single CSR × dense-matrix product. Column ``j`` of
+a stacked product is bit-for-bit identical to propagating vector ``j``
+alone (scipy's CSR multi-vector product accumulates each column in the
+same order as its matvec), so batching never changes any solver's
+numerics — a property the unit tests pin down. Stacking buys that
+bit-identity and one shared traversal of the index arrays, not speed on
+large chains: on the G=40 paper model (20,641 states, 157k nonzeros) one
+2-column ``csr_matvecs`` took 552 µs against 2 × 173 µs for two separate
+matvecs (2-CPU Xeon host).
+
+Every product calls scipy's CSR routines (``csr_matvec``/``csr_matvecs``)
+directly on the matrix's own arrays. That is what ``Pᵀ @ stack`` runs
+after its operand dispatch, so results are bit-identical to the operator.
+The dispatch it skips costs 2–3 µs per call: about half of each product
+on the small chains of a scenario sweep (5–253 states), under a tenth
+from a few thousand states up.
 
 :func:`shared_fox_glynn` centralizes (2) behind a process-wide LRU cache
 keyed on ``(Λt, ε)``. Sweeps revisit the same key constantly — a
@@ -39,6 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.exceptions import ModelError
 from repro.markov.poisson import FoxGlynnWindow, fox_glynn, poisson_sf
@@ -159,6 +170,32 @@ def poisson_tail_cache_clear() -> None:
     _poisson_tail_cached.cache_clear()
 
 
+def _csr_product(a: sparse.csr_matrix, stack: np.ndarray) -> np.ndarray:
+    """``a @ stack`` for a dense vector or column stack, as a fresh array.
+
+    The steps scipy's ``_matmul_vector``/``_matmul_multivector`` take once
+    ``@`` has classified the operand: a float64 view or cast of it, a
+    zeroed float64 output and one call of ``csr_matvec`` (1-D) or
+    ``csr_matvecs`` (2-D, raveled in C order) over ``a``'s own
+    ``indptr/indices/data``. Same routine, same arrays, same accumulation
+    order, so the result is bit-for-bit ``a @ stack``.
+    """
+    m, n = a.shape
+    x = np.asarray(stack, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(
+            f"dimension mismatch: matrix is {m}×{n}, operand {x.shape}")
+    if x.ndim == 1:
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
+    else:
+        k = x.shape[1]
+        out = np.zeros((m, k))
+        _sparsetools.csr_matvecs(m, n, k, a.indptr, a.indices, a.data,
+                                 x.ravel(), out.ravel())
+    return out
+
+
 class UniformizationKernel:
     """Vectorized stepping engine for one randomized DTMC.
 
@@ -181,11 +218,14 @@ class UniformizationKernel:
     1-D vectors work everywhere a stack does.
 
     A kernel is safe to *share across threads* (the thread backend's
-    whole point): stepping only reads the CSR matrices and returns fresh
-    arrays. The one mutable bit, the informational :attr:`steps_done`
-    counter, is deliberately not locked — a per-step lock would tax the
-    hot path for a diagnostic number — so under concurrent stepping it
-    is a lower bound, not an exact count.
+    whole point): stepping only reads the CSR matrices, and every
+    stepping method — :meth:`step`, :meth:`step_rate` and
+    :meth:`propagate`, even for zero steps — returns a fresh array, never
+    the caller's (or the cached chain's) vector. The one mutable bit,
+    the informational :attr:`steps_done` counter, is deliberately not
+    locked — a per-step lock would tax the hot path for a diagnostic
+    number — so under concurrent stepping it is a lower bound, not an
+    exact count.
     """
 
     def __init__(self,
@@ -295,13 +335,13 @@ class UniformizationKernel:
                 "kernel was built without a transition matrix; "
                 "fixed-rate stepping needs P")
         self._steps += 1
-        return self._pt @ stack
+        return _csr_product(self._pt, stack)
 
     def propagate(self, stack: np.ndarray, n_steps: int) -> np.ndarray:
-        """Apply ``n_steps >= 0`` uniformized steps to the stack."""
+        """Apply ``n_steps >= 0`` uniformized steps to a copy of the stack."""
         if n_steps < 0:
             raise ValueError("n_steps must be non-negative")
-        out = np.asarray(stack, dtype=np.float64)
+        out = np.array(stack, dtype=np.float64)
         for _ in range(n_steps):
             out = self.step(out)
         return out
@@ -318,7 +358,7 @@ class UniformizationKernel:
         if rate <= 0.0:
             raise ValueError("rate must be positive")
         self._steps += 1
-        return stack + (self._qt @ stack) / rate
+        return stack + _csr_product(self._qt, stack) / rate
 
     def reward_sequence(self,
                         initial: np.ndarray,
@@ -347,17 +387,21 @@ class UniformizationKernel:
         # (step, column) pair: copyto into it is the same contiguous
         # layout (hence the same dot, bit for bit) as a fresh
         # ascontiguousarray per column, without n_max × k allocations.
-        scratch = np.empty(self._n, dtype=np.float64) if pi.ndim > 1 \
-            else None
-        for n in range(n_max):
-            if pi.ndim == 1:
+        step = self.step
+        if pi.ndim == 1:
+            for n in range(n_max):
+                if n:
+                    pi = step(pi)
                 out[n] = r @ pi
-            else:
-                for j in range(pi.shape[1]):
-                    np.copyto(scratch, pi[:, j])
-                    out[n, j] = r @ scratch
-            if n + 1 < n_max:
-                pi = self.step(pi)
+            return out
+        scratch = np.empty(self._n, dtype=np.float64)
+        columns = range(pi.shape[1])
+        for n in range(n_max):
+            if n:
+                pi = step(pi)
+            for j in columns:
+                np.copyto(scratch, pi[:, j])
+                out[n, j] = r @ scratch
         return out
 
     def reward_sequences(self,
@@ -384,13 +428,15 @@ class UniformizationKernel:
             raise ModelError("initial must be one (n_states,) vector")
         if rs.ndim != 2 or rs.shape[0] != self._n:
             raise ModelError("rewards must be an (n_states, k) stack")
-        cols = [np.ascontiguousarray(rs[:, j]) for j in range(rs.shape[1])]
+        cols = list(enumerate(
+            np.ascontiguousarray(rs[:, j]) for j in range(rs.shape[1])))
         out = np.empty((n_max, len(cols)), dtype=np.float64)
+        step = self.step
         for n in range(n_max):
-            for j, r in enumerate(cols):
+            if n:
+                pi = step(pi)
+            for j, r in cols:
                 out[n, j] = r @ pi
-            if n + 1 < n_max:
-                pi = self.step(pi)
         return out
 
     def window(self, t: float, eps: float) -> FoxGlynnWindow:

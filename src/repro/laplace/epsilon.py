@@ -79,21 +79,27 @@ class EpsilonAccelerator:
         # ε_k = ε_{k-2}(shifted) + 1/(ε_{k-1}(new) − ε_{k-1}(old)).
         # The anti-diagonal is cut at a degenerate depth (below), so it
         # can be shorter than the term count; each term lengthens it by at
-        # most one entry.
-        for k in range(1, len(old) + 1):
-            denom = new[k - 1] - old[k - 1]
-            prev = old[k - 2] if k >= 2 else 0.0
-            scale = abs(new[k - 1]) + abs(old[k - 1])
-            if (not math.isfinite(denom)
+        # most one entry. The loop walks the old anti-diagonal, carrying
+        # ``last`` = new[k-1] and ``prev`` = old[k-2] in locals.
+        isfinite = math.isfinite
+        append = new.append
+        last = s
+        prev = 0.0
+        for above in old:
+            denom = last - above
+            scale = abs(last) + abs(above)
+            if (not isfinite(denom)
                     or abs(denom) <= _DEGENERATE_RTOL * scale + _TINY):
                 # Exact convergence at this depth (or an inf/inf collision
                 # in an odd column): cut the anti-diagonal here. The last
                 # finished even column already holds the limit.
                 break
             nxt = prev + 1.0 / denom
-            if not math.isfinite(nxt):
+            if not isfinite(nxt):
                 break
-            new.append(nxt)
+            append(nxt)
+            last = nxt
+            prev = above
         self._diag = new
         self._n += 1
         # Deepest even-column entry on the anti-diagonal.

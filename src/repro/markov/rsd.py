@@ -97,6 +97,15 @@ def _rsd_values(kernel: UniformizationKernel, d: np.ndarray,
     return values, steps
 
 
+def _l1_distance(pi: np.ndarray, pi_inf: np.ndarray,
+                 buf: np.ndarray) -> float:
+    """``Σ|π − π_∞|`` through ``buf``: the ufuncs and pairwise sum of
+    ``np.abs(pi - pi_inf).sum()``, without its two temporaries."""
+    np.subtract(pi, pi_inf, out=buf)
+    np.abs(buf, out=buf)
+    return float(buf.sum())
+
+
 class _FusedCellState:
     """Mutable per-cell bookkeeping for the fused detection sweep."""
 
@@ -176,9 +185,10 @@ class SteadyStateDetectionSolver:
         d_list: list[float] = []
         pi = dtmc.initial.copy()
         k_ss: int | None = None
+        diff = np.empty_like(pi_inf)
         for n in range(n_budget):
             d_list.append(float(r @ pi))
-            if float(np.abs(pi - pi_inf).sum()) <= delta:
+            if _l1_distance(pi, pi_inf, diff) <= delta:
                 k_ss = n + 1  # d_n for n >= k_ss replaced by d_inf
                 break
             if n + 1 < n_budget:
@@ -267,6 +277,7 @@ class SteadyStateDetectionSolver:
         if live:
             n_total = max(st.n_budget for st in live)
             pi = dtmc.initial.copy()
+            diff = np.empty_like(pi_inf)
             for n in range(n_total):
                 dist: float | None = None
                 pending = False
@@ -277,7 +288,7 @@ class SteadyStateDetectionSolver:
                     if dist is None:
                         # One shared distance per step: π_n is common to
                         # every cell, only the δ threshold differs.
-                        dist = float(np.abs(pi - pi_inf).sum())
+                        dist = _l1_distance(pi, pi_inf, diff)
                     if dist <= st.delta:
                         st.k_ss = n + 1
                         st.done = True

@@ -101,12 +101,80 @@ class TestStackedPropagation:
         kernel, dtmc, _, _ = kernel_and_model
         out = kernel.propagate(dtmc.initial, 0)
         assert np.array_equal(out, dtmc.initial)
+        # A fresh copy, never the cached chain's own initial vector:
+        # writing to it must leave the shared kernel's chain untouched.
+        assert out is not dtmc.initial
+        before = dtmc.initial.copy()
+        out[:] = -1.0
+        assert np.array_equal(kernel.dtmc.initial, before)
 
     def test_step_counter(self, kernel_and_model):
         kernel, dtmc, _, _ = kernel_and_model
         assert kernel.steps_done == 0
         kernel.propagate(dtmc.initial, 4)
         assert kernel.steps_done == 4
+
+
+class TestDirectProduct:
+    """``step``/``step_rate`` call scipy's CSR routines directly; these
+    pin them to the ``@`` operator bit for bit, so a scipy release that
+    changes its private ``_sparsetools`` routines fails here."""
+
+    @pytest.fixture
+    def kernel(self, kernel_and_model):
+        return kernel_and_model[0]
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(5)
+        stack = rng.random((n, 4))
+        return {
+            "vector": rng.random(n),
+            "c_stack": stack,
+            "f_stack": np.asfortranarray(stack),
+            "single_column": stack[:, :1],
+            "strided_column": stack[:, 2],
+            "float32": rng.random(n).astype(np.float32),
+            "int": np.arange(n),
+        }
+
+    @pytest.mark.parametrize("name", ["vector", "c_stack", "f_stack",
+                                      "single_column", "strided_column",
+                                      "float32", "int"])
+    def test_step_is_bitwise_matmul(self, kernel, name):
+        x = self.operands(kernel.n_states)[name]
+        out = kernel.step(x)
+        expected = kernel._pt @ x
+        assert out.dtype == expected.dtype == np.float64
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("name", ["vector", "c_stack", "f_stack",
+                                      "strided_column"])
+    def test_step_rate_is_bitwise_formula(self, kernel, name):
+        x = self.operands(kernel.n_states)[name]
+        rate = 1.5 * kernel.rate
+        expected = x + (kernel._qt @ x) / rate
+        assert np.array_equal(kernel.step_rate(x, rate), expected)
+
+    @pytest.mark.parametrize("name", ["vector", "c_stack", "f_stack",
+                                      "strided_column"])
+    def test_every_call_returns_a_new_array(self, kernel, name):
+        x = self.operands(kernel.n_states)[name]
+        for out in (kernel.step(x), kernel.step_rate(x, kernel.rate)):
+            assert out is not x
+            assert not np.shares_memory(out, x)
+        first, second = kernel.step(x), kernel.step(x)
+        assert first is not second
+
+    def test_wrong_length_raises(self, kernel):
+        n = kernel.n_states
+        for bad in (np.ones(n + 1), np.ones(n - 1), np.ones((n + 1, 2)),
+                    np.ones((n, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                kernel.step(bad)
+            with pytest.raises(ValueError):
+                kernel.step_rate(bad, kernel.rate)
 
 
 class TestStepRate:
