@@ -3,9 +3,10 @@ UR(10⁵) values.
 
 On the paper grid the RR/RRL column must match the published integers
 within ±2 and UR(10⁵) must land on 0.50480 / ~0.7475 (the P_R
-calibration, see EXPERIMENTS.md). The SR column is *computed* from the
-Poisson quantile — running SR is not needed to know how many steps it
-would take, which is exactly the point of the table.
+calibration, see ``Raid5Params.reconstruction_success``). The SR column
+is *computed* from the Poisson quantile — running SR is not needed to
+know how many steps it would take, which is exactly the point of the
+table.
 
 Run:  pytest benchmarks/bench_table2.py --benchmark-only -q -s
 """

@@ -119,6 +119,8 @@ class RRLSolver:
         l_points = np.full(t_arr.size, -1, dtype=np.int64)
         abscissae = np.empty(t_arr.size, dtype=np.int64)
         dampings = np.empty(t_arr.size)
+        truncation_bounds = np.empty(t_arr.size)
+        inversion_diffs = np.empty(t_arr.size)
         order = np.argsort(t_arr)
         # A cached setup may be shared with concurrent solves (thread
         # backend): the lock serializes builder extension and keeps the
@@ -145,18 +147,21 @@ class RRLSolver:
                                          t_factor=self._t_factor,
                                          max_terms=self._max_terms)
                     values[i] = res.value
+                    inversion_diffs[i] = res.converged_diff
                 else:
                     res = invert_cumulative(transform.cumulative, t,
                                             eps=eps, r_max=r_max,
                                             t_factor=self._t_factor,
                                             max_terms=self._max_terms)
                     values[i] = res.value / t
+                    inversion_diffs[i] = res.converged_diff / t
                 steps[i] = choice.steps
                 k_points[i] = choice.k_point
                 l_points[i] = choice.l_point \
                     if choice.l_point is not None else -1
                 abscissae[i] = res.n_abscissae
                 dampings[i] = res.damping
+                truncation_bounds[i] = choice.error_bound
             transformation_steps = setup.main.steps_done \
                 + (setup.primed.steps_done if setup.primed else 0) \
                 - reused_steps
@@ -168,6 +173,8 @@ class RRLSolver:
             "L": l_points,
             "n_abscissae": abscissae,
             "damping": dampings,
+            "truncation_bound": truncation_bounds,
+            "inversion_diff": inversion_diffs,
             "t_factor": self._t_factor,
             "transformation_steps": transformation_steps,
         }

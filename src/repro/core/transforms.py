@@ -27,14 +27,21 @@ against a direct solution of the explicitly-built ``V_{K,L}``.)
 When ``α_r = 1`` there is no primed chain: ``A(s) = 1`` and the primed
 sums vanish (the paper's ``V_K`` case).
 
-Evaluation strategy: all sums are polynomials in ``γ`` with non-negative
-coefficients. For a batch of abscissae we form each chain's matrix of
-powers ``γ^k`` via ``exp(k·log γ)`` (``|γ| < 1`` for ``Re s > 0``, so this
-is stable and fully vectorized) and take inner products with the
-coefficient vectors. Every public transform builds each chain's powers
-matrix once per call and shares it between ``p̃_0`` and its own sums. The
-transform also exposes ``p_absorbed_a`` — the transform of the probability
-of the truncation state — used by a-posteriori error checks.
+Evaluation strategy: every sum is a polynomial in ``γ`` with non-negative
+coefficients, and ``|γ| < 1`` for ``Re s > 0``. For a batch of abscissae
+each chain gets one matrix of powers ``γ^k`` (``K + 1`` columns for the
+main chain, ``L + 1`` for the primed one). Its entries come from two small
+tables of ``exp(j·log γ)``, one for ``j = 0 .. B−1`` and one for
+``j = 0, B, 2B, …``: ``γ^(qB+r) = γ^(qB)·γ^r``, one complex multiply per
+entry instead of one complex ``exp``, and no less accurate (checked
+against 40-digit powers in ``tests/core/test_transforms.py``). Each
+chain's coefficient vectors are stacked once per transform into a
+complex matrix, zero-padded to the chain's power count (main:
+``a, c, vmass, rfv``; primed: ``a'`` up to ``L − 1``, ``vmass', c',
+rfv'``), so each public transform costs one matrix product per chain;
+``p̃_0`` and the transform's own sums read their columns. The transform
+also exposes ``p_absorbed_a`` — the transform of the probability of the
+truncation state — used by a-posteriori error checks.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ from repro.core.schedules import RegenerativeSchedule
 from repro.exceptions import ModelError
 
 __all__ = ["VklTransform"]
+
+#: Block length ``B`` of the factored powers ``γ^(qB+r) = γ^(qB)·γ^r``.
+#: A power of two, so ``q·B·log γ`` rounds the same however it is grouped.
+_BLOCK = 64
 
 
 class VklTransform:
@@ -85,39 +96,25 @@ class VklTransform:
         self._rate = float(rate)
         rf = np.asarray(absorbing_rewards, dtype=np.float64)
 
-        # Main-chain coefficient vectors (lengths K+1 / K).
-        self._a = main.a[: k + 1]
-        self._c = main.c[: k + 1]
-        n_trans = min(k, main.vmass.shape[0])
-        vm = main.vmass[:n_trans]
-        self._vsum = np.zeros(k)
-        self._rfv = np.zeros(k)
-        if vm.shape[1]:
-            self._vsum[:n_trans] = vm.sum(axis=1)
-            self._rfv[:n_trans] = vm @ rf
-        self._a_tail = self._a[k] if k < main.n else 0.0
+        # Main-chain columns over γ^0..γ^K: a, c, vmass, rfv (the last
+        # two stop at K−1 and are zero at K).
+        self._coef = _stack_columns(k + 1, main.a[: k + 1], main.c[: k + 1],
+                                    *_absorbed_sums(main, k, rf))
+        self._a_tail = main.a[k]
 
-        # Primed-chain coefficient vectors.
-        self._has_primed = primed is not None
+        # Primed-chain columns over γ^0..γ^L: a' (to L−1), vmass', c',
+        # rfv'.
         if primed is not None:
             lp = int(l_point)  # type: ignore[arg-type]
             if lp >= primed.n:
                 if not primed.exhausted:
                     raise ModelError(f"primed schedule too short for L={lp}")
                 lp = primed.n - 1
-            self._l = lp
-            self._ap = primed.a[: lp + 1]
-            self._cp = primed.c[: lp + 1]
-            n_t = min(lp, primed.vmass.shape[0])
-            vmp = primed.vmass[:n_t]
-            self._vsum_p = np.zeros(lp)
-            self._rfv_p = np.zeros(lp)
-            if vmp.shape[1]:
-                self._vsum_p[:n_t] = vmp.sum(axis=1)
-                self._rfv_p[:n_t] = vmp @ rf
-            self._ap_tail = self._ap[lp]
-        else:
-            self._l = None
+            vsum_p, rfv_p = _absorbed_sums(primed, lp, rf)
+            self._coef_p = _stack_columns(lp + 1, primed.a[:lp], vsum_p,
+                                          primed.c[: lp + 1], rfv_p)
+            self._ap_tail = primed.a[lp]
+        self._l = lp if primed is not None else None
 
     # -- helpers -----------------------------------------------------------
 
@@ -132,34 +129,42 @@ class VklTransform:
         return self._l
 
     def _powers(self, s: np.ndarray, n: int) -> np.ndarray:
-        """Matrix ``γ(s)^k`` of shape ``(len(s), n)``."""
-        gamma = self._rate / (s + self._rate)
-        ks = np.arange(n, dtype=np.float64)
-        return np.exp(np.log(gamma)[:, None] * ks[None, :])
+        """Matrix ``γ(s)^k`` of shape ``(len(s), n)``, built blockwise as
+        ``exp(qB·log γ)·exp(r·log γ)`` for ``k = qB + r``."""
+        log_gamma = np.log(self._rate / (s + self._rate))[:, None]
+        n_blocks = (n + _BLOCK - 1) // _BLOCK
+        low = np.exp(log_gamma * np.arange(_BLOCK, dtype=np.float64))
+        high = np.exp(log_gamma * np.arange(0, n_blocks * _BLOCK, _BLOCK,
+                                            dtype=np.float64))
+        full = high[:, :, None] * low[:, None, :]
+        return full.reshape(s.shape[0], n_blocks * _BLOCK)[:, :n]
 
-    def _chain_powers(self, s: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Powers matrices of the main chain (``K + 1`` columns) and of the
-        primed chain (``L + 1`` columns, ``None`` if α_r = 1)."""
+    def _sums(self, s: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray,
+                         np.ndarray | None, np.ndarray | None]:
+        """Each chain's column sums and its last power: main sums
+        ``(len(s), 4)`` and ``γ^K``, then primed sums and ``γ^L`` (both
+        ``None`` if α_r = 1)."""
         pw = self._powers(s, self._k + 1)
-        if not self._has_primed:
-            return pw, None
-        return pw, self._powers(s, self._l + 1)
+        main = pw @ self._coef
+        if self._l is None:
+            return main, pw[:, self._k], None, None
+        pwp = self._powers(s, self._l + 1)
+        return main, pw[:, self._k], pwp @ self._coef_p, pwp[:, self._l]
 
-    def _p0(self, s: np.ndarray, pw: np.ndarray,
-            pwp: np.ndarray | None) -> np.ndarray:
-        """``p̃_0(s)`` from precomputed powers matrices."""
+    def _p0(self, s: np.ndarray, main: np.ndarray, gamma_k: np.ndarray,
+            primed: np.ndarray | None,
+            gamma_l: np.ndarray | None) -> np.ndarray:
+        """``p̃_0(s)`` from the chains' column sums (see :meth:`_sums`)."""
         lam = self._rate
-        b_val = (s * (pw @ self._a)
-                 + lam * (pw[:, : self._k] @ self._vsum)
-                 + lam * self._a_tail * pw[:, self._k])
-        if pwp is None:
+        b_val = (s * main[:, 0] + lam * main[:, 2]
+                 + lam * self._a_tail * gamma_k)
+        if primed is None:
             return 1.0 / b_val
-        lp = self._l
         a_val = (1.0
-                 - (s / (s + lam)) * (pwp[:, :lp] @ self._ap[:lp])
-                 - (lam / (s + lam)) * (pwp[:, :lp] @ self._vsum_p)
-                 - self._ap_tail * pwp[:, lp])
+                 - (s / (s + lam)) * primed[:, 0]
+                 - (lam / (s + lam)) * primed[:, 1]
+                 - self._ap_tail * gamma_l)
         return a_val / b_val
 
     # -- transform components ---------------------------------------------
@@ -167,21 +172,19 @@ class VklTransform:
     def p0(self, s: np.ndarray) -> np.ndarray:
         """Transform of ``P[V(t) = s_0]`` at complex abscissae ``s``."""
         s = np.asarray(s, dtype=np.complex128)
-        return self._p0(s, *self._chain_powers(s))
+        return self._p0(s, *self._sums(s))
 
     def trr(self, s: np.ndarray) -> np.ndarray:
         """Transform of ``TRR^a_{K,L}(t)`` at complex abscissae ``s``."""
         s = np.asarray(s, dtype=np.complex128)
         lam = self._rate
-        pw, pwp = self._chain_powers(s)
-        main_reward = pw @ self._c
-        main_absorb = (lam / s) * (pw[:, : self._k] @ self._rfv)
-        out = (main_reward + main_absorb) * self._p0(s, pw, pwp)
-        if pwp is not None:
-            lp = self._l
+        main, gamma_k, primed, gamma_l = self._sums(s)
+        p0 = self._p0(s, main, gamma_k, primed, gamma_l)
+        out = (main[:, 1] + (lam / s) * main[:, 3]) * p0
+        if primed is not None:
             gamma = lam / (s + lam)
-            out = out + (pwp @ self._cp) / (s + lam)
-            out = out + (gamma / s) * (pwp[:, :lp] @ self._rfv_p)
+            out = out + primed[:, 2] / (s + lam)
+            out = out + (gamma / s) * primed[:, 3]
         return out
 
     def cumulative(self, s: np.ndarray) -> np.ndarray:
@@ -200,9 +203,32 @@ class VklTransform:
         """
         s = np.asarray(s, dtype=np.complex128)
         lam = self._rate
-        pw, pwp = self._chain_powers(s)
-        p0 = self._p0(s, pw, pwp)
-        out = (lam / s) * self._a_tail * pw[:, self._k] * p0
-        if pwp is not None:
-            out = out + (lam / s) * self._ap_tail * pwp[:, self._l] / (s + lam)
+        main, gamma_k, primed, gamma_l = self._sums(s)
+        p0 = self._p0(s, main, gamma_k, primed, gamma_l)
+        out = (lam / s) * self._a_tail * gamma_k * p0
+        if gamma_l is not None:
+            out = out + (lam / s) * self._ap_tail * gamma_l / (s + lam)
         return out
+
+
+def _absorbed_sums(schedule: RegenerativeSchedule, n: int,
+                   rf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``vmass_k`` summed over the absorbing states, and weighted by their
+    rewards, for ``k < n`` (zero past the recorded transitions)."""
+    n_trans = min(n, schedule.vmass.shape[0])
+    vm = schedule.vmass[:n_trans]
+    vsum = np.zeros(n)
+    rfv = np.zeros(n)
+    if vm.shape[1]:
+        vsum[:n_trans] = vm.sum(axis=1)
+        rfv[:n_trans] = vm @ rf
+    return vsum, rfv
+
+
+def _stack_columns(rows: int, *columns: np.ndarray) -> np.ndarray:
+    """Complex ``(rows, len(columns))`` matrix of the columns, each
+    zero-padded at the end to ``rows``."""
+    out = np.zeros((rows, len(columns)), dtype=np.complex128)
+    for j, col in enumerate(columns):
+        out[: col.shape[0], j] = col
+    return out

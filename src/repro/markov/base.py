@@ -92,6 +92,13 @@ class TransientSolution:
           ``P − I`` of the randomized DTMC (for a chain on the sparse path
           this is the value the solver's residual gate accepted). Absent
           when the reward is identically 0 and no ``π̂`` is computed.
+        * ``truncation_bound`` / ``inversion_diff`` — **RRL only**, one
+          entry per time point: the truncation error bound at the
+          selected ``K, L`` (selection keeps it within ``eps/2``), and
+          the difference between the last two accelerated estimates of
+          the Laplace inversion when it stopped. Both are on the scale of
+          the measure: for MRR the inversion of ``C(t) = t·MRR(t)`` is
+          divided by ``t``. Absent when the reward is identically 0.
 
         Everything else (``k_ss``, ``K``/``L``, ``n_abscissae``, ...) is
         solver-specific and documented on the solver.

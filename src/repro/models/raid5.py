@@ -20,8 +20,9 @@ available, the remaining set is still considered unaligned whenever it
 has ``>= 2`` members.
 
 Exact dynamics used here (the paper gives prose only; each rule below is
-the direct aggregate translation — see DESIGN.md for the reconciliation
-of our state/transition counts with the paper's):
+the direct aggregate translation; ``tests/models/test_raid5.py`` checks
+them against the paper's state/transition-count remarks and its Table 2
+step counts):
 
 Invariants of operational states
   * ``NFC ∈ {0,1}`` (two failed controllers ⇒ two unavailable disks in
@@ -147,10 +148,11 @@ class Raid5Params:
     experiments. The default here was calibrated so that ``UR(10^5 h)``
     for ``G = 20`` matches the paper's reported 0.50480; the *same* value
     then predicts 0.7545 for ``G = 40`` against the paper's 0.74750
-    (within 1%), which cross-validates the calibration (see
-    EXPERIMENTS.md). The magnitude is consistent with an unrecoverable-
-    read-error computation over the ``(N−1)`` source disks of a
-    reconstruction (e.g. ~6.4·10¹⁰ bits at a 10⁻¹³ bit-error rate)."""
+    (within 1%), which cross-validates the calibration
+    (``tests/models/test_raid5.py`` pins the G = 20 value). The magnitude
+    is consistent with an unrecoverable-read-error computation over the
+    ``(N−1)`` source disks of a reconstruction (e.g. ~6.4·10¹⁰ bits at a
+    10⁻¹³ bit-error rate)."""
 
     def __post_init__(self) -> None:
         if self.groups < 1 or self.disks_per_group < 2:

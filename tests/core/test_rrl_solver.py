@@ -98,6 +98,20 @@ class TestWorkAndStats:
         assert np.all(absc >= 8)
         assert np.all(absc < 2000)
 
+    @pytest.mark.parametrize("measure", [TRR, MRR])
+    def test_achieved_errors_reported(self, random_absorbing, measure):
+        rewards = RewardStructure(np.linspace(0.0, 2.0, 14))
+        eps = 1e-10
+        sol = RRLSolver().solve(random_absorbing, rewards, measure,
+                                [50.0, 1.0, 8.0], eps=eps)
+        bound = sol.stats["truncation_bound"]
+        diff = sol.stats["inversion_diff"]
+        assert bound.shape == diff.shape == (3,)
+        # Truncation keeps within eps/2; the inversion stops once
+        # consecutive estimates differ by at most eps/100.
+        assert np.all((bound >= 0.0) & (bound <= eps / 2.0))
+        assert np.all((diff >= 0.0) & (diff <= eps / 100.0))
+
     def test_t_factor_configurable(self, two_state):
         model, rewards, *_ = two_state
         sol = RRLSolver(t_factor=16.0).solve(model, rewards, TRR, [1.0],

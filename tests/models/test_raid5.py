@@ -130,7 +130,7 @@ class TestPaperCrossChecks:
     def test_paper_ur_value_g20(self):
         model, rewards, _ = build_raid5_reliability(Raid5Params(groups=20))
         sol = RRLSolver().solve(model, rewards, TRR, [1e5], eps=1e-10)
-        # P_R calibration targets the paper's 0.50480 (see EXPERIMENTS.md).
+        # P_R calibration targets the paper's 0.50480 (see Raid5Params.reconstruction_success).
         assert sol.values[0] == pytest.approx(0.50480, abs=5e-4)
 
     def test_ur_monotone_in_time(self, small_ur):

@@ -185,6 +185,10 @@ class TestSolutionAndOutcomeCodec:
         # Diagnostic arrays/lists survive as lists.
         assert list(decoded.stats["n_abscissae"]) \
             == list(sol.stats["n_abscissae"])
+        # So do RRL's achieved-error diagnostics, float for float.
+        for key in ("truncation_bound", "inversion_diff"):
+            assert len(sol.stats[key]) == len(sol.times)
+            assert list(decoded.stats[key]) == list(sol.stats[key])
 
     def test_success_outcome_round_trip(self):
         out = BatchOutcome(key=("cell", 3), ok=True,
