@@ -26,7 +26,7 @@ from repro.analysis.runner import get_solver
 from repro.batch.kernel import kernel_build_count
 from repro.batch.planner import (
     SolveRequest,
-    execute_requests,
+    plan_requests,
     worker_cache_clear,
 )
 from repro.batch.runner import BatchRunner, available_cpus as _cpus
@@ -36,6 +36,7 @@ from repro.batch.scenarios import (
     scenario_tasks,
 )
 from repro.markov.rewards import Measure, RewardStructure
+from repro.service import JobQueue, SolveService
 
 #: Measure-only grid (timing figures excluded: timing cells measured on a
 #: contended pool would not be comparable anyway).
@@ -121,7 +122,7 @@ def test_shared_model_fused_vs_unfused(benchmark):
     worker_cache_clear()
     builds_before = kernel_build_count()
     t0 = time.perf_counter()
-    unfused = execute_requests(requests, inline, fuse=False)
+    unfused = SolveService(runner=inline, fuse=False).solve(requests)
     unfused_seconds = time.perf_counter() - t0
     assert kernel_build_count() - builds_before == 1
 
@@ -130,7 +131,7 @@ def test_shared_model_fused_vs_unfused(benchmark):
     builds_before = kernel_build_count()
     t0 = time.perf_counter()
     fused = benchmark.pedantic(
-        lambda: execute_requests(requests, inline, fuse=True),
+        lambda: SolveService(runner=inline, fuse=True).solve(requests),
         rounds=1, iterations=1)
     fused_seconds = time.perf_counter() - t0
     assert kernel_build_count() - builds_before == 1
@@ -180,7 +181,6 @@ def schedule_memoization_measurements(n_cells: int = 10) -> dict:
     ``TransientSolution.stats`` cache fields; asserts cold == warm bit
     for bit before reporting anything.
     """
-    from repro.batch.planner import plan_requests
     from repro.core.schedule_cache import process_schedule_cache_info
 
     requests = _regenerative_grid_requests(n_cells)
@@ -190,7 +190,7 @@ def schedule_memoization_measurements(n_cells: int = 10) -> dict:
     # Cold: every cell rebuilds its K+L transformation.
     worker_cache_clear()
     t0 = time.perf_counter()
-    cold = execute_requests(requests, inline, memoize=False)
+    cold = SolveService(runner=inline, memoize=False).solve(requests)
     cold_seconds = time.perf_counter() - t0
     assert process_schedule_cache_info()["misses"] == 0
 
@@ -198,7 +198,7 @@ def schedule_memoization_measurements(n_cells: int = 10) -> dict:
     # transformation.
     worker_cache_clear()
     t0 = time.perf_counter()
-    warm = execute_requests(requests, inline, memoize=True)
+    warm = SolveService(runner=inline, memoize=True).solve(requests)
     warm_seconds = time.perf_counter() - t0
     cache_info = process_schedule_cache_info()
 
@@ -265,17 +265,16 @@ def test_rr_schedule_memoization(benchmark):
 def test_service_facade_overhead(benchmark):
     """The service acceptance case: routing a grid through the
     ``SolveService`` facade (and even through the on-disk ``JobQueue``)
-    must keep every number bit-identical to direct ``execute_requests``
-    plumbing, and the facade itself must add only negligible overhead —
-    it is bookkeeping, not numerics."""
-    from repro.service import JobQueue, SolveService
-
+    must keep every number bit-identical to the direct plan → run →
+    scatter plumbing, and the facade itself must add only negligible
+    overhead — it is bookkeeping, not numerics."""
     requests = _shared_model_requests()
     inline = BatchRunner(max_workers=1)
 
     worker_cache_clear()
     t0 = time.perf_counter()
-    direct = execute_requests(requests, inline, fuse=True)
+    plan = plan_requests(requests, fuse=True)
+    direct = plan.scatter(inline.run(plan.tasks))
     direct_seconds = time.perf_counter() - t0
 
     worker_cache_clear()

@@ -4,12 +4,11 @@
 Default: the paper's exact grid (G ∈ {20, 40}, t up to 10⁵ h) compiled by
 the fusion planner (duplicate solves coalesce, unfused cells share one
 kernel per worker) and fanned over an execution backend (``--backend``:
-process pool by default, GIL-releasing thread pool with shared caches,
-or inline serial; ``$REPRO_BACKEND`` supplies the default). ``--quick``
+process pool by default, or inline serial). ``--quick``
 switches to a seconds-scale smoke grid for CI; ``--no-fuse`` disables
 the planner (one task per cell, the PR-1 execution shape); ``--verify``
-re-runs the measure columns unfused-pooled, serial and on every
-registered backend, asserts all in-process executions produce
+re-runs the measure columns unfused-pooled, serial and on both
+backends, asserts all in-process executions produce
 bit-identical tables (neither the batch decomposition, the fusion plan,
 nor the execution backend may ever change a number), and additionally
 proves the service path: the grid's solve cells are pushed through an
@@ -17,35 +16,48 @@ on-disk ``JobQueue`` — killed halfway and resumed from the journal — and
 every collected outcome must match serial in-process execution bit for
 bit.
 
+Native BLAS/OpenMP thread pools are pinned to one thread before numpy
+loads. Pool workers inherit the pin, so N workers use N cores instead of
+N × (BLAS threads), and serial and pooled runs use the same BLAS thread
+count — which keeps ``--verify`` bit-identical.
+
 Examples
 --------
     python scripts/run_paper_grid.py                 # paper grid, fused+pooled
-    python scripts/run_paper_grid.py --workers 8 --backend threads
+    python scripts/run_paper_grid.py --workers 8
     python scripts/run_paper_grid.py --quick --verify
     python scripts/run_paper_grid.py --no-fuse --serial --json out.json
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
-import sys
-import tempfile
-import time
+import os
 
-import numpy as np
+# Pin native thread pools before numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
-from repro.analysis.experiments import (
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.analysis.experiments import (  # noqa: E402
     ExperimentConfig,
     GridResult,
     grid_solve_requests,
     run_grid,
 )
-from repro.batch.backends import BACKEND_NAMES, default_backend_name
-from repro.batch.runner import available_cpus
-from repro.models import build_raid5_availability
-from repro.service import JobQueue, SolveService
+from repro.batch.backends import BACKEND_NAMES  # noqa: E402
+from repro.batch.runner import available_cpus  # noqa: E402
+from repro.models import build_raid5_availability  # noqa: E402
+from repro.service import JobQueue, SolveService  # noqa: E402
 
 
 def _default_workers() -> int:
@@ -58,7 +70,7 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     workers = 1 if args.serial else args.workers
     # Normalize the backend to a concrete name so the verify axis can
     # dedup "same execution" configurations by field equality.
-    backend = args.backend or default_backend_name()
+    backend = args.backend or "processes"
     if args.quick:
         return ExperimentConfig.quick(workers=workers, fuse=args.fuse,
                                       memoize=args.memoize,
@@ -138,7 +150,7 @@ def verify_service_queue(config: ExperimentConfig) -> None:
 
 def verify_executions(config: ExperimentConfig, result: GridResult) -> None:
     """Assert fused == unfused == serial — and memoized == unmemoized,
-    and serial == threads == processes — bit for bit, plus that the
+    and serial == processes — bit for bit, plus that the
     service/queue path (including a kill/resume cycle) reproduces the
     serial run exactly.
 
@@ -149,7 +161,7 @@ def verify_executions(config: ExperimentConfig, result: GridResult) -> None:
     this = "fused" if config.fuse else "unfused"
     this += ", memoized" if config.memoize else ", unmemoized"
     this += ", serial" if config.workers == 1 else \
-        f", pooled ({config.backend or default_backend_name()})"
+        f", pooled ({config.backend})"
     pool = "serial" if config.workers == 1 else "pooled"
     candidates = [
         (f"{this} vs unfused {pool}",
@@ -158,8 +170,8 @@ def verify_executions(config: ExperimentConfig, result: GridResult) -> None:
          dataclasses.replace(config, memoize=False)),
     ]
     if config.workers > 1:
-        # The backend axis: the same pooled grid on every registered
-        # execution backend. With workers=1 each backend degrades to the
+        # The backend axis: the same pooled grid on both execution
+        # backends. With workers=1 each backend degrades to the
         # identical inline loop, so there is nothing to compare.
         candidates += [
             (f"{this} vs {name} backend",
@@ -194,10 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--serial", action="store_true",
                         help="force inline execution (workers=1)")
     parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="execution backend: threads shares one "
-                             "process-wide cache set (GIL-releasing "
-                             "stepping), processes isolates workers "
-                             "(default: $REPRO_BACKEND or processes)")
+                        help="execution backend: serial runs inline, "
+                             "processes fans out to isolated workers "
+                             "(default: processes)")
     parser.add_argument("--fuse", dest="fuse", action="store_true",
                         default=True,
                         help="compile cells through the fusion planner "

@@ -80,7 +80,6 @@ from repro.batch.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.batch.kernel import UniformizationKernel
 from repro.batch.planner import SolveRequest
@@ -88,23 +87,23 @@ from repro.batch.runner import BatchOutcome, BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario, generate_scenarios
 from repro.service import JobQueue, ServiceResult, SolveService
 
+# 3.0.0: one inline path and one process pool. Breaking: the thread
+# backend, the environment-variable backend default, the start-method
+# options, the planner-level execute/solve helpers and method-set
+# aliases, and the analysis runner's registry mapping are gone. Batch
+# work goes through ``SolveService``; capability queries go to
+# ``repro.solvers.registry``. Every number is bit-identical.
+#
 # 2.2.0: execution became a pluggable backend layer
-# (``repro.batch.backends``): BatchRunner/SolveService/ExperimentConfig
-# and the CLI select ``serial`` / ``threads`` / ``processes`` (default
-# honours ``$REPRO_BACKEND``). The thread backend shares the
-# process-wide kernel/window/schedule caches (now lock-protected)
-# across workers with zero serialization; all backends are bit-for-bit
-# identical. Additive: the process pool remains the default.
+# (``repro.batch.backends``) selected on BatchRunner, SolveService,
+# ExperimentConfig and the CLI.
 #
 # 2.1.0: the capability-declaring solver registry
 # (``repro.solvers.registry``) became the one dispatch authority — every
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
-# schedule-transformation memoization (``ScheduleCache``). Additive:
-# 2.0 call sites keep working (``FUSABLE_METHODS`` /
-# ``KERNEL_AWARE_METHODS`` remain as deprecated registry-derived
-# aliases).
-__version__ = "2.2.0"
+# schedule-transformation memoization (``ScheduleCache``).
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -123,7 +122,7 @@ __all__ = [
     "SolverSpec", "ScheduleCache",
     # batch subsystem
     "UniformizationKernel", "BatchRunner", "BatchTask", "BatchOutcome",
-    "Backend", "SerialBackend", "ThreadBackend", "ProcessBackend",
+    "Backend", "SerialBackend", "ProcessBackend",
     "Scenario", "generate_scenarios", "SolveRequest",
     # service layer (canonical batch API)
     "SolveService", "ServiceResult", "JobQueue",

@@ -1,6 +1,6 @@
 """High-level analysis API and the paper-experiment harness."""
 
-from repro.analysis.runner import solve, get_solver, SOLVER_REGISTRY
+from repro.analysis.runner import solve, get_solver
 from repro.analysis.reporting import format_table, format_series
 from repro.analysis.convergence import (
     DecayFit,
@@ -30,7 +30,6 @@ from repro.analysis.experiments import (
 __all__ = [
     "solve",
     "get_solver",
-    "SOLVER_REGISTRY",
     "DecayFit",
     "excursion_decay",
     "predict_truncation",

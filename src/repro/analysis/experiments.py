@@ -138,11 +138,9 @@ class ExperimentConfig:
     chunk_size: int = 1
     """Tasks per worker round-trip (see :class:`BatchRunner`)."""
     backend: str | None = None
-    """Execution backend for the grid: ``"serial"``, ``"threads"``
-    (GIL-releasing pool with process-wide shared caches),
-    ``"processes"`` (isolated workers, per-worker caches) or ``None``
-    for the ``$REPRO_BACKEND``-aware default. Every backend produces
-    bit-identical numbers — this is an execution knob (see
+    """Execution backend for the grid: ``"serial"``, ``"processes"``
+    (isolated workers, per-worker caches) or ``None`` for processes.
+    Both produce bit-identical numbers — this is an execution knob (see
     :mod:`repro.batch.backends`)."""
     fuse: bool = True
     """Compile solve columns through the fusion planner (coalescing +

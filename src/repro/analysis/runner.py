@@ -15,48 +15,14 @@ serializable wire form.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
-
 import numpy as np
 
-from repro.exceptions import UnknownMethodError
 from repro.markov.base import TransientSolution, TransientSolver
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 from repro.solvers import registry
 
-__all__ = ["SOLVER_REGISTRY", "get_solver", "solve"]
-
-
-class _RegistryView(Mapping):
-    """Read-only ``{method tag: constructor}`` view of the solver registry.
-
-    Kept under the historical name :data:`SOLVER_REGISTRY` so existing
-    callers (``sorted(SOLVER_REGISTRY)``, ``SOLVER_REGISTRY.values()``)
-    keep working; the source of truth is
-    :mod:`repro.solvers.registry` — mutate that, not this.
-    """
-
-    def __getitem__(self, method: str) -> Callable[..., TransientSolver]:
-        try:
-            return registry.get_spec(method).constructor
-        except UnknownMethodError:
-            raise KeyError(method) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(registry.known_methods())
-
-    def __len__(self) -> int:
-        return len(registry.known_methods())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"{type(self).__name__}("
-                + ", ".join(registry.known_methods()) + ")")
-
-
-#: Method tag → zero-config solver factory (registry-backed view).
-SOLVER_REGISTRY: Mapping[str, Callable[..., TransientSolver]] = \
-    _RegistryView()
+__all__ = ["get_solver", "solve"]
 
 
 def get_solver(method: str, **kwargs) -> TransientSolver:

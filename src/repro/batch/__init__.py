@@ -14,9 +14,9 @@ Four layers, each usable on its own:
   coalesced, model-grouped, stack-fused batch tasks with a per-worker
   kernel cache;
 * :mod:`repro.batch.runner` — a :class:`~repro.batch.runner.BatchRunner`
-  fanning tasks over a ``concurrent.futures`` process pool with chunking,
-  per-task timeouts, structured failure capture and deterministic result
-  ordering.
+  running tasks inline or on a process pool
+  (:mod:`repro.batch.backends`) with chunking, per-task timeouts,
+  structured failure capture and deterministic result ordering.
 
 These are the substrate layers; application code should normally enter
 through :class:`repro.service.service.SolveService` (the canonical
@@ -45,10 +45,8 @@ __all__ = [
     "kernel_build_count",
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKEND_NAMES",
-    "default_backend_name",
     "resolve_backend",
     "BatchRunner",
     "BatchTask",
@@ -63,8 +61,6 @@ __all__ = [
     "SolveRequest",
     "ExecutionPlan",
     "plan_requests",
-    "execute_requests",
-    "solve_requests",
 ]
 
 _EXPORTS = {
@@ -79,10 +75,8 @@ _EXPORTS = {
     "kernel_build_count": "repro.batch.kernel",
     "Backend": "repro.batch.backends",
     "SerialBackend": "repro.batch.backends",
-    "ThreadBackend": "repro.batch.backends",
     "ProcessBackend": "repro.batch.backends",
     "BACKEND_NAMES": "repro.batch.backends",
-    "default_backend_name": "repro.batch.backends",
     "resolve_backend": "repro.batch.backends",
     "BatchRunner": "repro.batch.runner",
     "BatchTask": "repro.batch.runner",
@@ -97,8 +91,6 @@ _EXPORTS = {
     "SolveRequest": "repro.batch.planner",
     "ExecutionPlan": "repro.batch.planner",
     "plan_requests": "repro.batch.planner",
-    "execute_requests": "repro.batch.planner",
-    "solve_requests": "repro.batch.planner",
 }
 
 

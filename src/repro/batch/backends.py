@@ -1,50 +1,30 @@
-"""Pluggable execution backends for the batch layer.
+"""Execution backends for the batch layer.
 
-:class:`~repro.batch.runner.BatchRunner` used to be hard-wired to a
-``concurrent.futures`` process pool. That shape pays a fixed tax per run
-— interpreter boot under the ``spawn`` start method, pickle/IPC per
-chunk — and, worse, a *cold-cache* tax per worker: every pool process
-rebuilds its own kernel LRU (:mod:`repro.batch.planner`), Fox–Glynn
-window cache (:mod:`repro.batch.kernel`) and RR/RRL
-:class:`~repro.core.schedule_cache.ScheduleCache` from scratch, so a
-grid over one model pays its setup once per *worker* instead of once per
-*process*. The hot path of every stepping solver is scipy's CSR
-matvec, which releases the GIL — so a thread pool gets real parallelism
-on the work that dominates, with **one** process-wide cache set and zero
-serialization.
+Two strategies run a list of :class:`~repro.batch.runner.BatchTask`
+objects, and they produce bit-identical outcomes:
 
-This module makes the execution strategy a first-class, swappable
-object:
-
-* :class:`SerialBackend` — inline loop in the calling thread. No
+* :class:`SerialBackend` — an inline loop in the calling process. No
   parallelism, no deadline enforcement, zero overhead; the reference
-  semantics every other backend must reproduce bit for bit.
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor`` fan-out. Shares the
-  process-wide caches (cold-start amortization drops from O(workers) to
-  O(1) per model), pays no pickle/IPC or interpreter-boot cost, and
-  parallelizes wherever the stepping kernel releases the GIL. The
-  shared caches are lock-protected (see :mod:`repro.batch.planner`,
-  :mod:`repro.core.schedule_cache`); a grid over one model builds one
-  kernel and one schedule transformation *total*, not one per worker.
-* :class:`ProcessBackend` — the original process pool. Still the right
-  tool for GIL-bound task functions (pure-Python loops, timing cells
-  that must not share a core) and for isolation (a crashing worker
-  cannot take the parent down).
+  semantics.
+* :class:`ProcessBackend` — a ``ProcessPoolExecutor`` fan-out. Each
+  worker is an isolated interpreter with its own cold caches (the
+  planner's model/kernel LRU, the Fox–Glynn windows and the RR/RRL
+  :class:`~repro.core.schedule_cache.ScheduleCache`), so it pays pool
+  boot, pickle/IPC per chunk and one warm-up per worker. In exchange it
+  gets real parallelism on every part of a solve, and an expired chunk's
+  worker is genuinely abandoned.
 
-All three make the same guarantees: deterministic submission-order
-results, structured failure capture (a raising task yields a failed
+Both make the same guarantees: submission-order results, structured
+failure capture (a raising task yields a failed
 :class:`~repro.batch.runner.BatchOutcome`, never a poisoned run), and
-per-task deadline accounting measured from submission. Pool backends
-degrade to the inline loop with ``max_workers=1`` or a single task, so
-callers can route everything through one code path unconditionally.
+per-task deadline accounting measured from submission. The process
+backend degrades to the inline loop with ``max_workers=1`` or a single
+task, so callers can route everything through one code path
+unconditionally.
 
-Selection: ``BatchRunner(backend="threads")``,
-``SolveService(backend=...)``, ``ExperimentConfig.backend``, the CLI's
-``--backend {serial,threads,processes}`` — or the ``REPRO_BACKEND``
-environment variable, which supplies the default when a caller does not
-choose (the CI matrix runs the whole suite under
-``REPRO_BACKEND=threads``). An explicit ``mp_context`` pins the process
-backend: a multiprocessing start method is meaningless anywhere else.
+Selection: ``BatchRunner(backend=...)``, ``SolveService(backend=...)``,
+``ExperimentConfig.backend`` or the CLI's ``--backend
+{serial,processes}``. ``None`` means processes.
 """
 
 from __future__ import annotations
@@ -61,19 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 __all__ = [
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKEND_NAMES",
-    "default_backend_name",
     "resolve_backend",
 ]
 
 #: The registered backend spellings, in documentation order.
-BACKEND_NAMES: tuple[str, ...] = ("serial", "threads", "processes")
-
-#: Environment variable supplying the default backend name. Only
-#: consulted when the caller did not pick a backend explicitly.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+BACKEND_NAMES: tuple[str, ...] = ("serial", "processes")
 
 
 def available_cpus() -> int:
@@ -82,19 +56,6 @@ def available_cpus() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return max(1, os.cpu_count() or 1)
-
-
-def default_backend_name() -> str:
-    """The backend used when nobody chooses: ``$REPRO_BACKEND`` or
-    ``"processes"`` (the historical behaviour)."""
-    name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not name:
-        return "processes"
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"{BACKEND_ENV_VAR}={name!r} is not a known backend "
-            f"(known: {', '.join(BACKEND_NAMES)})")
-    return name
 
 
 class Backend(ABC):
@@ -109,7 +70,7 @@ class Backend(ABC):
     on the hung worker.
     """
 
-    #: Registry spelling (``"serial"`` / ``"threads"`` / ``"processes"``).
+    #: Registry spelling (``"serial"`` / ``"processes"``).
     name: str = "backend"
 
     @property
@@ -126,12 +87,11 @@ class Backend(ABC):
 
 
 class SerialBackend(Backend):
-    """Inline execution in the calling thread.
+    """Inline execution in the calling process.
 
     The reference semantics: no pool, no pickling, no deadline
-    enforcement (an inline task cannot be abandoned — the documented
-    behaviour the old ``max_workers=1`` runner had). Every other backend
-    must produce bit-identical outcomes to this one.
+    enforcement (an inline task cannot be abandoned). The process
+    backend must produce bit-identical outcomes to this one.
     """
 
     name = "serial"
@@ -146,15 +106,14 @@ class SerialBackend(Backend):
         return [_run_one(t) for t in tasks]
 
 
-class _PoolBackend(Backend):
-    """Shared chunking/deadline/collection machinery of the pool backends.
+class ProcessBackend(Backend):
+    """``ProcessPoolExecutor`` fan-out with chunking and deadlines.
 
-    Subclasses provide :meth:`_make_executor`; everything else — the
-    chunk split, submission-anchored deadlines, timeout reporting,
-    abandon-on-expiry shutdown, deterministic collection order — is
-    identical for threads and processes by construction, which is what
-    makes the cross-backend conformance guarantees cheap to uphold.
+    Workers start under the platform's default start method. Tasks must
+    be picklable: module-level functions plus plain-data arguments.
     """
+
+    name = "processes"
 
     def __init__(self,
                  max_workers: int | None = None,
@@ -182,10 +141,6 @@ class _PoolBackend(Backend):
     def task_timeout(self) -> float | None:
         return self._task_timeout
 
-    @abstractmethod
-    def _make_executor(self):
-        """Build the ``concurrent.futures`` executor to fan out on."""
-
     def run(self, tasks: Sequence["BatchTask"]) -> list["BatchOutcome"]:
         from repro.batch.runner import _run_one
 
@@ -193,12 +148,13 @@ class _PoolBackend(Backend):
         if not tasks:
             return []
         if self._max_workers == 1 or len(tasks) == 1:
-            # Degenerate fan-out: the pool would add only overhead (and,
-            # for processes, pickling). Inline keeps identical numbers.
+            # Degenerate fan-out: the pool would add only boot and
+            # pickling overhead. Inline keeps identical numbers.
             return [_run_one(t) for t in tasks]
         return self._run_pool(tasks)
 
     def _run_pool(self, tasks: list["BatchTask"]) -> list["BatchOutcome"]:
+        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FuturesTimeout
 
         from repro.batch.runner import BatchOutcome, _run_chunk
@@ -207,7 +163,7 @@ class _PoolBackend(Backend):
                   for i in range(0, len(tasks), self._chunk_size)]
         outcomes: list[BatchOutcome] = []
         timed_out = False
-        pool = self._make_executor()
+        pool = ProcessPoolExecutor(max_workers=self._max_workers)
         try:
             futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
             # Deadlines are anchored at submission time: every chunk must
@@ -241,97 +197,22 @@ class _PoolBackend(Backend):
                         for t in chunk)
         finally:
             # After a timeout, do NOT wait for the hung worker — run()'s
-            # deadline contract beats a clean join. A process worker
-            # survives until its task finishes (documented best-effort);
-            # a thread worker likewise runs on, joined only at
-            # interpreter exit.
+            # deadline contract beats a clean join. The abandoned worker
+            # survives until its task finishes (documented best-effort).
             pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
         return outcomes
-
-
-class ThreadBackend(_PoolBackend):
-    """``ThreadPoolExecutor`` fan-out with zero-copy shared caches.
-
-    All workers live in this process, so they *share* the planner's
-    model/kernel cache, the process-wide
-    :class:`~repro.core.schedule_cache.ScheduleCache` and the Fox–Glynn
-    window LRU — one cold start per model for the whole pool, no
-    serialization of tasks or results, and real parallelism wherever the
-    stepping kernel's CSR matvec releases the GIL. The shared caches are
-    lock-protected; same-model RR/RRL cells additionally serialize their
-    schedule *extension* on the setup's own lock (reads stay parallel,
-    numbers stay bit-identical to serial execution).
-
-    Deadline enforcement matches :class:`ProcessBackend` except that an
-    expired worker thread cannot be left to die with a subprocess: it
-    keeps running (and keeps its core busy) until its current task
-    completes. Workloads that need hard abandonment of runaway tasks
-    should stay on processes.
-    """
-
-    name = "threads"
-
-    def _make_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self._max_workers,
-                                  thread_name_prefix="repro-batch")
-
-
-class ProcessBackend(_PoolBackend):
-    """``ProcessPoolExecutor`` fan-out — the original runner strategy.
-
-    Workers are isolated interpreters: they cannot contend on the GIL
-    (the right call for pure-Python task functions and for timing cells
-    that must own their core), a crash cannot poison the parent, and an
-    expired chunk's worker is genuinely abandoned. The price is pool
-    boot (interpreter start under ``spawn``), pickle/IPC per chunk, and
-    per-worker cold caches — each worker rebuilds its own kernel,
-    window and schedule caches.
-    """
-
-    name = "processes"
-
-    def __init__(self,
-                 max_workers: int | None = None,
-                 chunk_size: int = 1,
-                 task_timeout: float | None = None,
-                 mp_context: str | None = None) -> None:
-        super().__init__(max_workers=max_workers, chunk_size=chunk_size,
-                         task_timeout=task_timeout)
-        self._mp_context = mp_context
-
-    @property
-    def mp_context(self) -> str | None:
-        """Requested multiprocessing start method (``None`` = platform
-        default)."""
-        return self._mp_context
-
-    def _make_executor(self):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = (multiprocessing.get_context(self._mp_context)
-               if self._mp_context else None)
-        return ProcessPoolExecutor(max_workers=self._max_workers,
-                                   mp_context=ctx)
 
 
 def resolve_backend(backend: "Backend | str | None",
                     *,
                     max_workers: int | None = None,
                     chunk_size: int = 1,
-                    task_timeout: float | None = None,
-                    mp_context: str | None = None) -> Backend:
+                    task_timeout: float | None = None) -> Backend:
     """Turn a backend spec into a live :class:`Backend`.
 
     ``backend`` may be a ready instance (returned as-is — it owns its
-    own pool shape), a registry name, or ``None`` meaning "the default":
-    ``$REPRO_BACKEND`` when set, processes otherwise. An explicit
-    ``mp_context`` pins the process backend — a start method is
-    meaningless for threads or inline execution, so combining it with a
-    different explicit backend is an error, while a merely *environment*
-    -suggested backend yields to it.
+    own pool shape), a name from :data:`BACKEND_NAMES`, or ``None``
+    meaning processes.
     """
     if isinstance(backend, Backend):
         # A ready instance owns its pool shape: silently dropping the
@@ -341,7 +222,6 @@ def resolve_backend(backend: "Backend | str | None",
             (f"max_workers={max_workers}", max_workers is not None),
             (f"chunk_size={chunk_size}", chunk_size != 1),
             (f"task_timeout={task_timeout}", task_timeout is not None),
-            (f"mp_context={mp_context!r}", mp_context is not None),
         ) if clash]
         if conflicts:
             raise ValueError(
@@ -349,26 +229,13 @@ def resolve_backend(backend: "Backend | str | None",
                 f"pool shape; configure it at construction instead of "
                 f"passing {', '.join(conflicts)} alongside it")
         return backend
-    if backend is None:
-        name = "processes" if mp_context is not None \
-            else default_backend_name()
-    else:
-        name = str(backend).strip().lower()
-        if name not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(known: {', '.join(BACKEND_NAMES)})")
-        if mp_context is not None and name != "processes":
-            raise ValueError(
-                f"mp_context={mp_context!r} requires the processes "
-                f"backend, not {name!r}")
+    name = "processes" if backend is None else str(backend).strip().lower()
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {backend!r} "
+            f"(known: {', '.join(BACKEND_NAMES)})")
     if name == "serial":
         return SerialBackend()
-    if name == "threads":
-        return ThreadBackend(max_workers=max_workers,
-                             chunk_size=chunk_size,
-                             task_timeout=task_timeout)
     return ProcessBackend(max_workers=max_workers,
                           chunk_size=chunk_size,
-                          task_timeout=task_timeout,
-                          mp_context=mp_context)
+                          task_timeout=task_timeout)

@@ -43,7 +43,6 @@ they warm up.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -72,18 +71,13 @@ __all__ = [
 
 #: Process-wide count of kernel constructions. The fusion planner's whole
 #: point is that a grid over one model builds the CSR once per (model,
-#: worker) — and once per (model, *process*) under the thread backend —
-#: so the benchmarks assert sharing by diffing this counter. Incremented
-#: under a lock: the thread backend constructs kernels from pool workers,
-#: and an unlocked ``count += 1`` loses updates under contention.
+#: worker), so the benchmarks assert sharing by diffing this counter.
 _BUILD_COUNT = 0
-_BUILD_COUNT_LOCK = threading.Lock()
 
 
 def _record_kernel_build() -> None:
     global _BUILD_COUNT
-    with _BUILD_COUNT_LOCK:
-        _BUILD_COUNT += 1
+    _BUILD_COUNT += 1
 
 
 def kernel_build_count() -> int:
@@ -145,8 +139,7 @@ def shared_poisson_tail(rate_time: float, n: int) -> np.ndarray:
 
     The MRR weighting of :mod:`repro.markov.standard` recomputes this
     array for every cell sharing a ``(Λt, n)`` key — a grid fans the same
-    model/horizon pair over many reward structures, and under the thread
-    backend every worker would redo the identical ``poisson_sf`` sweep.
+    model/horizon pair over many reward structures.
     The returned array is shared and marked read-only; values are
     bit-identical to an uncached ``poisson_sf(np.arange(n), Λt)`` call
     (it *is* that call, performed once). Arrays beyond
@@ -217,15 +210,11 @@ class UniformizationKernel:
     distributions, so one ``Pᵀ @ stack`` product advances all of them.
     1-D vectors work everywhere a stack does.
 
-    A kernel is safe to *share across threads* (the thread backend's
-    whole point): stepping only reads the CSR matrices, and every
-    stepping method — :meth:`step`, :meth:`step_rate` and
-    :meth:`propagate`, even for zero steps — returns a fresh array, never
-    the caller's (or the cached chain's) vector. The one mutable bit,
-    the informational :attr:`steps_done` counter, is deliberately not
-    locked — a per-step lock would tax the hot path for a diagnostic
-    number — so under concurrent stepping it is a lower bound, not an
-    exact count.
+    A kernel is safe to share between solves: stepping only reads the
+    CSR matrices, and every stepping method — :meth:`step`,
+    :meth:`step_rate` and :meth:`propagate`, even for zero steps —
+    returns a fresh array, never the caller's (or the cached chain's)
+    vector.
     """
 
     def __init__(self,

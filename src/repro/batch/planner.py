@@ -29,20 +29,13 @@ model-backed requests ship the CSR once per task.
 ``SolveRequest`` is deliberately transport-shaped (plain data + a registry
 method tag): it is the unit of work the service layer puts on the wire
 (:mod:`repro.service.protocol` gives it a versioned JSON form;
-:class:`repro.service.queue.JobQueue` journals it).
-
-.. deprecated::
-    :func:`execute_requests` / :func:`solve_requests` remain as the thin
-    planner-level plumbing, but application code should route through
-    :class:`repro.service.service.SolveService` — the canonical facade
-    that owns planner policy, pool shape and scatter bookkeeping (and is
-    bit-for-bit identical to calling these functions directly).
+:class:`repro.service.queue.JobQueue` journals it). Plans are executed by
+:class:`repro.service.service.SolveService`, which owns the planner
+policy, the pool shape and the scatter bookkeeping.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace as _dc_replace
@@ -51,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.batch.kernel import UniformizationKernel
-from repro.batch.runner import BatchOutcome, BatchRunner, BatchTask
+from repro.batch.runner import BatchOutcome, BatchTask
 from repro.batch.scenarios import Scenario
 from repro.core.schedule_cache import process_schedule_cache
 from repro.exceptions import ModelError
@@ -63,41 +56,13 @@ from repro.solvers import registry
 __all__ = [
     "SolveRequest",
     "ExecutionPlan",
-    "FUSABLE_METHODS",
-    "KERNEL_AWARE_METHODS",
     "plan_requests",
-    "execute_requests",
-    "solve_requests",
     "run_request",
     "run_fused_group",
     "cached_model",
     "worker_cache_clear",
     "worker_cache_info",
 ]
-
-#: Deprecated module attributes, now derived from the solver registry's
-#: capability flags (``stack_fusable`` / ``kernel_aware``). RR/RRL solve
-#: a *transformed* model per time point and AU re-randomizes per step,
-#: so neither declares ``stack_fusable`` — for them sharing stops at the
-#: kernel/model cache (and, for RR/RRL, the schedule memo).
-_DEPRECATED_METHOD_SETS = {
-    "FUSABLE_METHODS": registry.stack_fusable_methods,
-    "KERNEL_AWARE_METHODS": registry.kernel_aware_methods,
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        provider = _DEPRECATED_METHOD_SETS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    warnings.warn(
-        f"repro.batch.planner.{name} is deprecated; query the solver "
-        "registry (repro.solvers.registry) capability sets instead",
-        DeprecationWarning, stacklevel=2)
-    return provider()
-
 
 @dataclass(frozen=True)
 class SolveRequest:
@@ -225,11 +190,8 @@ def _fusion_key(request: SolveRequest) -> tuple:
 
 #: Models (and their kernels) an execution worker keeps warm. A
 #: paper-style grid touches a handful of models; 8 covers every in-tree
-#: sweep while bounding a long-lived worker's memory. The cache is
-#: *process-wide*: each process-pool worker owns a private copy (the
-#: classic per-worker LRU), while every thread-backend worker shares this
-#: one — the whole point of the thread backend is that a grid over one
-#: model then builds one model + kernel total instead of one per worker.
+#: sweep while bounding a long-lived worker's memory. Each process-pool
+#: worker owns a private copy.
 _WORKER_CACHE_SIZE = 8
 
 #: fingerprint -> [model, scenario_default_rewards | None, kernel | None]
@@ -237,41 +199,24 @@ _worker_cache: "OrderedDict[tuple, list]" = OrderedDict()
 _worker_cache_hits = 0
 _worker_cache_misses = 0
 
-#: Guards the cache dict, its hit/miss counters, and — crucially — the
-#: build-on-miss sections: holding it across ``scenario.build()`` and
-#: kernel construction is what turns "at most one build per worker" into
-#: "exactly one build per process" under the thread backend (two threads
-#: missing the same fingerprint must not both build). Model/kernel
-#: construction is exactly the work the cache exists to amortize, so
-#: serializing it is the semantics, not a compromise; the post-build
-#: solve runs outside the lock.
-_worker_cache_lock = threading.RLock()
-
-
 def worker_cache_clear() -> None:
     """Drop this process's model/kernel cache *and* its RR/RRL schedule
     cache (tests, worker hygiene) — the two share a lifetime."""
     global _worker_cache_hits, _worker_cache_misses
-    with _worker_cache_lock:
-        _worker_cache.clear()
-        _worker_cache_hits = 0
-        _worker_cache_misses = 0
+    _worker_cache.clear()
+    _worker_cache_hits = 0
+    _worker_cache_misses = 0
     process_schedule_cache().clear()
 
 
 def worker_cache_info() -> dict[str, int]:
     """Hit/miss/size statistics of this process's model/kernel cache."""
-    with _worker_cache_lock:
-        return {"hits": _worker_cache_hits, "misses": _worker_cache_misses,
-                "size": len(_worker_cache), "max_size": _WORKER_CACHE_SIZE}
+    return {"hits": _worker_cache_hits, "misses": _worker_cache_misses,
+            "size": len(_worker_cache), "max_size": _WORKER_CACHE_SIZE}
 
 
 def _cache_entry(request: SolveRequest) -> list:
-    """Fetch-or-build the cache slot for a request's model.
-
-    Callers must hold ``_worker_cache_lock`` (asserted nowhere for speed;
-    :func:`_resolve_cached` is the one call site).
-    """
+    """Fetch-or-build the cache slot for a request's model."""
     global _worker_cache_hits, _worker_cache_misses
     fp = model_fingerprint(request)
     entry = _worker_cache.get(fp)
@@ -298,20 +243,18 @@ def _resolve_cached(request: SolveRequest, *, with_kernel: bool = True
 
     ``with_kernel=False`` never builds or returns a kernel.
     """
-    with _worker_cache_lock:
-        entry = _cache_entry(request)
-        model = entry[0]
-        rewards = request.rewards if request.rewards is not None \
-            else entry[1]
-        if rewards is None:
-            raise ModelError("request resolves to no reward structure")
-        kernel: UniformizationKernel | None = None
-        if (with_kernel
-                and registry.get_spec(request.method).kernel_aware
-                and "rate" not in request.solver_kwargs):
-            if entry[2] is None:
-                entry[2] = UniformizationKernel.from_model(model)[0]
-            kernel = entry[2]
+    entry = _cache_entry(request)
+    model = entry[0]
+    rewards = request.rewards if request.rewards is not None else entry[1]
+    if rewards is None:
+        raise ModelError("request resolves to no reward structure")
+    kernel: UniformizationKernel | None = None
+    if (with_kernel
+            and registry.get_spec(request.method).kernel_aware
+            and "rate" not in request.solver_kwargs):
+        if entry[2] is None:
+            entry[2] = UniformizationKernel.from_model(model)[0]
+        kernel = entry[2]
     return model, rewards, kernel
 
 
@@ -567,27 +510,3 @@ def plan_requests(requests: Iterable[SolveRequest],
                          assignments=assignments, fused=fused_flags,
                          coalesced=coalesced, fuse_enabled=True,
                          memoize_enabled=memoize)
-
-
-def execute_requests(requests: Iterable[SolveRequest],
-                     runner: BatchRunner | None = None,
-                     *,
-                     fuse: bool = True,
-                     memoize: bool = True) -> list[BatchOutcome]:
-    """Plan and execute requests; one outcome per request, in order."""
-    plan = plan_requests(requests, fuse=fuse, memoize=memoize)
-    outcomes = (runner or BatchRunner(max_workers=1)).run(plan.tasks)
-    return plan.scatter(outcomes)
-
-
-def solve_requests(requests: Iterable[SolveRequest],
-                   runner: BatchRunner | None = None,
-                   *,
-                   fuse: bool = True,
-                   memoize: bool = True) -> list[TransientSolution]:
-    """Like :func:`execute_requests` but unwrapping to solutions
-    (raising :class:`~repro.batch.runner.BatchExecutionError` on the
-    first failed request)."""
-    return [o.unwrap() for o in execute_requests(requests, runner,
-                                                 fuse=fuse,
-                                                 memoize=memoize)]

@@ -2,13 +2,11 @@
 
 The paper's evaluation — and any serious sweep built on top of it — is a
 grid of independent ``(model, measure, ε, t, method)`` cells. The
-:class:`BatchRunner` fans such cells over a pluggable execution backend
-(:mod:`repro.batch.backends`: inline serial, GIL-releasing thread pool
-with process-wide shared caches, or the classic process pool) with:
+:class:`BatchRunner` runs such cells on an execution backend
+(:mod:`repro.batch.backends`: inline serial or a process pool) with:
 
 * **chunking** — adjacent tasks are grouped so cheap cells amortize the
-  per-round-trip overhead (pickle/IPC for processes, future bookkeeping
-  for threads);
+  per-round-trip pickle/IPC overhead;
 * **structured failure capture** — a task raising (e.g.
   :class:`~repro.exceptions.TruncationError` for an over-budget SR cell)
   produces a :class:`BatchOutcome` carrying the exception type, message
@@ -22,11 +20,10 @@ with process-wide shared caches, or the classic process pool) with:
 
 Tasks submitted to the process backend must be picklable: module-level
 functions plus plain-data arguments (every in-tree model/reward/measure
-object pickles cleanly); the serial and thread backends accept anything
-callable. With ``max_workers=1`` (or a single task) every backend
-degrades to an inline loop with identical semantics minus timeout
-enforcement, so library code can route *everything* through it
-unconditionally.
+object pickles cleanly); the serial backend accepts anything callable.
+With ``max_workers=1`` (or a single task) the process backend degrades to
+an inline loop with identical semantics minus timeout enforcement, so
+library code can route *everything* through it unconditionally.
 """
 
 from __future__ import annotations
@@ -128,7 +125,7 @@ class BatchRunner:
         Tasks per worker round-trip. 1 maximizes load balance; larger
         values amortize per-round-trip overhead for many cheap tasks.
     task_timeout:
-        Soft per-task seconds budget, enforced by the pool backends. A
+        Soft per-task seconds budget, enforced by the process backend. A
         chunk is given ``task_timeout * sum(task.weight)`` measured from
         the moment the batch is *submitted* (not from when its result is
         collected — deadlines anchored at collection would let a slow
@@ -143,20 +140,13 @@ class BatchRunner:
         task's compute. On expiry a chunk's tasks are recorded as failed
         with ``error_type="TimeoutError"`` and :meth:`run` returns
         without joining the hung worker (an orphaned process runs its
-        current task to completion or dies with the interpreter; an
-        orphaned thread runs on until its task finishes — a running task
-        cannot be interrupted from outside). ``None`` disables
-        deadlines. Inline runs are never interrupted.
-    mp_context:
-        ``multiprocessing`` start-method name (``"fork"``, ``"spawn"``,
-        ...); ``None`` uses the platform default. Only meaningful for the
-        process backend — passing it pins ``backend`` to processes when
-        no backend is chosen explicitly.
+        current task to completion or dies with the interpreter — a
+        running task cannot be interrupted from outside). ``None``
+        disables deadlines. Inline runs are never interrupted.
     backend:
-        Execution strategy: ``"serial"``, ``"threads"``, ``"processes"``,
-        a ready :class:`~repro.batch.backends.Backend` instance (which
-        then owns its own pool shape), or ``None`` for the default
-        (``$REPRO_BACKEND`` when set, processes otherwise). See
+        Execution strategy: ``"serial"``, ``"processes"``, a ready
+        :class:`~repro.batch.backends.Backend` instance (which then owns
+        its own pool shape), or ``None`` for processes. See
         :mod:`repro.batch.backends` for the trade-offs.
     """
 
@@ -164,19 +154,11 @@ class BatchRunner:
                  max_workers: int | None = None,
                  chunk_size: int = 1,
                  task_timeout: float | None = None,
-                 mp_context: str | None = None,
                  backend: Backend | str | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if task_timeout is not None and task_timeout <= 0.0:
-            raise ValueError("task_timeout must be positive")
         self._backend = resolve_backend(backend,
                                         max_workers=max_workers,
                                         chunk_size=chunk_size,
-                                        task_timeout=task_timeout,
-                                        mp_context=mp_context)
+                                        task_timeout=task_timeout)
 
     @property
     def max_workers(self) -> int:

@@ -158,8 +158,8 @@ def scenario_tasks(scenarios: Iterable[Scenario],
                    methods: Sequence[str] = ("RRL",)) -> list:
     """One :class:`~repro.batch.runner.BatchTask` per (scenario, method).
 
-    The un-planned fan-out; :func:`scenario_requests` +
-    :func:`repro.batch.planner.execute_requests` additionally share
+    The un-planned fan-out; :func:`scenario_requests` through
+    :class:`~repro.service.service.SolveService` additionally share
     kernels and fuse compatible cells across scenarios with equal models.
     """
     from repro.batch.runner import BatchTask

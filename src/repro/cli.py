@@ -334,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--workers", type=_positive_int, default=1,
                     help="pool size (default: 1, inline)")
     pb.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                    help="execution backend: threads shares one "
-                         "process-wide cache set (GIL-releasing "
-                         "stepping), processes isolates workers "
-                         "(default: $REPRO_BACKEND or processes)")
+                    help="execution backend: serial runs inline, "
+                         "processes fans out to isolated workers "
+                         "(default: processes)")
     pb.add_argument("--no-fuse", dest="fuse", action="store_false",
                     default=True,
                     help="disable planner coalescing/fusion")

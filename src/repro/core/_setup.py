@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +22,6 @@ class RegenerativeSetup:
     Holds the incremental schedule builders (shared across all requested
     time points — larger horizons extend, never recompute), the
     randomization rate, the absorbing-state bookkeeping and ``α_r``.
-
-    ``lock`` serializes *extension* of the builders when the setup is
-    shared across threads (the thread backend hands one cached setup to
-    every same-model RR/RRL cell): two concurrent solves must not
-    interleave ``step()`` mutations. Solvers hold it for their
-    truncation/extension phase; with a private setup it is uncontended
-    and costs one acquire per solve. Setups are never pickled (they are
-    built and cached worker-side), so the unpicklable lock is fine here.
     """
 
     main: ScheduleBuilder
@@ -40,8 +31,6 @@ class RegenerativeSetup:
     absorbing_rewards: np.ndarray
     alpha_r: float
     regenerative: int
-    lock: threading.RLock = field(default_factory=threading.RLock,
-                                  repr=False, compare=False)
 
 
 def default_regenerative_state(model: CTMC) -> int:

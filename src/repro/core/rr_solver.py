@@ -9,7 +9,8 @@ the regime where the paper's new variant wins (Figures 3 and 4).
 
 Error budget: ``eps/2`` for the model truncation (selection of ``K, L``)
 and ``eps/2`` for the inner standard-randomization solution, as in the
-paper.
+paper. The inner budget is capped at half of ``V_{K,L}``'s largest reward
+rate, so SR's relative budget stays a probability below 1.
 """
 
 from __future__ import annotations
@@ -109,36 +110,37 @@ class RegenerativeRandomizationSolver:
         l_points = np.full(t_arr.size, -1, dtype=np.int64)
         inner_steps = np.empty(t_arr.size, dtype=np.int64)
         order = np.argsort(t_arr)  # ascending t reuses schedule prefixes
-        # A cached setup may be shared with concurrent solves (thread
-        # backend): the lock serializes builder extension and keeps the
-        # steps_done accounting attributable to this call. Private
-        # setups pay one uncontended acquire.
-        with setup.lock:
-            # Steps already on the (possibly shared) builders before
-            # this solve: the difference is what *this* call charged.
-            reused_steps = setup.main.steps_done \
-                + (setup.primed.steps_done if setup.primed else 0)
-            for i in order:
-                t = float(t_arr[i])
-                choice = select_truncation(setup.main, setup.primed,
-                                           setup.rate, t, eps / 2.0, r_max)
-                v_model, v_rewards = build_vkl(
-                    setup.main.snapshot(),
-                    setup.primed.snapshot()
-                    if setup.primed is not None else None,
-                    choice.k_point, choice.l_point, setup.rate,
-                    setup.absorbing_rewards, setup.alpha_r)
-                sol = inner.solve(v_model, v_rewards, measure, [t],
-                                  eps / 2.0)
-                values[i] = sol.values[0]
-                steps[i] = choice.steps
-                k_points[i] = choice.k_point
-                l_points[i] = choice.l_point \
-                    if choice.l_point is not None else -1
-                inner_steps[i] = sol.steps[0]
-            transformation_steps = setup.main.steps_done \
-                + (setup.primed.steps_done if setup.primed else 0) \
-                - reused_steps
+        # Steps already on the (possibly shared) builders before
+        # this solve: the difference is what *this* call charged.
+        reused_steps = setup.main.steps_done \
+            + (setup.primed.steps_done if setup.primed else 0)
+        for i in order:
+            t = float(t_arr[i])
+            choice = select_truncation(setup.main, setup.primed,
+                                       setup.rate, t, eps / 2.0, r_max)
+            v_model, v_rewards = build_vkl(
+                setup.main.snapshot(),
+                setup.primed.snapshot()
+                if setup.primed is not None else None,
+                choice.k_point, choice.l_point, setup.rate,
+                setup.absorbing_rewards, setup.alpha_r)
+            # Inner SR spends its budget as a tail probability of
+            # ``budget / r_max`` on V_{K,L}. When that chain's rewards are
+            # tiny, ``eps / 2`` would ask for a "probability" above 1;
+            # half its reward rate is a legal budget and never looser.
+            inner_eps = eps / 2.0
+            if v_rewards.max_rate > 0.0:
+                inner_eps = min(inner_eps, 0.5 * v_rewards.max_rate)
+            sol = inner.solve(v_model, v_rewards, measure, [t], inner_eps)
+            values[i] = sol.values[0]
+            steps[i] = choice.steps
+            k_points[i] = choice.k_point
+            l_points[i] = choice.l_point \
+                if choice.l_point is not None else -1
+            inner_steps[i] = sol.steps[0]
+        transformation_steps = setup.main.steps_done \
+            + (setup.primed.steps_done if setup.primed else 0) \
+            - reused_steps
         stats = {
             "rate": setup.rate,
             "regenerative": setup.regenerative,

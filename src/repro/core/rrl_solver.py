@@ -122,49 +122,44 @@ class RRLSolver:
         truncation_bounds = np.empty(t_arr.size)
         inversion_diffs = np.empty(t_arr.size)
         order = np.argsort(t_arr)
-        # A cached setup may be shared with concurrent solves (thread
-        # backend): the lock serializes builder extension and keeps the
-        # steps_done accounting attributable to this call. Private
-        # setups pay one uncontended acquire.
-        with setup.lock:
-            # Steps already on the (possibly shared) builders before
-            # this solve: the difference is what *this* call charged.
-            reused_steps = setup.main.steps_done \
-                + (setup.primed.steps_done if setup.primed else 0)
-            for i in order:
-                t = float(t_arr[i])
-                choice = select_truncation(setup.main, setup.primed,
-                                           setup.rate, t, eps / 2.0, r_max)
-                transform = VklTransform(
-                    setup.main.snapshot(),
-                    setup.primed.snapshot()
-                    if setup.primed is not None else None,
-                    choice.k_point, choice.l_point, setup.rate,
-                    setup.absorbing_rewards)
-                if measure is Measure.TRR:
-                    res = invert_bounded(transform.trr, t, eps=eps,
-                                         bound=r_max,
-                                         t_factor=self._t_factor,
-                                         max_terms=self._max_terms)
-                    values[i] = res.value
-                    inversion_diffs[i] = res.converged_diff
-                else:
-                    res = invert_cumulative(transform.cumulative, t,
-                                            eps=eps, r_max=r_max,
-                                            t_factor=self._t_factor,
-                                            max_terms=self._max_terms)
-                    values[i] = res.value / t
-                    inversion_diffs[i] = res.converged_diff / t
-                steps[i] = choice.steps
-                k_points[i] = choice.k_point
-                l_points[i] = choice.l_point \
-                    if choice.l_point is not None else -1
-                abscissae[i] = res.n_abscissae
-                dampings[i] = res.damping
-                truncation_bounds[i] = choice.error_bound
-            transformation_steps = setup.main.steps_done \
-                + (setup.primed.steps_done if setup.primed else 0) \
-                - reused_steps
+        # Steps already on the (possibly shared) builders before
+        # this solve: the difference is what *this* call charged.
+        reused_steps = setup.main.steps_done \
+            + (setup.primed.steps_done if setup.primed else 0)
+        for i in order:
+            t = float(t_arr[i])
+            choice = select_truncation(setup.main, setup.primed,
+                                       setup.rate, t, eps / 2.0, r_max)
+            transform = VklTransform(
+                setup.main.snapshot(),
+                setup.primed.snapshot()
+                if setup.primed is not None else None,
+                choice.k_point, choice.l_point, setup.rate,
+                setup.absorbing_rewards)
+            if measure is Measure.TRR:
+                res = invert_bounded(transform.trr, t, eps=eps,
+                                     bound=r_max,
+                                     t_factor=self._t_factor,
+                                     max_terms=self._max_terms)
+                values[i] = res.value
+                inversion_diffs[i] = res.converged_diff
+            else:
+                res = invert_cumulative(transform.cumulative, t,
+                                        eps=eps, r_max=r_max,
+                                        t_factor=self._t_factor,
+                                        max_terms=self._max_terms)
+                values[i] = res.value / t
+                inversion_diffs[i] = res.converged_diff / t
+            steps[i] = choice.steps
+            k_points[i] = choice.k_point
+            l_points[i] = choice.l_point \
+                if choice.l_point is not None else -1
+            abscissae[i] = res.n_abscissae
+            dampings[i] = res.damping
+            truncation_bounds[i] = choice.error_bound
+        transformation_steps = setup.main.steps_done \
+            + (setup.primed.steps_done if setup.primed else 0) \
+            - reused_steps
         stats = {
             "rate": setup.rate,
             "regenerative": setup.regenerative,

@@ -31,7 +31,6 @@ every solver whose :class:`~repro.solvers.registry.SolverSpec` declares
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
@@ -84,15 +83,6 @@ class ScheduleCache:
     point — later cells inherit the prefix), but must never mutate
     recorded entries; :class:`~repro.core.schedules.ScheduleBuilder` has
     no API to do so.
-
-    The cache is thread-safe: lookups, counters and — deliberately — the
-    build-on-miss ``prepare`` call happen under one lock, so two thread
-    workers missing the same key cannot both pay the ``K + L`` stepping
-    phase ("one build per process" is the thread backend's headline
-    saving, and builds are exactly the work being amortized). *Using* a
-    returned setup concurrently is a separate concern: consumers that
-    may extend the shared builders (RR/RRL) serialize on the setup's own
-    :attr:`~repro.core._setup.RegenerativeSetup.lock`.
     """
 
     def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES) -> None:
@@ -103,7 +93,6 @@ class ScheduleCache:
             OrderedDict()
         self._hits = 0
         self._misses = 0
-        self._lock = threading.RLock()
 
     @staticmethod
     def key_for(model: "CTMC", rewards: "RewardStructure",
@@ -140,37 +129,31 @@ class ScheduleCache:
         """
         key = self.key_for(model, rewards, regenerative, rate,
                            kernel=kernel)
-        with self._lock:
-            setup = self._entries.get(key)
-            if setup is not None:
-                self._hits += 1
-                self._entries.move_to_end(key)
-                return setup, True
-            self._misses += 1
-            setup = prepare(model, rewards, regenerative, rate,
-                            kernel=kernel)
-            self._entries[key] = setup
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-            return setup, False
+        setup = self._entries.get(key)
+        if setup is not None:
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return setup, True
+        self._misses += 1
+        setup = prepare(model, rewards, regenerative, rate, kernel=kernel)
+        self._entries[key] = setup
+        while len(self._entries) > self._max_entries:
+            self._entries.popitem(last=False)
+        return setup, False
 
     def info(self) -> dict[str, int]:
         """Hit/miss/size statistics (bench and CI artifacts report these)."""
-        with self._lock:
-            return {"hits": self._hits, "misses": self._misses,
-                    "size": len(self._entries),
-                    "max_size": self._max_entries}
+        return {"hits": self._hits, "misses": self._misses,
+                "size": len(self._entries), "max_size": self._max_entries}
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
+        self._entries.clear()
+        self._hits = 0
+        self._misses = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 #: The per-process instance batch workers share (one per pool worker —

@@ -111,8 +111,8 @@ def poisson_right_quantile(rate: float, eps: float) -> int:
     must perform for a reward bounded by 1; the paper's Tables 1–2 "SR"
     columns are ``R + 1``-style counts derived from it.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if eps <= 0.0 or eps >= 1.0:
+        raise ValueError("eps must lie in (0, 1)")
     if rate < 0.0:
         raise ValueError("rate must be non-negative")
     if rate == 0.0:

@@ -1,20 +1,18 @@
 """``SolveService`` — the one front door for executing solve workloads.
 
-Before this facade existed the public API was three disjoint surfaces:
-per-solver ``solve(...)``, :func:`repro.analysis.runner.solve`, and the
-planner's ``execute_requests``. ``SolveService`` is the canonical
-replacement for the batch-shaped ones: it owns the planner policy
-(coalescing + fusion), the :class:`~repro.batch.runner.BatchRunner` pool
-it executes on (and with it the per-worker kernel-cache behaviour), and
-the scatter bookkeeping that maps task results back onto requests — so
-``analysis``, ``batch.scenarios``, the CLI and the scripts never touch
-planner or runner internals again.
+Per-solver ``solve(...)`` and :func:`repro.analysis.runner.solve` serve
+one ad-hoc solve of a live model. Everything batch-shaped goes through
+``SolveService``: it owns the planner policy (coalescing + fusion), the
+:class:`~repro.batch.runner.BatchRunner` pool it executes on (and with it
+the per-worker kernel-cache behaviour), and the scatter bookkeeping that
+maps task results back onto requests — so ``analysis``,
+``batch.scenarios``, the CLI and the scripts never touch planner or
+runner internals.
 
-The facade adds no numerics of its own: ``SolveService(...).solve(reqs)``
-is bit-for-bit identical to the old ``execute_requests(reqs, runner)``
-plumbing (pinned by ``tests/service/test_service.py`` and measured by
-``benchmarks/bench_batch.py``), which is what makes it safe for every
-consumer to route through it unconditionally.
+The facade adds no numerics of its own: every solution is bit-for-bit
+identical to calling the registry's solver directly on the request's
+model (pinned by ``tests/batch/test_planner.py``), which is what makes
+it safe for every consumer to route through it unconditionally.
 """
 
 from __future__ import annotations
@@ -59,18 +57,16 @@ class SolveService:
 
     Parameters
     ----------
-    workers, chunk_size, task_timeout, mp_context:
+    workers, chunk_size, task_timeout:
         Pool shape, forwarded to the internally-built
         :class:`~repro.batch.runner.BatchRunner` (ignored when ``runner``
         is given). The default ``workers=1`` runs everything inline with
         identical numbers.
     backend:
-        Execution strategy (``"serial"`` / ``"threads"`` /
-        ``"processes"``, a :class:`~repro.batch.backends.Backend`
-        instance, or ``None`` for the ``$REPRO_BACKEND``-aware default),
-        forwarded to the runner. Every backend produces bit-identical
-        outcomes; they differ only in parallelism, isolation and cache
-        topology — see :mod:`repro.batch.backends`.
+        Execution strategy (``"serial"`` / ``"processes"``, a
+        :class:`~repro.batch.backends.Backend` instance, or ``None`` for
+        processes), forwarded to the runner. Both backends produce
+        bit-identical outcomes — see :mod:`repro.batch.backends`.
     fuse:
         Planner policy: coalesce duplicates and fuse SR/RSD cells sharing
         a model (default). ``False`` plans one task per request — same
@@ -93,7 +89,6 @@ class SolveService:
                  workers: int = 1,
                  chunk_size: int = 1,
                  task_timeout: float | None = None,
-                 mp_context: str | None = None,
                  backend: "Backend | str | None" = None,
                  fuse: bool = True,
                  memoize: bool = True,
@@ -102,7 +97,6 @@ class SolveService:
             runner = BatchRunner(max_workers=workers,
                                  chunk_size=chunk_size,
                                  task_timeout=task_timeout,
-                                 mp_context=mp_context,
                                  backend=backend)
         self._runner = runner
         self._fuse = bool(fuse)

@@ -3,8 +3,7 @@
 Before this module existed the six transient solvers were dispatched by
 parallel, drifting mechanisms: a hardcoded import ladder in
 :mod:`repro.analysis.runner`, ``method == "SR"``-style string branches in
-:mod:`repro.analysis.experiments`, and hand-maintained frozensets
-(``FUSABLE_METHODS`` / ``KERNEL_AWARE_METHODS``) in
+:mod:`repro.analysis.experiments`, and hand-maintained method sets in
 :mod:`repro.batch.planner` — so every execution-layer optimisation had to
 be re-taught to each layer by hand.
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro import TRR, RRLSolver
-from repro.analysis import SOLVER_REGISTRY, get_solver, solve
+from repro.analysis import get_solver, solve
+from repro.solvers import registry
 from tests.conftest import exact_two_state_ua
 
 
 class TestRegistry:
     def test_all_methods_present(self):
-        assert set(SOLVER_REGISTRY) == {"RRL", "RR", "SR", "RSD", "AU",
-                                        "ODE", "MS"}
+        assert set(registry.known_methods()) == {"RRL", "RR", "SR", "RSD",
+                                                 "AU", "ODE", "MS"}
 
     def test_case_insensitive(self):
         assert isinstance(get_solver("rrl"), RRLSolver)

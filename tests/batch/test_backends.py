@@ -1,19 +1,13 @@
-"""Backend conformance matrix and thread-safety regression tests.
+"""Backend conformance matrix.
 
 The execution backend is the one layer allowed to vary *how* work runs
 while changing *nothing* about what comes back: for every registered
-solver on every scenario family, serial == threads == processes must be
-bit-identical, failure capture and deadline semantics must match across
-the pool backends, and the thread backend must actually deliver its
-headline cache topology (one kernel/schedule build per model per
-*process*, not per worker). The hammer tests at the bottom pin the
-lock-protected counters: an unlocked ``count += 1`` loses updates under
-a thread pool, which is exactly the regression they would catch.
+solver on every scenario family, serial == processes must be
+bit-identical, failure capture must match, and the process pool must
+enforce submission-anchored deadlines.
 """
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,22 +16,12 @@ from repro.batch.backends import (
     BACKEND_NAMES,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
-from repro.batch.kernel import UniformizationKernel, kernel_build_count
-from repro.batch.planner import (
-    SolveRequest,
-    run_request,
-    worker_cache_clear,
-    worker_cache_info,
-)
+from repro.batch.kernel import kernel_build_count
+from repro.batch.planner import SolveRequest, worker_cache_clear
 from repro.batch.runner import BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario, generate_scenarios
-from repro.core.schedule_cache import (
-    ScheduleCache,
-    process_schedule_cache_info,
-)
 from repro.markov.rewards import Measure
 from repro.service import SolveService
 from repro.solvers import registry
@@ -143,10 +127,9 @@ def _sleep_return(seconds):
 
 
 class TestDeadlineSemantics:
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_pool_backends_enforce_submission_deadlines(self, backend):
+    def test_process_backend_enforces_submission_deadlines(self):
         runner = BatchRunner(max_workers=2, task_timeout=0.2,
-                             backend=backend)
+                             backend="processes")
         start = time.perf_counter()
         outs = runner.run(
             [BatchTask(fn=_sleep_return, args=(1.5,), key="slow"),
@@ -157,8 +140,8 @@ class TestDeadlineSemantics:
         assert "submission" in outs[0].error
         assert outs[1].ok is True and outs[1].value == 0.01
         # The deadline contract beats a clean join: run() must not wait
-        # out the hung worker's full sleep on either backend.
-        assert elapsed < 1.2, f"{backend} blocked {elapsed:.2f}s"
+        # out the hung worker's full sleep.
+        assert elapsed < 1.2, f"processes blocked {elapsed:.2f}s"
 
     def test_serial_backend_never_interrupts(self):
         runner = BatchRunner(max_workers=1, task_timeout=0.05,
@@ -175,29 +158,14 @@ class TestCacheTopology:
                              method="RRL", key=i)
                 for i in range(n)]
 
-    def test_threads_share_one_cache_set(self):
-        """Thread workers share the process-wide caches: a same-model
-        grid builds ONE kernel and ONE schedule transformation total,
-        however many workers raced for them."""
-        requests = self._memo_requests()
-        worker_cache_clear()
-        builds_before = kernel_build_count()
-        outcomes = SolveService(workers=3, backend="threads").solve(requests)
-        assert all(o.ok for o in outcomes)
-        assert kernel_build_count() - builds_before == 1
-        info = process_schedule_cache_info()
-        assert info["misses"] == 1 and info["hits"] == len(requests) - 1
-        hits = [o.value.stats["schedule_cache_hit"] for o in outcomes]
-        assert sum(1 for h in hits if not h) == 1
-
-    def test_processes_pay_per_worker_and_match_threads(self):
+    def test_processes_pay_per_worker_and_match_serial(self):
         """Process workers each warm a private cache: at most one
         schedule build per worker (visible through the per-cell stats),
-        none in the parent — and the numbers still match the threaded
-        run bit for bit."""
+        none in the parent — and the numbers still match the serial run
+        bit for bit."""
         requests = self._memo_requests()
         worker_cache_clear()
-        threaded = SolveService(workers=2, backend="threads").solve(requests)
+        serial = SolveService(workers=1, backend="serial").solve(requests)
 
         worker_cache_clear()
         builds_before = kernel_build_count()
@@ -207,7 +175,7 @@ class TestCacheTopology:
         builds = sum(1 for o in pooled
                      if not o.value.stats["schedule_cache_hit"])
         assert 1 <= builds <= 2, builds
-        for a, b in zip(pooled, threaded):
+        for a, b in zip(pooled, serial):
             assert np.array_equal(a.value.values, b.value.values)
             assert np.array_equal(a.value.steps, b.value.steps)
 
@@ -215,90 +183,29 @@ class TestCacheTopology:
 class TestBackendResolution:
     def test_names_and_instances(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("threads"), ThreadBackend)
         assert isinstance(resolve_backend("processes"), ProcessBackend)
-        backend = ThreadBackend(max_workers=3)
+        assert isinstance(resolve_backend(None), ProcessBackend)
+        backend = ProcessBackend(max_workers=3)
         assert resolve_backend(backend) is backend
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("fibers")
 
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
-        assert BatchRunner(max_workers=2).backend_name == "threads"
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            BatchRunner(max_workers=2)
+    def test_threads_backend_is_gone(self):
+        with pytest.raises(ValueError, match="known: serial, processes"):
+            BatchRunner(backend="threads")
+        assert BACKEND_NAMES == ("serial", "processes")
 
-    def test_mp_context_pins_processes(self, monkeypatch):
-        # An explicit start method beats the env *default* but conflicts
-        # with an explicit non-process backend.
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
-        assert BatchRunner(mp_context="fork").backend_name == "processes"
-        with pytest.raises(ValueError, match="mp_context"):
-            BatchRunner(backend="threads", mp_context="fork")
+    def test_service_rejects_threads_backend(self):
+        with pytest.raises(ValueError, match="known: serial, processes"):
+            SolveService(workers=2, backend="threads").solve(
+                _conformance_requests()[:1])
 
     def test_instance_rejects_conflicting_pool_shape(self):
         # A ready instance owns its pool shape: explicit shape args
         # alongside it must error rather than be silently dropped.
         with pytest.raises(ValueError, match="owns its own pool shape"):
-            resolve_backend(ThreadBackend(), mp_context="fork")
+            resolve_backend(ProcessBackend(), chunk_size=4)
         with pytest.raises(ValueError, match="task_timeout"):
-            BatchRunner(task_timeout=30.0, backend=ThreadBackend())
+            BatchRunner(task_timeout=30.0, backend=ProcessBackend())
         with pytest.raises(ValueError, match="max_workers"):
             BatchRunner(max_workers=4, backend=SerialBackend())
-
-
-# -- lock-protected counter regressions ------------------------------------
-
-_N_THREADS = 8
-
-
-def _hammer(fn, per_thread):
-    with ThreadPoolExecutor(max_workers=_N_THREADS) as pool:
-        list(pool.map(lambda _: [fn() for _ in range(per_thread)],
-                      range(_N_THREADS)))
-
-
-class TestCounterThreadSafety:
-    def test_kernel_build_count_is_exact_under_threads(self):
-        p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        before = kernel_build_count()
-        _hammer(lambda: UniformizationKernel(p), per_thread=250)
-        assert kernel_build_count() - before == _N_THREADS * 250
-
-    def test_worker_cache_counters_are_exact_under_threads(self):
-        request = SolveRequest(scenario=_SMALL_BD, measure=Measure.TRR,
-                               times=_SMALL_BD.times, eps=_SMALL_BD.eps,
-                               method="SR", key="hammer")
-        worker_cache_clear()
-        _hammer(lambda: run_request(request), per_thread=10)
-        info = worker_cache_info()
-        assert info["hits"] + info["misses"] == _N_THREADS * 10
-        assert info["misses"] == 1  # one build, everyone else hits
-
-    def test_schedule_cache_counters_are_exact_under_threads(self):
-        model, rewards = _SMALL_BD.build()
-        cache = ScheduleCache()
-        _hammer(lambda: cache.setup_for(model, rewards), per_thread=10)
-        info = cache.info()
-        assert info["hits"] + info["misses"] == _N_THREADS * 10
-        assert info["misses"] == 1 and len(cache) == 1
-
-    def test_concurrent_rrl_solves_share_one_setup_bit_identically(self):
-        """End-to-end hammer: many threads solving same-model RRL cells
-        through one shared ScheduleCache must produce exactly the serial
-        numbers (the setup lock serializes builder extension)."""
-        requests = [SolveRequest(scenario=_MEMO_BD, measure=Measure.TRR,
-                                 times=(5.0 * (i + 1),), eps=1e-8,
-                                 method="RRL", key=i)
-                    for i in range(8)]
-        worker_cache_clear()
-        serial = SolveService(workers=1).solve(requests)
-        worker_cache_clear()
-        threaded = SolveService(workers=_N_THREADS,
-                                backend="threads").solve(requests)
-        for a, b in zip(threaded, serial):
-            assert a.ok and b.ok
-            assert np.array_equal(a.value.values, b.value.values)
-            assert np.array_equal(a.value.steps, b.value.steps)
-        assert process_schedule_cache_info()["misses"] == 1

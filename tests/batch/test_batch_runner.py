@@ -128,12 +128,11 @@ class TestPool:
         # and must be recorded as timed out — under collection-anchored
         # deadlines it would have sailed through with ~0.8s of slack.
         # Forked workers keep pool startup (which also counts against
-        # the budget) far below the timing margins here; spawn-only
-        # platforms would need much coarser sleeps.
-        if "fork" not in multiprocessing.get_all_start_methods():
+        # the budget) far below the timing margins here; platforms whose
+        # default start method is not fork would need much coarser sleeps.
+        if multiprocessing.get_start_method() != "fork":
             pytest.skip("needs the fork start method for tight timings")
-        runner = BatchRunner(max_workers=2, task_timeout=1.2,
-                             mp_context="fork")
+        runner = BatchRunner(max_workers=2, task_timeout=1.2)
         start = time.perf_counter()
         outs = runner.run([BatchTask(fn=_sleepy, args=(0.8,), key=i)
                            for i in range(4)])
@@ -148,10 +147,7 @@ class TestPool:
     def test_task_weight_scales_timeout_budget(self):
         # A fused task doing N cells' worth of work declares weight=N;
         # its chunk budget must be task_timeout * N, not * 1.
-        runner = BatchRunner(max_workers=2, task_timeout=0.25,
-                             mp_context="fork" if "fork" in
-                             multiprocessing.get_all_start_methods()
-                             else None)
+        runner = BatchRunner(max_workers=2, task_timeout=0.25)
         heavy = BatchTask(fn=_sleepy, args=(0.6,), key="w", weight=4)
         light = BatchTask(fn=_sleepy, args=(1.2,), key="l")  # weight 1
         outs = runner.run([heavy, light])

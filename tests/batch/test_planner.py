@@ -9,11 +9,9 @@ from repro.analysis.runner import get_solver
 from repro.batch.kernel import kernel_build_count
 from repro.batch.planner import (
     SolveRequest,
-    execute_requests,
     model_fingerprint,
     plan_requests,
     run_request,
-    solve_requests,
     worker_cache_clear,
     worker_cache_info,
 )
@@ -27,6 +25,7 @@ from repro.batch.scenarios import (
 from repro.exceptions import ModelError, UnknownMethodError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
+from repro.service import SolveService
 
 
 def _bd_scenario(name="bd", n=8, birth=0.5, death=1.5, times=(0.5, 2.0),
@@ -147,8 +146,8 @@ class TestExecution:
     def test_fused_equals_unfused_bitwise(self, method):
         reqs = [_request(method=method, eps=eps, key=eps)
                 for eps in (1e-6, 1e-8, 1e-10)]
-        fused = execute_requests(reqs, fuse=True)
-        unfused = execute_requests(reqs, fuse=False)
+        fused = SolveService(fuse=True).solve(reqs)
+        unfused = SolveService(fuse=False).solve(reqs)
         for a, b in zip(fused, unfused):
             assert a.ok and b.ok
             assert np.array_equal(a.value.values, b.value.values)
@@ -158,7 +157,7 @@ class TestExecution:
 
     def test_fused_equals_direct_solver(self):
         req = _request(eps=1e-9)
-        (out,) = execute_requests([req, _request(eps=1e-7)])[:1]
+        (out,) = SolveService().solve([req, _request(eps=1e-7)])[:1]
         model, rewards = req.resolve()
         direct = get_solver("SR").solve(model, rewards, req.measure,
                                         list(req.times), req.eps)
@@ -170,15 +169,16 @@ class TestExecution:
                                    eps=1e-8,
                                    measures=(Measure.TRR, Measure.MRR))
         reqs = scenario_requests(scens, methods=("SR", "RRL"))
-        inline = execute_requests(reqs, BatchRunner(max_workers=1))
-        pooled = execute_requests(reqs, BatchRunner(max_workers=2))
+        inline = SolveService(workers=1).solve(reqs)
+        pooled = SolveService(workers=2).solve(reqs)
         assert [o.key for o in pooled] == [o.key for o in inline]
         for a, b in zip(inline, pooled):
             assert a.ok and b.ok
             assert np.array_equal(a.value.values, b.value.values)
 
-    def test_solve_requests_unwraps(self):
-        sols = solve_requests([_request(eps=1e-8), _request(method="RRL")])
+    def test_solutions_unwrap(self):
+        sols = SolveService().execute(
+            [_request(eps=1e-8), _request(method="RRL")]).solutions()
         assert len(sols) == 2
         assert sols[0].method == "SR"
         assert sols[1].method == "RRL"
@@ -217,7 +217,7 @@ class TestFailureIsolation:
                            method="SR", solver_kwargs=kwargs, key="bad")
         plan = plan_requests([good, bad])
         assert plan.fused_tasks == 1
-        outs = execute_requests([good, bad])
+        outs = SolveService().solve([good, bad])
         assert outs[0].ok is True
         assert outs[1].ok is False
         assert outs[1].error_type == "TruncationError"
@@ -232,7 +232,7 @@ class TestWorkerCache:
         reqs = [_request(method=m, eps=e, key=(m, e))
                 for m in ("SR", "RSD", "RRL") for e in (1e-6, 1e-8)]
         before = kernel_build_count()
-        outs = execute_requests(reqs, fuse=False)
+        outs = SolveService(fuse=False).solve(reqs)
         assert all(o.ok for o in outs)
         built = kernel_build_count() - before
         # Six unfused cells over one model: exactly one kernel build.

@@ -95,3 +95,73 @@ class TestWork:
         sol = RegenerativeRandomizationSolver().solve(model, rewards, TRR,
                                                       [1.0], eps=1e-10)
         assert sol.values[0] == 0.0
+
+
+_TINY_INNER_CELLS = [(203, "block-1-4x6"), (204, "block-0-4x5"),
+                     (211, "block-0-4x6")]
+
+
+def _sweep_block_cell(seed, name, measure=TRR):
+    """One block cell of the scenario sweep's draw for ``seed``."""
+    from repro.batch.scenarios import generate_scenarios
+
+    (scenario,) = [s for s in generate_scenarios(seed=seed, random_count=4,
+                                                 measures=(TRR, MRR))
+                   if s.name.split("/")[0] == name and s.measure is measure]
+    return scenario
+
+
+class TestTinyInnerRewards:
+    """Cells whose ``V_{K,L}`` carries rewards far below ``eps``: the
+    inner SR used to get a relative budget ``eps / (2 r_max)`` above 1
+    and crash in the Poisson quantile."""
+
+    @pytest.mark.parametrize("seed,name", _TINY_INNER_CELLS)
+    def test_matches_dense_expm_within_eps(self, seed, name):
+        from scipy.linalg import expm
+
+        scenario = _sweep_block_cell(seed, name)
+        model, rewards = scenario.build()
+        sol = RegenerativeRandomizationSolver().solve(
+            model, rewards, TRR, list(scenario.times), scenario.eps)
+        q = model.generator.toarray()
+        ref = [model.initial @ expm(q * t) @ rewards.rates
+               for t in scenario.times]
+        assert np.all(np.abs(sol.values - ref) <= scenario.eps)
+
+    @pytest.mark.parametrize("seed,name", _TINY_INNER_CELLS)
+    def test_mrr_matches_dense_expm_within_eps(self, seed, name):
+        from scipy.linalg import expm
+
+        scenario = _sweep_block_cell(seed, name, measure=MRR)
+        model, rewards = scenario.build()
+        sol = RegenerativeRandomizationSolver().solve(
+            model, rewards, MRR, list(scenario.times), scenario.eps)
+        # The top-right block of exp([[Q, r], [0, 0]] t) is
+        # the integral of exp(Q s) r over [0, t].
+        n = model.n_states
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = model.generator.toarray()
+        aug[:n, n] = rewards.rates
+        ref = [model.initial @ expm(aug * t)[:n, n] / t
+               for t in scenario.times]
+        assert np.all(np.abs(sol.values - ref) <= scenario.eps)
+
+    def test_inner_budget_is_a_probability_within_half_eps(self, monkeypatch):
+        budgets = []
+        solve = StandardRandomizationSolver.solve
+
+        def spy(self, model, rewards, measure, times, eps):
+            budgets.append((eps, rewards.max_rate))
+            return solve(self, model, rewards, measure, times, eps)
+
+        monkeypatch.setattr(StandardRandomizationSolver, "solve", spy)
+        scenario = _sweep_block_cell(*_TINY_INNER_CELLS[0])
+        model, rewards = scenario.build()
+        RegenerativeRandomizationSolver().solve(
+            model, rewards, TRR, list(scenario.times), scenario.eps)
+        assert budgets
+        for inner_eps, inner_r_max in budgets:
+            assert 0.0 < inner_eps <= scenario.eps / 2.0
+            # SR's relative budget eps / r_max must stay a probability.
+            assert inner_eps / inner_r_max < 1.0

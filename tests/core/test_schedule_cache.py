@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import get_solver
-from repro.batch.planner import (
-    SolveRequest,
-    execute_requests,
-    worker_cache_clear,
-)
+from repro.batch.planner import SolveRequest, worker_cache_clear
 from repro.batch.scenarios import Scenario, build_scenario_model
 from repro.core.schedule_cache import (
     ScheduleCache,
@@ -19,6 +15,7 @@ from repro.core.schedule_cache import (
     process_schedule_cache_info,
 )
 from repro.markov.rewards import Measure, RewardStructure
+from repro.service import SolveService
 
 EPS = 1e-10
 
@@ -165,7 +162,7 @@ class TestPlannerIntegration:
 
     def test_grid_builds_transformation_exactly_once(self):
         worker_cache_clear()
-        outs = execute_requests(self._grid())
+        outs = SolveService().solve(self._grid())
         assert all(o.ok for o in outs)
         info = process_schedule_cache_info()
         assert info["misses"] == 1, info
@@ -175,9 +172,9 @@ class TestPlannerIntegration:
 
     def test_memoized_equals_unmemoized_bitwise(self):
         worker_cache_clear()
-        memoized = execute_requests(self._grid(), memoize=True)
+        memoized = SolveService(memoize=True).solve(self._grid())
         worker_cache_clear()
-        plain = execute_requests(self._grid(), memoize=False)
+        plain = SolveService(memoize=False).solve(self._grid())
         assert process_schedule_cache_info()["misses"] == 0
         for a, b in zip(memoized, plain):
             assert a.ok and b.ok
@@ -189,7 +186,7 @@ class TestPlannerIntegration:
     def test_unmemoizable_methods_never_touch_the_cache(self):
         worker_cache_clear()
         s = _scenario()
-        outs = execute_requests([
+        outs = SolveService().solve([
             SolveRequest(scenario=s, measure=Measure.TRR, times=(5.0,),
                          eps=EPS, method="SR", key=0),
             SolveRequest(scenario=s, measure=Measure.TRR, times=(5.0,),
@@ -201,7 +198,7 @@ class TestPlannerIntegration:
 
     def test_worker_cache_clear_also_clears_schedule_cache(self):
         worker_cache_clear()
-        execute_requests(self._grid()[:1])
+        SolveService().solve(self._grid()[:1])
         assert len(process_schedule_cache()) == 1
         worker_cache_clear()
         assert len(process_schedule_cache()) == 0

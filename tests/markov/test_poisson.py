@@ -72,6 +72,14 @@ class TestQuantiles:
         with pytest.raises(ValueError):
             poisson_left_quantile(1.0, -1.0)
 
+    @pytest.mark.parametrize("eps", [1.0, 1.5, 271.8])
+    def test_right_quantile_rejects_eps_at_or_above_one(self, eps):
+        # A tail "probability" of 1 or more is a caller bug, not a budget:
+        # it must fail with the same message as fox_glynn, not take the
+        # square root of a negative log.
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            poisson_right_quantile(1.0, eps)
+
     def test_paper_sr_steps(self):
         # The paper's Table 2 SR step counts are Poisson right quantiles
         # at eps = 1e-12 for the RAID Λ values; spot-check the largest.

@@ -1,16 +1,17 @@
-"""``SolveService`` facade: bit-identical to the planner plumbing it
-replaces, correct scatter/ordering for mixed workloads, and proper plan
-policy plumbing (fuse on/off, custom runners)."""
+"""``SolveService`` facade: fused == unfused, correct scatter/ordering
+for mixed workloads, and proper plan policy plumbing (fuse on/off,
+custom runners)."""
 
 import numpy as np
 import pytest
 
-from repro.batch.planner import SolveRequest, execute_requests
+from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchExecutionError, BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario
 from repro.markov.base import TransientSolution
 from repro.markov.rewards import Measure
 from repro.service import ServiceResult, SolveService
+from repro.solvers import registry
 
 
 def _scenario(name="svc-bd", n=8, birth=0.5, death=1.5):
@@ -35,16 +36,19 @@ def _passthrough(tag):
 
 class TestFacadeEquivalence:
     @pytest.mark.parametrize("fuse", [True, False])
-    def test_bit_identical_to_execute_requests(self, fuse):
+    def test_bit_identical_to_direct_solver(self, fuse):
+        # Neither the fusion plan nor the cross-cell caches may change a
+        # number: every cell equals its registry solver called directly.
         requests = _requests()
-        direct = execute_requests(requests, BatchRunner(max_workers=1),
-                                  fuse=fuse)
         via_service = SolveService(fuse=fuse).solve(requests)
-        assert [o.key for o in via_service] == [o.key for o in direct]
-        for a, b in zip(via_service, direct):
-            assert a.ok and b.ok
-            assert np.array_equal(a.value.values, b.value.values)
-            assert np.array_equal(a.value.steps, b.value.steps)
+        assert [o.key for o in via_service] == [r.key for r in requests]
+        for out, req in zip(via_service, requests):
+            model, rewards = req.resolve()
+            direct = registry.get_spec(req.method).build().solve(
+                model, rewards, req.measure, list(req.times), req.eps)
+            assert out.ok
+            assert np.array_equal(out.value.values, direct.values)
+            assert np.array_equal(out.value.steps, direct.steps)
 
     def test_fused_equals_unfused_through_facade(self):
         requests = _requests()

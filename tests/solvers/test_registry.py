@@ -2,8 +2,6 @@
 capability-derived dispatch sets, and unknown-method errors across every
 entry point (runner, planner, protocol, CLI)."""
 
-import warnings
-
 import pytest
 
 from repro.exceptions import (
@@ -102,19 +100,6 @@ class TestCapabilities:
             ("kernel_aware", "schedule_memoizable")
         assert registry.get_spec("ODE").capabilities() == ()
 
-    def test_planner_sets_are_registry_derived_and_deprecated(self):
-        import repro.batch.planner as planner
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fusable = planner.FUSABLE_METHODS
-            kernel_aware = planner.KERNEL_AWARE_METHODS
-        assert fusable == registry.stack_fusable_methods()
-        assert kernel_aware == registry.kernel_aware_methods()
-        assert all(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert len(caught) == 2
-
     def test_schedule_fingerprint_ignores_solution_phase_knobs(self):
         # The fingerprint hook declares what the K+L transformation
         # depends on: RRL's t_factor / RR's inner_max_steps tune only
@@ -162,13 +147,11 @@ class TestUnknownMethodEntryPoints:
         with pytest.raises(ValueError, match="unknown method"):
             get_solver("FFT")
 
-    def test_runner_registry_view(self):
-        from repro.analysis.runner import SOLVER_REGISTRY
-
-        assert set(SOLVER_REGISTRY) == EXPECTED_METHODS
-        assert "FFT" not in SOLVER_REGISTRY
-        with pytest.raises(KeyError):
-            SOLVER_REGISTRY["FFT"]
+    def test_registry_spec_lookup(self):
+        assert set(registry.known_methods()) == EXPECTED_METHODS
+        assert "FFT" not in registry.known_methods()
+        with pytest.raises(UnknownMethodError, match="known methods"):
+            registry.get_spec("FFT")
 
     def test_planner_request_construction(self):
         from repro.batch.planner import SolveRequest

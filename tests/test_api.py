@@ -23,9 +23,9 @@ class TestExports:
         assert repro.__version__.count(".") == 2
 
     def test_solver_method_names_unique(self):
-        from repro.analysis import SOLVER_REGISTRY
-        tags = [factory().method_name  # type: ignore[attr-defined]
-                for factory in SOLVER_REGISTRY.values()]
+        from repro.solvers import registry
+        tags = [registry.get_solver(m).method_name  # type: ignore[attr-defined]
+                for m in registry.known_methods()]
         assert len(set(tags)) == len(tags)
 
     def test_markov_and_core_reexports_consistent(self):

@@ -1,0 +1,55 @@
+"""Command-line scripts under ``scripts/``: start-up behaviour that the
+library's own tests cannot see."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+#: Records the native thread-pool variables at the moment numpy is first
+#: imported, then runs ``run_paper_grid.py --help`` (which exits after its
+#: imports, before any solving).
+_PROBE = """
+import importlib.abc, json, os, runpy, sys
+
+VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+seen = {}
+
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in VARS})
+        return None
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Probe())
+sys.argv = ["run_paper_grid.py", "--help"]
+try:
+    runpy.run_path(sys.argv_script, run_name="__main__")
+except SystemExit:
+    pass
+print(json.dumps(seen))
+"""
+
+
+def test_paper_grid_pins_blas_before_numpy_loads():
+    # Serial and pooled runs must share one BLAS thread count (it can move
+    # output bits), and N pool workers must not each start a multi-threaded
+    # BLAS pool. So the pin has to win over the caller's environment and
+    # be in place before numpy is imported.
+    env = dict(os.environ, OMP_NUM_THREADS="4", OPENBLAS_NUM_THREADS="4",
+               MKL_NUM_THREADS="4")
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = str(SCRIPTS / "run_paper_grid.py")
+    code = f"import sys; sys.argv_script = {script!r}" + _PROBE
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
