@@ -87,6 +87,10 @@ from repro.batch.runner import BatchOutcome, BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario, generate_scenarios
 from repro.service import JobQueue, ServiceResult, SolveService
 
+# 4.0.0: SR and RSD cells of one model share one ``π_n`` sweep
+# (``repro.markov.sweep``). Breaking: ``UniformizationKernel``'s
+# ``reward_sequence(s)`` are gone. Every number is bit-identical.
+#
 # 3.0.0: one inline path and one process pool. Breaking: the thread
 # backend, the environment-variable backend default, the start-method
 # options, the planner-level execute/solve helpers and method-set
@@ -103,7 +107,7 @@ from repro.service import JobQueue, ServiceResult, SolveService
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

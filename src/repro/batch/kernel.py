@@ -4,10 +4,10 @@ Every randomization-based solver in this package ultimately does the same
 two things:
 
 1. step one or more row vectors through the randomized DTMC,
-   ``π ↦ π P`` with ``P = I + Q/Λ`` (SR's reward sequence ``d_n = (π P^n) r``,
-   RSD's detection loop, the regenerative schedule recursions of RR/RRL,
-   multistep's window summation, adaptive uniformization's per-level steps
-   ``π ↦ π (I + Q/Λ_n)``);
+   ``π ↦ π P`` with ``P = I + Q/Λ`` (the one ``π_n`` sweep that SR and RSD
+   share, :mod:`repro.markov.sweep`; the regenerative schedule recursions
+   of RR/RRL; multistep's window summation; adaptive uniformization's
+   per-level steps ``π ↦ π (I + Q/Λ_n)``);
 2. weight the results with Poisson probabilities from a Fox–Glynn window
    for some ``(Λt, ε)`` pair.
 
@@ -163,29 +163,38 @@ def poisson_tail_cache_clear() -> None:
     _poisson_tail_cached.cache_clear()
 
 
-def _csr_product(a: sparse.csr_matrix, stack: np.ndarray) -> np.ndarray:
-    """``a @ stack`` for a dense vector or column stack, as a fresh array.
+def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ stack`` for a square ``a`` and a dense vector or column stack.
 
     The steps scipy's ``_matmul_vector``/``_matmul_multivector`` take once
     ``@`` has classified the operand: a float64 view or cast of it, a
     zeroed float64 output and one call of ``csr_matvec`` (1-D) or
     ``csr_matvecs`` (2-D, raveled in C order) over ``a``'s own
     ``indptr/indices/data``. Same routine, same arrays, same accumulation
-    order, so the result is bit-for-bit ``a @ stack``.
+    order, so the result is bit-for-bit ``a @ stack``. ``out``, when
+    given, is zeroed and used as that output instead of a fresh array.
     """
-    m, n = a.shape
+    n = a.shape[0]
     x = np.asarray(stack, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(
-            f"dimension mismatch: matrix is {m}×{n}, operand {x.shape}")
-    if x.ndim == 1:
-        out = np.zeros(m)
-        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
+            f"dimension mismatch: matrix is {n}×{n}, operand {x.shape}")
+    if out is None:
+        out = np.zeros(x.shape)
+    elif (out.shape != x.shape or out is x
+          or (x.ndim == 2 and not out.flags.c_contiguous)):
+        # A float64 dtype is checked by the csr routine itself.
+        raise ValueError(
+            f"out must be a C-contiguous float64 {x.shape} array apart "
+            "from the operand")
     else:
-        k = x.shape[1]
-        out = np.zeros((m, k))
-        _sparsetools.csr_matvecs(m, n, k, a.indptr, a.indices, a.data,
-                                 x.ravel(), out.ravel())
+        out.fill(0.0)
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(n, n, x.shape[1], a.indptr, a.indices,
+                                 a.data, x.ravel(), out.ravel())
     return out
 
 
@@ -213,7 +222,8 @@ class UniformizationKernel:
     A kernel is safe to share between solves: stepping only reads the
     CSR matrices, and every stepping method — :meth:`step`,
     :meth:`step_rate` and :meth:`propagate`, even for zero steps —
-    returns a fresh array, never the caller's (or the cached chain's)
+    returns a fresh array (or the ``out`` buffer the caller passed to
+    :meth:`step`), never the caller's input (or the cached chain's)
     vector.
     """
 
@@ -317,14 +327,19 @@ class UniformizationKernel:
 
     # -- stepping ----------------------------------------------------------
 
-    def step(self, stack: np.ndarray) -> np.ndarray:
-        """One uniformized step of every column: ``stack ↦ Pᵀ stack``."""
+    def step(self, stack: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """One uniformized step of every column: ``stack ↦ Pᵀ stack``.
+
+        ``out``, a C-contiguous float64 buffer of the result's shape other
+        than ``stack``, receives the product instead of a fresh array.
+        """
         if self._pt is None:
             raise ModelError(
                 "kernel was built without a transition matrix; "
                 "fixed-rate stepping needs P")
         self._steps += 1
-        return _csr_product(self._pt, stack)
+        return _csr_product(self._pt, stack, out)
 
     def propagate(self, stack: np.ndarray, n_steps: int) -> np.ndarray:
         """Apply ``n_steps >= 0`` uniformized steps to a copy of the stack."""
@@ -348,85 +363,6 @@ class UniformizationKernel:
             raise ValueError("rate must be positive")
         self._steps += 1
         return stack + _csr_product(self._qt, stack) / rate
-
-    def reward_sequence(self,
-                        initial: np.ndarray,
-                        rewards: np.ndarray,
-                        n_max: int) -> np.ndarray:
-        """The sequence ``d_n = (π P^n) r`` for ``n = 0 .. n_max-1``.
-
-        ``initial`` may be one vector ``(n,)`` (result ``(n_max,)``) or a
-        column stack ``(n, k)`` (result ``(n_max, k)``, column ``j``
-        bit-identical to the per-vector run of ``initial[:, j]``).
-        """
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        pi = np.asarray(initial, dtype=np.float64)
-        # Contiguous rewards: the dot below must round identically whether
-        # r arrived as a flat vector or as a column sliced off a stack.
-        r = np.ascontiguousarray(rewards, dtype=np.float64)
-        if pi.shape[0] != self._n or r.shape != (self._n,):
-            raise ModelError("initial/rewards shape does not match kernel")
-        out = np.empty((n_max,) + pi.shape[1:], dtype=np.float64)
-        # Contract column-by-column over contiguous copies: BLAS rounds a
-        # gemv (and even a strided dot) differently from the contiguous
-        # dot of the single-vector path, and the bit-for-bit batching
-        # guarantee matters more than the O(nk) copy — stepping dominates
-        # the cost anyway. One preallocated scratch column serves every
-        # (step, column) pair: copyto into it is the same contiguous
-        # layout (hence the same dot, bit for bit) as a fresh
-        # ascontiguousarray per column, without n_max × k allocations.
-        step = self.step
-        if pi.ndim == 1:
-            for n in range(n_max):
-                if n:
-                    pi = step(pi)
-                out[n] = r @ pi
-            return out
-        scratch = np.empty(self._n, dtype=np.float64)
-        columns = range(pi.shape[1])
-        for n in range(n_max):
-            if n:
-                pi = step(pi)
-            for j in columns:
-                np.copyto(scratch, pi[:, j])
-                out[n, j] = r @ scratch
-        return out
-
-    def reward_sequences(self,
-                         initial: np.ndarray,
-                         rewards: np.ndarray,
-                         n_max: int) -> np.ndarray:
-        """Fused sequences ``d_n^{(j)} = (π P^n) r_j`` for a reward *stack*.
-
-        The dual of :meth:`reward_sequence`'s initial-stack support: one
-        shared initial distribution ``(n,)`` is stepped exactly as in the
-        single-reward path — one matvec per step no matter how many reward
-        vectors ``rewards[:, j]`` ride along — and each step is contracted
-        with every reward column. Column ``j`` of the ``(n_max, k)`` result
-        is bit-for-bit identical to
-        ``reward_sequence(initial, rewards[:, j], n_max)``: the stepping
-        sequence is the same object and every contraction is the same
-        contiguous dot, so fusing cells never changes a solver's numerics.
-        """
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        pi = np.asarray(initial, dtype=np.float64)
-        rs = np.asarray(rewards, dtype=np.float64)
-        if pi.ndim != 1 or pi.shape[0] != self._n:
-            raise ModelError("initial must be one (n_states,) vector")
-        if rs.ndim != 2 or rs.shape[0] != self._n:
-            raise ModelError("rewards must be an (n_states, k) stack")
-        cols = list(enumerate(
-            np.ascontiguousarray(rs[:, j]) for j in range(rs.shape[1])))
-        out = np.empty((n_max, len(cols)), dtype=np.float64)
-        step = self.step
-        for n in range(n_max):
-            if n:
-                pi = step(pi)
-            for j, r in cols:
-                out[n, j] = r @ pi
-        return out
 
     def window(self, t: float, eps: float) -> FoxGlynnWindow:
         """Cached Fox–Glynn window for ``(Λ·t, eps)``."""

@@ -11,11 +11,12 @@ cells into model-grouped work:
 1. **coalescing** — requests that are exactly identical (same model,
    rewards, method, measure, times, ε, solver options) are solved once
    and the solution is fanned out to every requester;
-2. **fusion** — cells sharing ``(model, method)`` for the stack-friendly
-   methods (``SR``, ``RSD``) are merged into one fused task that builds
-   one kernel and performs one stepping sweep for the whole group
-   (``solve_fused`` on the solver — bit-for-bit identical per cell, a
-   guarantee inherited from the kernel's column-wise stepping identity);
+2. **fusion** — SR and RSD cells (the stack-fusable methods) sharing
+   ``(model, solver kwargs)`` become one task that builds one kernel and
+   walks one ``π_n`` sweep (:mod:`repro.markov.sweep`) to the longest
+   need of any cell — each cell bit-for-bit identical to its standalone
+   solve. Tasks are emitted model-major, so a model's unfused cells run
+   next to its fused group while the worker cache still holds it;
 3. **per-worker kernel caching** — cells that stay unfused (different
    methods, or fusion disabled) still share one built model + kernel per
    worker process through a small LRU keyed on the model fingerprint.
@@ -51,6 +52,7 @@ from repro.exceptions import ModelError
 from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
+from repro.markov.sweep import solve_shared
 from repro.solvers import registry
 
 __all__ = [
@@ -182,8 +184,7 @@ def _signature(request: SolveRequest) -> tuple:
 
 def _fusion_key(request: SolveRequest) -> tuple:
     """Cells with equal fusion keys may share one stepping sweep."""
-    return (model_fingerprint(request), request.method,
-            _freeze(request.solver_kwargs))
+    return (model_fingerprint(request), _freeze(request.solver_kwargs))
 
 
 # -- per-process model/kernel cache ----------------------------------------
@@ -303,25 +304,25 @@ def _cell_for(request: SolveRequest, rewards: RewardStructure) -> SolveCell:
 def run_fused_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
     """Execute a fused group (picklable worker entry point).
 
-    All requests share ``(model fingerprint, method, solver_kwargs)``.
-    Returns one ``{"ok": ..., ...}`` record per request so a single
-    failing cell cannot poison the group: if the fused pass raises (e.g.
-    one cell exceeds the solver's step budget), every cell is retried
-    standalone and failures stay per-cell — exactly the unfused
-    semantics, at the unfused price for that group only.
+    All requests share ``(model fingerprint, solver_kwargs)``; each
+    cell's solver, from the registry, joins one ``π_n`` sweep
+    (:func:`~repro.markov.sweep.solve_shared`). Returns one
+    ``{"ok": ..., ...}`` record per request so a single failing cell
+    cannot poison the group: if the fused pass raises (e.g. one cell
+    exceeds the solver's step budget, or an RSD cell meets a reducible
+    model), every cell is retried standalone and failures stay per-cell
+    — exactly the unfused semantics, at the unfused price for that group
+    only.
     """
     requests = tuple(requests)
-    first = requests[0]
-    solver = registry.get_solver(first.method,
-                                 **dict(first.solver_kwargs))
+    kwargs = dict(requests[0].solver_kwargs)
     try:
-        model, _, kernel = _resolve_cached(first)
-        cells = []
-        for req in requests:
-            _, rewards, _ = _resolve_cached(req)
-            cells.append(_cell_for(req, rewards))
-        solutions = solver.solve_fused(model, cells, kernel=kernel)
-        return [{"ok": True, "value": sol} for sol in solutions]
+        model, _, kernel = _resolve_cached(requests[0])
+        jobs = [(registry.get_solver(req.method, **kwargs),
+                 _cell_for(req, _resolve_cached(req)[1]))
+                for req in requests]
+        return [{"ok": True, "value": sol}
+                for sol in solve_shared(model, jobs, kernel=kernel)]
     except Exception:
         # Per-cell fallback: identical failure isolation to unfused runs.
         import traceback as _traceback
@@ -474,7 +475,7 @@ def plan_requests(requests: Iterable[SolveRequest],
         by_signature.setdefault(_signature(req), []).append(i)
     coalesced = len(requests) - len(by_signature)
 
-    # 2. Group representatives of fusable methods by (model, method).
+    # 2. Group representatives of fusable methods by (model, kwargs).
     groups: "OrderedDict[tuple, list[list[int]]]" = OrderedDict()
     for slot in by_signature.values():
         rep = requests[slot[0]]
@@ -484,16 +485,26 @@ def plan_requests(requests: Iterable[SolveRequest],
             gkey = ("single", len(groups))
         groups.setdefault(gkey, []).append(slot)
 
+    # 3. Model-major order, stable within a model: a model's cells run
+    # back to back, so the worker's model/kernel LRU never evicts it
+    # between its fused group and its unfused cells.
+    model_rank: dict[tuple, int] = {}
+    for slots in groups.values():
+        model_rank.setdefault(model_fingerprint(requests[slots[0][0]]),
+                              len(model_rank))
+    ordered = sorted(groups.items(), key=lambda item: model_rank[
+        model_fingerprint(requests[item[1][0][0]])])
+
     tasks: list[BatchTask] = []
     assignments: list[list[list[int]]] = []
     fused_flags: list[bool] = []
-    for gkey, slots in groups.items():
+    for gkey, slots in ordered:
         reps = [requests[slot[0]] for slot in slots]
         if gkey[0] == "fuse" and len(reps) >= 2:
             # weight: the group does N cells' worth of work in one task,
             # so BatchRunner timeout budgets must scale accordingly.
             tasks.append(BatchTask(fn=run_fused_group, args=(tuple(reps),),
-                                   key=("fused", reps[0].method,
+                                   key=("fused",
                                         tuple(r.key for r in reps)),
                                    weight=len(reps)))
             assignments.append(slots)

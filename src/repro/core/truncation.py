@@ -99,14 +99,16 @@ def _scan(builder: ScheduleBuilder, weights, budget: float,
     ``weights(lo, hi)`` returns ``weight(k)`` for ``k = lo .. hi-1``;
     ``weight`` must be non-increasing in ``k``. The recorded prefix is
     tested in one array expression; past it the builder is extended one
-    step at a time. An exhausted builder satisfies any budget at its last
-    index.
+    step at a time, against weights computed a growing chunk ahead
+    (elementwise, so each equals its one-step value bit for bit). An
+    exhausted builder satisfies any budget at its last index.
     """
     a = builder.snapshot().a[: hard_cap + 1]
     hits = a * weights(0, a.size) <= budget
     if hits.any():
         return int(hits.argmax())
     k = a.size
+    lo, w = k, np.empty(0)  # w[j] = weight(lo + j)
     while True:
         if builder.exhausted and k >= builder.n_recorded:
             # Zero mass beyond the prefix.
@@ -118,7 +120,9 @@ def _scan(builder: ScheduleBuilder, weights, budget: float,
         if k >= builder.n_recorded:
             # Exhausted before reaching k.
             return builder.n_recorded - 1
-        if builder.a_at(k) * weights(k, k + 1)[0] <= budget:
+        if k - lo >= w.size:
+            lo, w = k, weights(k, k + max(64, k // 4))
+        if builder.a_at(k) * w[k - lo] <= budget:
             return k
         k += 1
 

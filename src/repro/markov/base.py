@@ -28,10 +28,11 @@ class SolveCell:
     """One fusable unit of work against an already-built model.
 
     The solver-layer currency of the fusion planner
-    (:mod:`repro.batch.planner`): cells sharing a model (and method) can be
-    handed together to a solver's ``solve_fused`` so they share one
-    uniformization kernel and one stepping pass. Deliberately minimal — a
-    cell is everything ``solve`` takes *except* the model.
+    (:mod:`repro.batch.planner`): SR and RSD cells sharing a model share
+    one uniformization kernel and one ``π_n`` sweep
+    (:func:`repro.markov.sweep.solve_shared`, or one method's
+    ``solve_fused``). Deliberately minimal — a cell is everything
+    ``solve`` takes *except* the model.
     """
 
     rewards: RewardStructure
@@ -69,13 +70,15 @@ class TransientSolution:
           it worked with (for the ODE baseline and AU, which have no fixed
           ``Λ``, this is the model's maximum output rate — the minimal
           valid uniformization rate the other methods would use);
-        * ``shared_steps`` — **SR only**: the length (minus the free
-          ``n = 0`` term) of the ``d_n`` sequence actually stepped, which
-          is shared across the solve's time points and therefore can
-          exceed any single entry of ``steps``;
+        * ``shared_steps`` — **SR only**: the steps of the ``π_n`` sweep
+          actually walked, shared across the solve's time points and
+          therefore possibly above any single entry of ``steps``. In a
+          fused group it is the whole sweep: the longest need of any of
+          its cells, SR or RSD;
         * ``fused_width`` — present **only** on solutions produced by a
-          fused multi-cell pass (``solve_fused``): the number of cells
-          that shared the stepping, ``>= 2``. Absent on ordinary solves.
+          fused multi-cell pass (``solve_fused`` or a planner group): the
+          number of cells of both methods that shared the sweep. Absent
+          on ordinary solves.
         * ``transformation_steps`` — **RR/RRL only**: DTMC steps the
           schedule transformation charged to *this* solve. With a
           :class:`~repro.core.schedule_cache.ScheduleCache` injected a

@@ -19,7 +19,8 @@ Error budget: ``eps/2`` for Poisson truncation below ``k_ss`` plus
 
 ``π_∞`` comes from :func:`~repro.markov.steady_state.stationary_distribution`
 of the randomized DTMC; ``stats["stationary_residual"]`` reports how well
-it balances ``P − I``.
+it balances ``P − I``. The detection loop is the ``π_n`` walk of
+:mod:`repro.markov.sweep`, which a model's SR cells share.
 """
 
 from __future__ import annotations
@@ -28,16 +29,17 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.batch.kernel import UniformizationKernel, ensure_model_kernel
+from repro.batch.kernel import UniformizationKernel
 from repro.exceptions import ModelError, TruncationError
-from repro.markov.base import SolveCell, TransientSolution, as_time_array
+from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.poisson import (
     poisson_expected_excess,
     poisson_sf,
 )
 from repro.markov.rewards import Measure, RewardStructure
-from repro.markov.standard import sr_required_steps
+from repro.markov.standard import _sr_terms
+from repro.markov.sweep import Finisher, PiSweep, checked_cell, solve_shared
 from repro.markov.steady_state import (
     stationary_distribution,
     stationary_residual,
@@ -47,21 +49,6 @@ from repro.solvers.registry import SolverSpec, register
 __all__ = ["SteadyStateDetectionSolver"]
 
 _MAX_STEPS_DEFAULT = 50_000_000
-
-
-def _rsd_requirements(t_arr: np.ndarray, rate: float, eps: float,
-                      r_max: float, measure: Measure) -> np.ndarray:
-    """Standalone per-t step requirements at the eps/2 truncation budget."""
-    req = np.empty(t_arr.size, dtype=np.int64)
-    for i, t in enumerate(t_arr):
-        lam_t = rate * t
-        if measure is Measure.TRR:
-            req[i] = sr_required_steps(lam_t, eps / (2.0 * r_max),
-                                       Measure.TRR)
-        else:
-            req[i] = sr_required_steps(lam_t, eps * lam_t / (2.0 * r_max),
-                                       Measure.MRR)
-    return req
 
 
 def _rsd_values(kernel: UniformizationKernel, d: np.ndarray,
@@ -95,22 +82,6 @@ def _rsd_values(kernel: UniformizationKernel, d: np.ndarray,
                 acc += poisson_expected_excess(lam_t, cut) * d_inf
             values[i] = acc / lam_t
     return values, steps
-
-
-def _l1_distance(pi: np.ndarray, pi_inf: np.ndarray,
-                 buf: np.ndarray) -> float:
-    """``Σ|π − π_∞|`` through ``buf``: the ufuncs and pairwise sum of
-    ``np.abs(pi - pi_inf).sum()``, without its two temporaries."""
-    np.subtract(pi, pi_inf, out=buf)
-    np.abs(buf, out=buf)
-    return float(buf.sum())
-
-
-class _FusedCellState:
-    """Mutable per-cell bookkeeping for the fused detection sweep."""
-
-    __slots__ = ("idx", "cell", "t_arr", "r", "r_max", "d_inf", "delta",
-                 "req", "n_budget", "d_list", "k_ss", "done")
 
 
 class SteadyStateDetectionSolver:
@@ -151,60 +122,11 @@ class SteadyStateDetectionSolver:
         ``UniformizationKernel.from_model(model)``; results are
         bit-identical to letting the solver build its own.
         """
-        rewards.check_model(model)
-        t_arr = as_time_array(times)
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self._check_irreducible and not model.is_irreducible():
-            raise ModelError(
-                "steady-state detection requires an irreducible model")
-
-        kernel, dtmc, rate = ensure_model_kernel(model, kernel, self._rate)
-        r = rewards.rates
-        r_max = rewards.max_rate
-        if r_max == 0.0:
-            zeros = np.zeros_like(t_arr)
-            return TransientSolution(times=t_arr, values=zeros,
-                                     measure=measure, eps=eps,
-                                     steps=np.zeros(t_arr.size, dtype=int),
-                                     method=self.method_name,
-                                     stats={"rate": rate, "k_ss": 0})
-
-        pi_inf = stationary_distribution(dtmc)
-        pi_resid = stationary_residual(dtmc, pi_inf)
-        d_inf = float(r @ pi_inf)
-        delta = eps / (2.0 * r_max)
-
-        req = _rsd_requirements(t_arr, rate, eps, r_max, measure)
-        n_budget = int(req.max())
-        if n_budget > self._max_steps:
-            raise TruncationError(
-                f"RSD would need {n_budget} steps before any detection")
-
-        # Step until detection or until the largest horizon is served.
-        d_list: list[float] = []
-        pi = dtmc.initial.copy()
-        k_ss: int | None = None
-        diff = np.empty_like(pi_inf)
-        for n in range(n_budget):
-            d_list.append(float(r @ pi))
-            if _l1_distance(pi, pi_inf, diff) <= delta:
-                k_ss = n + 1  # d_n for n >= k_ss replaced by d_inf
-                break
-            if n + 1 < n_budget:
-                pi = kernel.step(pi)
-        d = np.asarray(d_list)
-
-        values, steps = _rsd_values(kernel, d, k_ss, req, t_arr, rate, eps,
-                                    r_max, d_inf, measure)
-        return TransientSolution(times=t_arr, values=values, measure=measure,
-                                 eps=eps, steps=steps,
-                                 method=self.method_name,
-                                 stats={"rate": rate,
-                                        "k_ss": k_ss,
-                                        "d_inf": d_inf,
-                                        "detection_delta": delta,
-                                        "stationary_residual": pi_resid})
+        cell = SolveCell(rewards=rewards, measure=measure, times=times,
+                         eps=eps)
+        (solution,) = solve_shared(model, [(self, cell)], kernel=kernel)
+        del solution.stats["fused_width"]
+        return solution
 
     def solve_fused(self,
                     model: CTMC,
@@ -212,109 +134,58 @@ class SteadyStateDetectionSolver:
                     *,
                     kernel: UniformizationKernel | None = None
                     ) -> list[TransientSolution]:
-        """Solve several cells against one model in one detection sweep.
+        """Solve several cells against one model on one ``π_n`` sweep.
 
         The randomized distribution ``π_n`` is stepped once for the whole
-        group; every cell records its own ``d_n = r_j π_n`` prefix, runs
-        its own detection test (its ``δ`` depends on its ``eps`` and
-        ``r_max``) and is weighted exactly as in :meth:`solve`, so each
-        returned solution — values, steps, ``k_ss`` — is bit-for-bit
-        identical to the standalone run; ``stats`` gains ``fused_width``.
-        Raises :class:`~repro.exceptions.TruncationError` when any cell's
+        group (:mod:`repro.markov.sweep`); every cell gets its own
+        ``d_n = r_j π_n`` prefix and its own detection test (its ``δ``
+        depends on its ``eps`` and ``r_max``) and is weighted exactly as
+        alone, so each returned solution — values, steps, ``k_ss`` — is
+        bit-for-bit identical to the standalone run; ``stats`` gains
+        ``fused_width``. Raises
+        :class:`~repro.exceptions.TruncationError` when any cell's
         pre-detection budget exceeds ``max_steps`` (callers wanting
         per-cell failure isolation fall back to per-cell ``solve``).
         """
-        cells = list(cells)
-        if not cells:
-            return []
+        return solve_shared(model, [(self, cell) for cell in cells],
+                            kernel=kernel)
+
+    def join_sweep(self, sweep: PiSweep, model: CTMC,
+                   cell: SolveCell) -> Finisher:
+        """Ask ``sweep`` to detect stationarity for the cell; the returned
+        function weights the stepped prefix."""
         if self._check_irreducible and not model.is_irreducible():
             raise ModelError(
                 "steady-state detection requires an irreducible model")
-        kernel, dtmc, rate = ensure_model_kernel(model, kernel, self._rate)
-        width = len(cells)
-        results: list[TransientSolution | None] = [None] * width
-        pi_inf: np.ndarray | None = None
-        pi_resid = 0.0
+        kernel, dtmc, rate = sweep.bind(model, self._rate)
+        t_arr, r_max = checked_cell(model, cell)
+        if r_max == 0.0:
+            return lambda: (np.zeros_like(t_arr),
+                            np.zeros(t_arr.size, dtype=int),
+                            {"rate": rate, "k_ss": 0})
+        if sweep.pi_inf is None:
+            sweep.pi_inf = stationary_distribution(dtmc)
+            sweep.pi_residual = stationary_residual(dtmc, sweep.pi_inf)
+        d_inf = float(cell.rewards.rates @ sweep.pi_inf)
+        delta = cell.eps / (2.0 * r_max)
+        # Standalone per-t needs at the eps/2 truncation budget.
+        req = _sr_terms(t_arr, rate, cell.eps / 2.0, r_max, cell.measure)
+        n_budget = int(req.max())
+        if n_budget > self._max_steps:
+            raise TruncationError(
+                f"RSD would need {n_budget} steps before any detection")
+        need = sweep.need(cell.rewards.rates, n_budget, delta)
 
-        live: list[_FusedCellState] = []
-        for idx, cell in enumerate(cells):
-            cell.rewards.check_model(model)
-            t_arr = as_time_array(cell.times)
-            if cell.eps <= 0.0:
-                raise ValueError("eps must be positive")
-            r_max = cell.rewards.max_rate
-            if r_max == 0.0:
-                results[idx] = TransientSolution(
-                    times=t_arr, values=np.zeros_like(t_arr),
-                    measure=cell.measure, eps=cell.eps,
-                    steps=np.zeros(t_arr.size, dtype=int),
-                    method=self.method_name,
-                    stats={"rate": rate, "k_ss": 0, "fused_width": width})
-                continue
-            if pi_inf is None:
-                pi_inf = stationary_distribution(dtmc)
-                pi_resid = stationary_residual(dtmc, pi_inf)
-            st = _FusedCellState()
-            st.idx = idx
-            st.cell = cell
-            st.t_arr = t_arr
-            st.r = cell.rewards.rates
-            st.r_max = r_max
-            st.d_inf = float(st.r @ pi_inf)
-            st.delta = cell.eps / (2.0 * r_max)
-            st.req = _rsd_requirements(t_arr, rate, cell.eps, r_max,
-                                       cell.measure)
-            st.n_budget = int(st.req.max())
-            if st.n_budget > self._max_steps:
-                raise TruncationError(
-                    f"RSD cell would need {st.n_budget} steps before any "
-                    "detection")
-            st.d_list = []
-            st.k_ss = None
-            st.done = False
-            live.append(st)
+        def finish() -> tuple[np.ndarray, np.ndarray, dict]:
+            values, steps = _rsd_values(kernel, need.d, need.k_ss, req,
+                                        t_arr, rate, cell.eps, r_max,
+                                        d_inf, cell.measure)
+            return values, steps, {
+                "rate": rate, "k_ss": need.k_ss, "d_inf": d_inf,
+                "detection_delta": delta,
+                "stationary_residual": sweep.pi_residual}
 
-        if live:
-            n_total = max(st.n_budget for st in live)
-            pi = dtmc.initial.copy()
-            diff = np.empty_like(pi_inf)
-            for n in range(n_total):
-                dist: float | None = None
-                pending = False
-                for st in live:
-                    if st.done or n >= st.n_budget:
-                        continue
-                    st.d_list.append(float(st.r @ pi))
-                    if dist is None:
-                        # One shared distance per step: π_n is common to
-                        # every cell, only the δ threshold differs.
-                        dist = _l1_distance(pi, pi_inf, diff)
-                    if dist <= st.delta:
-                        st.k_ss = n + 1
-                        st.done = True
-                    elif n + 1 >= st.n_budget:
-                        st.done = True
-                    else:
-                        pending = True
-                if not pending:
-                    break
-                pi = kernel.step(pi)
-            for st in live:
-                d = np.asarray(st.d_list)
-                values, steps = _rsd_values(kernel, d, st.k_ss, st.req,
-                                            st.t_arr, rate, st.cell.eps,
-                                            st.r_max, st.d_inf,
-                                            st.cell.measure)
-                results[st.idx] = TransientSolution(
-                    times=st.t_arr, values=values, measure=st.cell.measure,
-                    eps=st.cell.eps, steps=steps,
-                    method=self.method_name,
-                    stats={"rate": rate, "k_ss": st.k_ss,
-                           "d_inf": st.d_inf,
-                           "detection_delta": st.delta,
-                           "stationary_residual": pi_resid,
-                           "fused_width": width})
-        return results  # type: ignore[return-value]
+        return finish
 
 
 register(SolverSpec(

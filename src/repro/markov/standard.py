@@ -17,7 +17,8 @@ The solver shares the ``d_n`` sequence across all requested time points, so
 a sweep over ``t ∈ {1, 10, ..., 1e5}`` pays only for the largest horizon —
 the per-``t`` *step counts* reported in the solution are nevertheless the
 standalone counts the paper's tables show (what SR would need for that ``t``
-alone).
+alone). ``d_n`` comes from :mod:`repro.markov.sweep`, the one ``π_n`` walk
+that a model's SR and RSD cells share.
 
 Numerical stability is inherited from the randomization construction: only
 non-negative quantities are added, so the result error is exactly the
@@ -30,19 +31,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.batch.kernel import (
-    UniformizationKernel,
-    ensure_model_kernel,
-    shared_poisson_tail,
-)
+from repro.batch.kernel import UniformizationKernel, shared_poisson_tail
 from repro.exceptions import TruncationError
-from repro.markov.base import SolveCell, TransientSolution, as_time_array
+from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.poisson import (
     poisson_expected_excess,
     poisson_right_quantile,
 )
 from repro.markov.rewards import Measure, RewardStructure
+from repro.markov.sweep import Finisher, PiSweep, checked_cell, solve_shared
 from repro.solvers.registry import SolverSpec, register
 
 __all__ = ["StandardRandomizationSolver", "sr_required_steps"]
@@ -159,38 +157,11 @@ class StandardRandomizationSolver:
         ``UniformizationKernel.from_model(model)``; results are
         bit-identical to letting the solver build its own.
         """
-        rewards.check_model(model)
-        t_arr = as_time_array(times)
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        kernel, dtmc, rate = ensure_model_kernel(model, kernel, self._rate)
-        r_max = rewards.max_rate
-        if r_max == 0.0:
-            # All rewards zero: the measure is identically zero.
-            zeros = np.zeros_like(t_arr)
-            return TransientSolution(times=t_arr, values=zeros,
-                                     measure=measure, eps=eps,
-                                     steps=np.zeros(t_arr.size, dtype=int),
-                                     method=self.method_name,
-                                     stats={"rate": rate})
-
-        terms = _sr_terms(t_arr, rate, eps, r_max, measure)
-        n_max = int(terms.max())
-        if n_max > self._max_steps:
-            raise TruncationError(
-                f"SR needs {n_max} steps (> max_steps={self._max_steps}); "
-                "use RR/RRL for this horizon")
-
-        # Shared reward sequence d_n = (π P^n) r, n = 0..n_max-1, stepped
-        # through the shared uniformization kernel.
-        d = kernel.reward_sequence(dtmc.initial, rewards.rates, n_max)
-        values = _sr_values(kernel, d, t_arr, terms, rate, eps, r_max,
-                            measure)
-        return TransientSolution(times=t_arr, values=values, measure=measure,
-                                 eps=eps, steps=terms - 1,
-                                 method=self.method_name,
-                                 stats={"rate": rate,
-                                        "shared_steps": n_max - 1})
+        cell = SolveCell(rewards=rewards, measure=measure, times=times,
+                         eps=eps)
+        (solution,) = solve_shared(model, [(self, cell)], kernel=kernel)
+        del solution.stats["fused_width"]
+        return solution
 
     def solve_fused(self,
                     model: CTMC,
@@ -198,11 +169,10 @@ class StandardRandomizationSolver:
                     *,
                     kernel: UniformizationKernel | None = None
                     ) -> list[TransientSolution]:
-        """Solve several cells against one model in a single stacked pass.
+        """Solve several cells against one model on one ``π_n`` sweep.
 
-        All cells share one kernel and one ``d_n`` stepping sweep (to the
-        largest horizon any cell needs) via
-        :meth:`~repro.batch.kernel.UniformizationKernel.reward_sequences`;
+        The sweep (:mod:`repro.markov.sweep`) steps to the largest
+        horizon any cell needs, with one dot per distinct reward vector;
         cell ``j``'s solution is bit-for-bit identical to
         ``solve(model, cells[j].rewards, ...)`` on its own, except that
         ``stats`` gains ``fused_width`` and ``shared_steps`` reflects the
@@ -211,53 +181,30 @@ class StandardRandomizationSolver:
         ``max_steps`` (callers wanting per-cell failure isolation fall
         back to per-cell ``solve``).
         """
-        cells = list(cells)
-        if not cells:
-            return []
-        kernel, dtmc, rate = ensure_model_kernel(model, kernel, self._rate)
-        width = len(cells)
-        results: list[TransientSolution | None] = [None] * width
-        live: list[tuple[int, np.ndarray, np.ndarray, SolveCell, float]] = []
-        for idx, cell in enumerate(cells):
-            cell.rewards.check_model(model)
-            t_arr = as_time_array(cell.times)
-            if cell.eps <= 0.0:
-                raise ValueError("eps must be positive")
-            r_max = cell.rewards.max_rate
-            if r_max == 0.0:
-                results[idx] = TransientSolution(
-                    times=t_arr, values=np.zeros_like(t_arr),
-                    measure=cell.measure, eps=cell.eps,
-                    steps=np.zeros(t_arr.size, dtype=int),
-                    method=self.method_name,
-                    stats={"rate": rate, "fused_width": width})
-                continue
-            terms = _sr_terms(t_arr, rate, cell.eps, r_max, cell.measure)
-            if int(terms.max()) > self._max_steps:
-                raise TruncationError(
-                    f"SR cell needs {int(terms.max())} steps "
-                    f"(> max_steps={self._max_steps}); "
-                    "use RR/RRL for this horizon")
-            live.append((idx, t_arr, terms, cell, r_max))
-        if live:
-            n_max = max(int(entry[2].max()) for entry in live)
-            stack = np.column_stack([entry[3].rewards.rates
-                                     for entry in live])
-            d = kernel.reward_sequences(dtmc.initial, stack, n_max)
-            for j, (idx, t_arr, terms, cell, r_max) in enumerate(live):
-                # Contiguous copy: the weighting dots must see the same
-                # memory layout as the single-cell path (strided BLAS
-                # dots can round differently).
-                d_col = np.ascontiguousarray(d[:, j])
-                values = _sr_values(kernel, d_col, t_arr, terms, rate,
-                                    cell.eps, r_max, cell.measure)
-                results[idx] = TransientSolution(
-                    times=t_arr, values=values, measure=cell.measure,
-                    eps=cell.eps, steps=terms - 1,
-                    method=self.method_name,
-                    stats={"rate": rate, "shared_steps": n_max - 1,
-                           "fused_width": width})
-        return results  # type: ignore[return-value]
+        return solve_shared(model, [(self, cell) for cell in cells],
+                            kernel=kernel)
+
+    def join_sweep(self, sweep: PiSweep, model: CTMC,
+                   cell: SolveCell) -> Finisher:
+        """Ask ``sweep`` for the cell's ``d_n`` horizon; the returned
+        function weights the stepped sequence."""
+        kernel, _, rate = sweep.bind(model, self._rate)
+        t_arr, r_max = checked_cell(model, cell)
+        if r_max == 0.0:
+            # All rewards zero: the measure is identically zero.
+            return lambda: (np.zeros_like(t_arr),
+                            np.zeros(t_arr.size, dtype=int), {"rate": rate})
+        terms = _sr_terms(t_arr, rate, cell.eps, r_max, cell.measure)
+        n_max = int(terms.max())
+        if n_max > self._max_steps:
+            raise TruncationError(
+                f"SR needs {n_max} steps (> max_steps={self._max_steps}); "
+                "use RR/RRL for this horizon")
+        need = sweep.need(cell.rewards.rates, n_max)
+        return lambda: (
+            _sr_values(kernel, need.d, t_arr, terms, rate, cell.eps, r_max,
+                       cell.measure),
+            terms - 1, {"rate": rate, "shared_steps": sweep.steps})
 
 
 register(SolverSpec(

@@ -89,8 +89,11 @@ class SolverSpec:
         (``solve(..., kernel=...)``), so the planner's per-worker kernel
         cache applies.
     stack_fusable:
-        The solver implements ``solve_fused(model, cells, kernel=...)``:
-        cells sharing a model merge into one stacked stepping sweep.
+        The solver implements ``solve_fused(model, cells, kernel=...)``
+        and ``join_sweep(sweep, model, cell)``: the cells of *all*
+        stack-fusable methods that share a model (and solver kwargs)
+        merge into one task and one ``π_n`` sweep
+        (:mod:`repro.markov.sweep`).
     schedule_memoizable:
         The solver's per-model *schedule transformation* (RR/RRL's
         ``K + L`` stepping phase) is cell-independent and may be shared

@@ -43,59 +43,28 @@ class TestStackedPropagation:
         pi = dtmc.initial.copy()
         assert np.array_equal(kernel.step(pi), dtmc.step(pi))
 
-    def test_reward_sequence_stack_columns(self, kernel_and_model):
+    def test_step_into_out_buffer_bitwise(self, kernel_and_model):
         kernel, dtmc, _, model = kernel_and_model
         rng = np.random.default_rng(11)
-        r = rng.random(model.n_states)
-        stack = rng.dirichlet(np.ones(model.n_states), size=3).T
-        d_stack = kernel.reward_sequence(stack, r, 12)
-        assert d_stack.shape == (12, 3)
-        for j in range(3):
-            d_one = kernel.reward_sequence(stack[:, j], r, 12)
-            assert np.array_equal(d_stack[:, j], d_one)
+        stack = rng.dirichlet(np.ones(model.n_states), size=3).T.copy()
+        for x in (dtmc.initial, stack):
+            out = np.full_like(x, np.nan)  # stale contents are cleared
+            before = kernel.steps_done
+            got = kernel.step(x, out=out)
+            assert got is out
+            assert np.array_equal(out, kernel.step(x))
+            assert kernel.steps_done - before == 2
 
-    def test_reward_sequence_matches_manual_loop(self, kernel_and_model):
+    def test_step_out_buffer_checks(self, kernel_and_model):
         kernel, dtmc, _, model = kernel_and_model
-        r = np.linspace(0.0, 1.0, model.n_states)
-        d = kernel.reward_sequence(dtmc.initial, r, 9)
         pi = dtmc.initial.copy()
-        for n in range(9):
-            assert d[n] == r @ pi
-            pi = dtmc.step(pi)
-
-    def test_reward_sequences_columns_bitwise(self, kernel_and_model):
-        # The fused-solver primitive: one initial, a stack of reward
-        # vectors — every column must equal its single-reward run ulp
-        # for ulp, because SR/RSD fusion relies on exactly this.
-        kernel, dtmc, _, model = kernel_and_model
-        rng = np.random.default_rng(23)
-        rewards = rng.random((model.n_states, 4))
-        d = kernel.reward_sequences(dtmc.initial, rewards, 15)
-        assert d.shape == (15, 4)
-        for j in range(4):
-            d_one = kernel.reward_sequence(dtmc.initial,
-                                           rewards[:, j], 15)
-            assert np.array_equal(d[:, j], d_one)
-
-    def test_reward_sequences_steps_once_per_level(self, kernel_and_model):
-        kernel, dtmc, _, model = kernel_and_model
-        before = kernel.steps_done
-        kernel.reward_sequences(dtmc.initial, np.ones((model.n_states, 6)),
-                                10)
-        # 9 steps for 10 levels, independent of the 6 reward columns.
-        assert kernel.steps_done - before == 9
-
-    def test_reward_sequences_shape_checks(self, kernel_and_model):
-        kernel, dtmc, _, model = kernel_and_model
-        with pytest.raises(ModelError):
-            kernel.reward_sequences(np.ones((model.n_states, 2)),
-                                    np.ones((model.n_states, 2)), 3)
-        with pytest.raises(ModelError):
-            kernel.reward_sequences(dtmc.initial, np.ones(model.n_states),
-                                    3)
         with pytest.raises(ValueError):
-            kernel.reward_sequences(dtmc.initial,
-                                    np.ones((model.n_states, 2)), 0)
+            kernel.step(pi, out=np.empty(model.n_states + 1))
+        with pytest.raises(ValueError):
+            kernel.step(pi, out=pi)
+        stack = np.ones((model.n_states, 2))
+        with pytest.raises(ValueError):
+            kernel.step(stack, out=np.empty((2, model.n_states)).T)
 
     def test_propagate_zero_steps_is_identity(self, kernel_and_model):
         kernel, dtmc, _, _ = kernel_and_model
@@ -263,14 +232,6 @@ class TestValidation:
         kernel, dtmc, _ = UniformizationKernel.from_model(model)
         with pytest.raises(ValueError):
             kernel.propagate(dtmc.initial, -1)
-
-    def test_reward_sequence_shape_checks(self):
-        model, _ = two_state_availability()
-        kernel, dtmc, _ = UniformizationKernel.from_model(model)
-        with pytest.raises(ModelError):
-            kernel.reward_sequence(dtmc.initial, np.ones(5), 3)
-        with pytest.raises(ValueError):
-            kernel.reward_sequence(dtmc.initial, np.ones(2), 0)
 
 
 class TestEnsureModelKernel:

@@ -111,12 +111,46 @@ class TestPlanShape:
         # The fused task carries the group's worth of timeout budget.
         assert plan.tasks[0].weight == 3
 
-    def test_does_not_fuse_across_methods_or_models(self):
+    def test_fuses_sr_and_rsd_per_model_only(self):
+        # SR and RSD on one model share one task (one π_n sweep); RRL and
+        # a second model's SR cell stay apart.
         reqs = [_request(method="SR"), _request(method="RSD"),
                 _request(method="SR", n=9), _request(method="RRL")]
         plan = plan_requests(reqs)
-        assert plan.fused_tasks == 0
-        assert plan.n_tasks == 4
+        assert plan.fused_tasks == 1
+        assert plan.fused_cells == 2
+        assert plan.n_tasks == 3
+        fused = plan.assignments[plan.fused.index(True)]
+        assert sorted(idx for slot in fused for idx in slot) == [0, 1]
+
+    def test_tasks_are_model_major(self):
+        # Model A's RRL cell comes after model B's in the requests; the
+        # plan runs all of A's tasks first, stable within the model.
+        a_sr, a_rrl = _request(method="SR", key="a-sr"), \
+            _request(method="RRL", key="a-rrl")
+        b_sr, b_rrl = _request(method="SR", n=9, key="b-sr"), \
+            _request(method="RRL", n=9, key="b-rrl")
+        a_rsd = _request(method="RSD", key="a-rsd")
+        plan = plan_requests([a_sr, b_sr, b_rrl, a_rrl, a_rsd])
+        order = [[plan.requests[i].key for slot in slots for i in slot]
+                 for slots in plan.assignments]
+        assert order == [["a-sr", "a-rsd"], ["a-rrl"], ["b-sr"],
+                         ["b-rrl"]]
+        outs = SolveService().solve([a_sr, b_sr, b_rrl, a_rrl, a_rsd])
+        assert [o.key for o in outs] == ["a-sr", "b-sr", "b-rrl",
+                                         "a-rrl", "a-rsd"]
+
+    def test_model_major_order_keeps_models_cached(self):
+        # More models than the worker LRU holds, each asked for by an SR
+        # cell and, much later, an RRL cell: every model is built once.
+        worker_cache_clear()
+        sizes = range(4, 14)
+        reqs = ([_request(method="SR", n=n, key=("SR", n)) for n in sizes]
+                + [_request(method="RRL", n=n, key=("RRL", n))
+                   for n in sizes])
+        outs = SolveService().solve(reqs)
+        assert all(o.ok for o in outs)
+        assert worker_cache_info()["misses"] == len(sizes)
 
     def test_coalesces_identical_requests(self):
         reqs = [_request(key="x"), _request(key="y"), _request(key="z")]
@@ -224,6 +258,31 @@ class TestFailureIsolation:
         # And the surviving cell's numbers match its standalone solve.
         solo = run_request(good)
         assert np.array_equal(outs[0].value.values, solo.values)
+
+    def test_rsd_on_reducible_model_fails_alone_in_mixed_group(self):
+        # One SR+RSD group on an absorbing model: the RSD cell fails with
+        # ModelError, its SR siblings still match their standalone solves.
+        model = CTMC(np.array([[-1.0, 1.0, 0.0], [2.0, -2.5, 0.5],
+                               [0.0, 0.0, 0.0]]))
+        rewards = RewardStructure([1.0, 0.5, 0.0])
+
+        def req(method, measure, key):
+            return SolveRequest(model=model, rewards=rewards,
+                                measure=measure, times=(0.5, 3.0),
+                                eps=1e-9, method=method, key=key)
+
+        reqs = [req("SR", Measure.TRR, "sr-trr"),
+                req("RSD", Measure.TRR, "rsd"),
+                req("SR", Measure.MRR, "sr-mrr")]
+        assert plan_requests(reqs).fused_cells == 3
+        outs = SolveService().solve(reqs)
+        assert [o.ok for o in outs] == [True, False, True]
+        assert outs[1].error_type == "ModelError"
+        for out, r in zip((outs[0], outs[2]), (reqs[0], reqs[2])):
+            solo = get_solver("SR").solve(model, rewards, r.measure,
+                                          list(r.times), r.eps)
+            assert np.array_equal(out.value.values, solo.values)
+            assert np.array_equal(out.value.steps, solo.steps)
 
 
 class TestWorkerCache:

@@ -8,6 +8,7 @@ from repro.core.schedules import ScheduleBuilder
 from repro.core.truncation import (
     TruncationChoice,
     _excess_weights,
+    _scan,
     _tail_weights,
     select_truncation,
     truncation_error_bound,
@@ -210,3 +211,71 @@ class TestPrefixScan:
         assert (main.steps_done, primed.steps_done) == done
         assert again.k_point <= first.k_point
         assert again.l_point <= first.l_point
+
+
+def one_step_scan(builder, weights, budget, hard_cap=2_000_000):
+    """Reference past-prefix scan: one ``weights(k, k + 1)`` call per new
+    step, testing the recorded prefix as one array first."""
+    a = builder.snapshot().a[: hard_cap + 1]
+    hits = a * weights(0, a.size) <= budget
+    if hits.any():
+        return int(hits.argmax())
+    k = a.size
+    while True:
+        if builder.exhausted and k >= builder.n_recorded:
+            return builder.n_recorded - 1
+        builder.extend_to(k)
+        if k >= builder.n_recorded:
+            return builder.n_recorded - 1
+        if builder.a_at(k) * weights(k, k + 1)[0] <= budget:
+            return k
+        k += 1
+
+
+class TestChunkedScan:
+    """Past the recorded prefix the scan computes weights a growing chunk
+    ahead; K and the steps it takes must be the one-step scan's."""
+
+    @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+    @pytest.mark.parametrize("warm", [0, 40])
+    def test_matches_one_step_scan(self, case, warm):
+        model, rewards = PREFIX_CASES[case]()
+        r_max = rewards.max_rate
+        for rate_time in (0.5, 30.0, 800.0):
+            for budget in (1e-3, 1e-9, 1e-15):
+                for kind in (_excess_weights, _tail_weights):
+                    def weights(lo, hi, kind=kind):
+                        calls.append((lo, hi))
+                        return kind(rate_time, r_max, lo, hi)
+
+                    got_b, _, _ = builders_for(model, rewards)
+                    ref_b, _, _ = builders_for(model, rewards)
+                    got_b.extend_to(warm)
+                    ref_b.extend_to(warm)
+                    calls = []
+                    got = _scan(got_b, weights, budget, 2_000_000)
+                    got_calls = len(calls)
+                    calls = []
+                    ref = one_step_scan(ref_b, weights, budget)
+                    assert got == ref, (rate_time, budget, kind)
+                    assert got_b.steps_done == ref_b.steps_done
+                    assert got_calls <= len(calls)
+
+    def test_long_scan_takes_few_weight_calls(self):
+        # a(k) stays 1 until absorption at k = 400: a 400-step scan.
+        model, rewards = erlang_chain(400, 1.0)
+        main, _, rate = builders_for(model, rewards)
+        calls = []
+
+        def weights(lo, hi):
+            calls.append((lo, hi))
+            return _excess_weights(rate * 500.0, 1.0, lo, hi)
+
+        k = _scan(main, weights, 1e-12, 2_000_000)
+        ref_main, _, _ = builders_for(model, rewards)
+        assert k == one_step_scan(
+            ref_main, lambda lo, hi: _excess_weights(rate * 500.0, 1.0,
+                                                     lo, hi), 1e-12)
+        assert main.steps_done == ref_main.steps_done
+        assert k >= 399
+        assert len(calls) < 10

@@ -18,6 +18,7 @@ from repro.analysis.runner import get_solver
 from repro.batch.scenarios import build_scenario_model, generate_scenarios
 from repro.markov.base import SolveCell
 from repro.markov.rewards import Measure, RewardStructure
+from repro.markov.sweep import solve_shared
 
 EPS = 1e-8
 
@@ -119,7 +120,8 @@ def _fusable_methods_for(model):
                          ids=lambda s: s.name)
 def test_fused_equals_unfused_bitwise(scenario):
     """Every generated scenario, fused with perturbed sibling cells, must
-    reproduce its standalone solution bit for bit — per fusable solver.
+    reproduce its standalone solution bit for bit — per fusable solver,
+    and with every fusable solver's cells in one shared sweep.
 
     The sibling cells vary everything fusion is allowed to vary (rewards,
     eps, times) so the stacked pass cannot accidentally share anything
@@ -137,21 +139,27 @@ def test_fused_equals_unfused_bitwise(scenario):
         SolveCell(rewards=rewards, measure=scenario.measure,
                   times=scenario.times[:1], eps=scenario.eps),
     ]
-    for method in _fusable_methods_for(model):
-        solver = get_solver(method)
-        fused = solver.solve_fused(model, [cell] + siblings)
-        assert len(fused) == 4
-        for got, ref_cell in zip(fused, [cell] + siblings):
+    cells = [cell] + siblings
+    methods = _fusable_methods_for(model)
+    shared = solve_shared(model, [(get_solver(m), c) for m in methods
+                                  for c in cells])
+    for i, method in enumerate(methods):
+        fused = get_solver(method).solve_fused(model, cells)
+        mixed = shared[4 * i: 4 * i + 4]
+        assert len(fused) == len(mixed) == 4
+        for got, in_group, ref_cell in zip(fused, mixed, cells):
             solo = get_solver(method).solve(
                 model, ref_cell.rewards, ref_cell.measure,
                 list(ref_cell.times), ref_cell.eps)
-            assert np.array_equal(got.values, solo.values), \
-                f"fused {method} values drifted on {scenario.name}"
-            assert np.array_equal(got.steps, solo.steps), \
-                f"fused {method} steps drifted on {scenario.name}"
+            for sol in (got, in_group):
+                assert np.array_equal(sol.values, solo.values), \
+                    f"fused {method} values drifted on {scenario.name}"
+                assert np.array_equal(sol.steps, solo.steps), \
+                    f"fused {method} steps drifted on {scenario.name}"
+                for key in ("k_ss", "d_inf", "stationary_residual"):
+                    assert sol.stats.get(key) == solo.stats.get(key)
             assert got.stats["fused_width"] == 4
-            assert got.stats.get("stationary_residual") == \
-                solo.stats.get("stationary_residual")
+            assert in_group.stats["fused_width"] == 4 * len(methods)
 
 
 def test_matrix_covers_every_registered_solver():
