@@ -24,17 +24,14 @@ from benchmarks.conftest import CONFIG
 from repro.analysis.experiments import run_grid
 from repro.analysis.runner import get_solver
 from repro.batch.kernel import kernel_build_count
-from repro.batch.planner import (
-    SolveRequest,
-    plan_requests,
-    worker_cache_clear,
-)
+from repro.batch.planner import SolveRequest, plan_requests
 from repro.batch.runner import BatchRunner, available_cpus as _cpus
 from repro.batch.scenarios import (
     Scenario,
     generate_scenarios,
     scenario_tasks,
 )
+from repro.cache import cache_stats, clear_caches
 from repro.markov.rewards import Measure, RewardStructure
 from repro.service import JobQueue, SolveService
 
@@ -106,7 +103,7 @@ def test_shared_model_fused_vs_unfused(benchmark):
 
     # PR-1 shape: every cell builds its own kernel.
     naive_sols = []
-    worker_cache_clear()
+    clear_caches()
     builds_before = kernel_build_count()
     t0 = time.perf_counter()
     for req in requests:
@@ -119,7 +116,7 @@ def test_shared_model_fused_vs_unfused(benchmark):
 
     # Planned but unfused: the worker cache makes it one build total,
     # but every cell still pays its own stepping sweep.
-    worker_cache_clear()
+    clear_caches()
     builds_before = kernel_build_count()
     t0 = time.perf_counter()
     unfused = SolveService(runner=inline, fuse=False).solve(requests)
@@ -127,7 +124,7 @@ def test_shared_model_fused_vs_unfused(benchmark):
     assert kernel_build_count() - builds_before == 1
 
     # Fused: one build, one shared sweep.
-    worker_cache_clear()
+    clear_caches()
     builds_before = kernel_build_count()
     t0 = time.perf_counter()
     fused = benchmark.pedantic(
@@ -181,26 +178,24 @@ def schedule_memoization_measurements(n_cells: int = 10) -> dict:
     ``TransientSolution.stats`` cache fields; asserts cold == warm bit
     for bit before reporting anything.
     """
-    from repro.core.schedule_cache import process_schedule_cache_info
-
     requests = _regenerative_grid_requests(n_cells)
     predicted_builds = plan_requests(requests).schedule_builds()
     inline = BatchRunner(max_workers=1)
 
     # Cold: every cell rebuilds its K+L transformation.
-    worker_cache_clear()
+    clear_caches()
     t0 = time.perf_counter()
     cold = SolveService(runner=inline, memoize=False).solve(requests)
     cold_seconds = time.perf_counter() - t0
-    assert process_schedule_cache_info()["misses"] == 0
+    assert cache_stats()["schedules"]["misses"] == 0
 
     # Warm: the first cell builds, every later cell extends the shared
     # transformation.
-    worker_cache_clear()
+    clear_caches()
     t0 = time.perf_counter()
     warm = SolveService(runner=inline, memoize=True).solve(requests)
     warm_seconds = time.perf_counter() - t0
-    cache_info = process_schedule_cache_info()
+    cache_info = cache_stats()["schedules"]
 
     for a, b in zip(warm, cold):
         assert a.ok and b.ok, (a.error, b.error)
@@ -271,13 +266,13 @@ def test_service_facade_overhead(benchmark):
     requests = _shared_model_requests()
     inline = BatchRunner(max_workers=1)
 
-    worker_cache_clear()
+    clear_caches()
     t0 = time.perf_counter()
     plan = plan_requests(requests, fuse=True)
     direct = plan.scatter(inline.run(plan.tasks))
     direct_seconds = time.perf_counter() - t0
 
-    worker_cache_clear()
+    clear_caches()
     t0 = time.perf_counter()
     via_service = benchmark.pedantic(
         lambda: SolveService(runner=inline, fuse=True).solve(requests),
@@ -285,7 +280,7 @@ def test_service_facade_overhead(benchmark):
     service_seconds = time.perf_counter() - t0
 
     import tempfile
-    worker_cache_clear()
+    clear_caches()
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-queue-") as tmp:
         queue = JobQueue(tmp)

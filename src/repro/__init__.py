@@ -40,6 +40,8 @@ Public API
   (:mod:`repro.service.protocol`, ``schema_version``-checked,
   bit-exact), and :class:`JobQueue`, a resumable on-disk job queue whose
   journal a killed run replays with bit-identical results.
+* Caches: :func:`cache_stats` and :func:`clear_caches` report and empty
+  this process's caches (:mod:`repro.cache`).
 """
 
 from repro.exceptions import (
@@ -86,7 +88,16 @@ from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchOutcome, BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario, generate_scenarios
 from repro.service import JobQueue, ServiceResult, SolveService
+from repro.cache import cache_stats, clear_caches
 
+# 5.0.0: one ``repro.cache.BoundedCache`` behind every process-wide
+# cache, with ``cache_stats()`` and ``clear_caches()``. Breaking: the
+# kernel's ``fox_glynn_cache_info``/``poisson_tail_cache_info`` return
+# dicts, not ``functools`` ``CacheInfo``; ``ExperimentConfig.chunk_size``
+# and ``SolveService``'s ``chunk_size``/``task_timeout`` are gone (shape
+# a pool on ``BatchRunner`` or ``ProcessBackend``). Every number is
+# bit-identical.
+#
 # 4.0.0: SR and RSD cells of one model share one ``π_n`` sweep
 # (``repro.markov.sweep``). Breaking: ``UniformizationKernel``'s
 # ``reward_sequence(s)`` are gone. Every number is bit-identical.
@@ -107,7 +118,7 @@ from repro.service import JobQueue, ServiceResult, SolveService
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",
@@ -130,4 +141,6 @@ __all__ = [
     "Scenario", "generate_scenarios", "SolveRequest",
     # service layer (canonical batch API)
     "SolveService", "ServiceResult", "JobQueue",
+    # process-wide caches
+    "cache_stats", "clear_caches",
 ]

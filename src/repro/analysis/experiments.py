@@ -135,8 +135,6 @@ class ExperimentConfig:
     spare_controllers: int = 1
     workers: int = 1
     """Pool size for the grid; 1 = inline (identical results)."""
-    chunk_size: int = 1
-    """Tasks per worker round-trip (see :class:`BatchRunner`)."""
     backend: str | None = None
     """Execution backend for the grid: ``"serial"``, ``"processes"``
     (isolated workers, per-worker caches) or ``None`` for processes.
@@ -182,7 +180,6 @@ class ExperimentConfig:
         inside the service instead of being wired up by callers.)
         """
         return SolveService(workers=self.workers,
-                            chunk_size=self.chunk_size,
                             backend=self.backend,
                             fuse=self.fuse,
                             memoize=self.memoize)

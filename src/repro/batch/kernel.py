@@ -31,25 +31,25 @@ The dispatch it skips costs 2–3 µs per call: about half of each product
 on the small chains of a scenario sweep (5–253 states), under a tenth
 from a few thousand states up.
 
-:func:`shared_fox_glynn` centralizes (2) behind a process-wide LRU cache
-keyed on ``(Λt, ε)``. Sweeps revisit the same key constantly — a
+:func:`shared_fox_glynn` centralizes (2) behind the process-wide
+``"fox_glynn"`` cache of :mod:`repro.cache`, keyed on ``(Λt, ε)``, and
+:func:`shared_poisson_tail` keeps MRR's Poisson tails in
+``"poisson_tail"``. Sweeps revisit the same keys constantly — a
 multi-``t`` SR solve, RR's truncation selection plus its inner SR solve,
 and a batch run fanning one scenario grid over several methods all ask for
-identical windows. Windows are treated as immutable (callers only read
-``weights``), so one cache serves the whole process; the
-:class:`~repro.batch.runner.BatchRunner` workers each build their own as
-they warm up.
+identical windows. Windows and tails are read-only once cached, so one
+cache serves the whole process; each pool worker builds its own.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
+from repro.cache import BoundedCache, shared_cache
 from repro.exceptions import ModelError
 from repro.markov.poisson import FoxGlynnWindow, fox_glynn, poisson_sf
 
@@ -87,12 +87,7 @@ def kernel_build_count() -> int:
 #: Distinct (Λt, ε) windows kept alive; a paper-style grid touches a few
 #: dozen, so 512 keeps every realistic sweep fully cached while bounding
 #: memory (windows are O(√Λt) floats each).
-_FOX_GLYNN_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_FOX_GLYNN_CACHE_SIZE)
-def _fox_glynn_cached(rate_time: float, eps: float) -> FoxGlynnWindow:
-    return fox_glynn(rate_time, eps)
+_FOX_GLYNN = shared_cache("fox_glynn", BoundedCache(512))
 
 
 def shared_fox_glynn(rate_time: float, eps: float) -> FoxGlynnWindow:
@@ -101,23 +96,19 @@ def shared_fox_glynn(rate_time: float, eps: float) -> FoxGlynnWindow:
     The returned window is shared: callers must treat ``weights`` as
     read-only (every in-tree consumer only slices it).
     """
-    return _fox_glynn_cached(float(rate_time), float(eps))
+    rate_time, eps = float(rate_time), float(eps)
+    return _FOX_GLYNN.get((rate_time, eps),
+                          lambda: fox_glynn(rate_time, eps))[0]
 
 
-def fox_glynn_cache_info():
-    """``functools.lru_cache`` statistics of the shared window cache."""
-    return _fox_glynn_cached.cache_info()
-
-
-def fox_glynn_cache_clear() -> None:
-    """Drop every cached window (tests; long-lived worker hygiene)."""
-    _fox_glynn_cached.cache_clear()
-
+#: Per-cache statistics and reset, which ``perfbench/`` calls by name.
+fox_glynn_cache_info = _FOX_GLYNN.info
+fox_glynn_cache_clear = _FOX_GLYNN.clear
 
 #: Distinct (Λt, n) Poisson right-tail arrays kept alive. One array is
 #: O(n) floats and a paper-style MRR sweep touches one (Λt, n) pair per
 #: (model, t, ε) cell, so a small cache covers every realistic grid.
-_POISSON_TAIL_CACHE_SIZE = 256
+_POISSON_TAIL = shared_cache("poisson_tail", BoundedCache(256))
 
 #: Largest ``n`` worth caching (~0.5 MB per array). SR at extreme Λt
 #: needs tails millions of entries long; 256 of those pinned
@@ -127,8 +118,7 @@ _POISSON_TAIL_CACHE_SIZE = 256
 _POISSON_TAIL_MAX_N = 65_536
 
 
-@lru_cache(maxsize=_POISSON_TAIL_CACHE_SIZE)
-def _poisson_tail_cached(rate_time: float, n: int) -> np.ndarray:
+def _poisson_tail(rate_time: float, n: int) -> np.ndarray:
     tails = poisson_sf(np.arange(n, dtype=np.float64), rate_time)
     tails.setflags(write=False)  # shared across callers: read-only
     return tails
@@ -150,17 +140,14 @@ def shared_poisson_tail(rate_time: float, n: int) -> np.ndarray:
     if n > _POISSON_TAIL_MAX_N:
         return poisson_sf(np.arange(n, dtype=np.float64),
                           float(rate_time))
-    return _poisson_tail_cached(float(rate_time), n)
+    rate_time = float(rate_time)
+    return _POISSON_TAIL.get((rate_time, n),
+                             lambda: _poisson_tail(rate_time, n))[0]
 
 
-def poisson_tail_cache_info():
-    """``functools.lru_cache`` statistics of the shared tail cache."""
-    return _poisson_tail_cached.cache_info()
-
-
-def poisson_tail_cache_clear() -> None:
-    """Drop every cached tail array (tests; worker hygiene)."""
-    _poisson_tail_cached.cache_clear()
+#: Per-cache statistics and reset, which ``perfbench/`` calls by name.
+poisson_tail_cache_info = _POISSON_TAIL.info
+poisson_tail_cache_clear = _POISSON_TAIL.clear
 
 
 def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,

@@ -19,7 +19,8 @@ cells into model-grouped work:
    next to its fused group while the worker cache still holds it;
 3. **per-worker kernel caching** — cells that stay unfused (different
    methods, or fusion disabled) still share one built model + kernel per
-   worker process through a small LRU keyed on the model fingerprint.
+   worker process through the ``"models"`` cache of :mod:`repro.cache`,
+   keyed on the model fingerprint.
 
 The planner emits ordinary :class:`~repro.batch.runner.BatchTask` objects,
 so fusion composes with :class:`~repro.batch.runner.BatchRunner` pool
@@ -47,6 +48,7 @@ import numpy as np
 from repro.batch.kernel import UniformizationKernel
 from repro.batch.runner import BatchOutcome, BatchTask
 from repro.batch.scenarios import Scenario
+from repro.cache import BoundedCache, shared_cache
 from repro.core.schedule_cache import process_schedule_cache
 from repro.exceptions import ModelError
 from repro.markov.base import SolveCell, TransientSolution
@@ -189,52 +191,32 @@ def _fusion_key(request: SolveRequest) -> tuple:
 
 # -- per-process model/kernel cache ----------------------------------------
 
-#: Models (and their kernels) an execution worker keeps warm. A
-#: paper-style grid touches a handful of models; 8 covers every in-tree
-#: sweep while bounding a long-lived worker's memory. Each process-pool
-#: worker owns a private copy.
-_WORKER_CACHE_SIZE = 8
+#: Models (and their kernels) an execution worker keeps warm, keyed on
+#: the model fingerprint: ``[model, scenario_default_rewards | None,
+#: kernel | None]``. A paper-style grid touches a handful of models; 8
+#: covers every in-tree sweep while bounding a long-lived worker's
+#: memory. Each process-pool worker owns a private copy.
+_MODELS = shared_cache("models", BoundedCache(8))
 
-#: fingerprint -> [model, scenario_default_rewards | None, kernel | None]
-_worker_cache: "OrderedDict[tuple, list]" = OrderedDict()
-_worker_cache_hits = 0
-_worker_cache_misses = 0
 
 def worker_cache_clear() -> None:
     """Drop this process's model/kernel cache *and* its RR/RRL schedule
     cache (tests, worker hygiene) — the two share a lifetime."""
-    global _worker_cache_hits, _worker_cache_misses
-    _worker_cache.clear()
-    _worker_cache_hits = 0
-    _worker_cache_misses = 0
+    _MODELS.clear()
     process_schedule_cache().clear()
 
 
-def worker_cache_info() -> dict[str, int]:
-    """Hit/miss/size statistics of this process's model/kernel cache."""
-    return {"hits": _worker_cache_hits, "misses": _worker_cache_misses,
-            "size": len(_worker_cache), "max_size": _WORKER_CACHE_SIZE}
+#: Per-cache statistics, which ``perfbench/`` calls by name.
+worker_cache_info = _MODELS.info
 
 
 def _cache_entry(request: SolveRequest) -> list:
     """Fetch-or-build the cache slot for a request's model."""
-    global _worker_cache_hits, _worker_cache_misses
-    fp = model_fingerprint(request)
-    entry = _worker_cache.get(fp)
-    if entry is not None:
-        _worker_cache_hits += 1
-        _worker_cache.move_to_end(fp)
-        return entry
-    _worker_cache_misses += 1
-    if request.scenario is not None:
-        model, default_rewards = request.scenario.build()
-    else:
-        model, default_rewards = request.model, None
-    entry = [model, default_rewards, None]
-    _worker_cache[fp] = entry
-    while len(_worker_cache) > _WORKER_CACHE_SIZE:
-        _worker_cache.popitem(last=False)
-    return entry
+    def build() -> list:
+        if request.scenario is not None:
+            return [*request.scenario.build(), None]
+        return [request.model, None, None]
+    return _MODELS.get(model_fingerprint(request), build)[0]
 
 
 def _resolve_cached(request: SolveRequest, *, with_kernel: bool = True

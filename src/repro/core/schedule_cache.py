@@ -23,18 +23,19 @@ extend it, with bit-for-bit identical values and step counts (pinned by
 ``tests/core/test_schedule_cache.py`` and the three-way
 ``run_paper_grid.py --verify``).
 
-Workers use the process-wide instance (:func:`process_schedule_cache`);
-the planner's :func:`repro.batch.planner.run_request` injects it into
-every solver whose :class:`~repro.solvers.registry.SolverSpec` declares
+Workers use the process-wide instance (:func:`process_schedule_cache`),
+registered in :mod:`repro.cache` as ``"schedules"``; the planner's
+:func:`repro.batch.planner.run_request` injects it into every solver
+whose :class:`~repro.solvers.registry.SolverSpec` declares
 ``schedule_memoizable`` (disable per run with ``memoize=False``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
+from repro.cache import BoundedCache, shared_cache
 from repro.core._setup import (
     RegenerativeSetup,
     default_regenerative_state,
@@ -75,7 +76,7 @@ def regenerative_schedule_fingerprint(
             ("rate", solver_kwargs.get("rate")))
 
 
-class ScheduleCache:
+class ScheduleCache(BoundedCache):
     """LRU of :class:`~repro.core._setup.RegenerativeSetup` objects keyed
     on ``(model digest, rewards digest, regenerative state, rate)``.
 
@@ -86,13 +87,7 @@ class ScheduleCache:
     """
 
     def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self._max_entries = int(max_entries)
-        self._entries: "OrderedDict[tuple, RegenerativeSetup]" = \
-            OrderedDict()
-        self._hits = 0
-        self._misses = 0
+        super().__init__(max_entries)
 
     @staticmethod
     def key_for(model: "CTMC", rewards: "RewardStructure",
@@ -129,37 +124,14 @@ class ScheduleCache:
         """
         key = self.key_for(model, rewards, regenerative, rate,
                            kernel=kernel)
-        setup = self._entries.get(key)
-        if setup is not None:
-            self._hits += 1
-            self._entries.move_to_end(key)
-            return setup, True
-        self._misses += 1
-        setup = prepare(model, rewards, regenerative, rate, kernel=kernel)
-        self._entries[key] = setup
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-        return setup, False
-
-    def info(self) -> dict[str, int]:
-        """Hit/miss/size statistics (bench and CI artifacts report these)."""
-        return {"hits": self._hits, "misses": self._misses,
-                "size": len(self._entries), "max_size": self._max_entries}
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        self._entries.clear()
-        self._hits = 0
-        self._misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return self.get(key, lambda: prepare(model, rewards, regenerative,
+                                             rate, kernel=kernel))
 
 
 #: The per-process instance batch workers share (one per pool worker —
 #: exactly the "per-worker LRU" granularity of the planner's model/kernel
 #: cache, and cleared together with it by ``worker_cache_clear``).
-_PROCESS_CACHE = ScheduleCache()
+_PROCESS_CACHE = shared_cache("schedules", ScheduleCache())
 
 
 def process_schedule_cache() -> ScheduleCache:
@@ -167,11 +139,6 @@ def process_schedule_cache() -> ScheduleCache:
     return _PROCESS_CACHE
 
 
-def process_schedule_cache_clear() -> None:
-    """Drop the process-wide cache (tests, worker hygiene)."""
-    _PROCESS_CACHE.clear()
-
-
-def process_schedule_cache_info() -> dict[str, int]:
-    """Statistics of the process-wide cache."""
-    return _PROCESS_CACHE.info()
+#: Per-cache statistics and reset, which ``perfbench/`` calls by name.
+process_schedule_cache_clear = _PROCESS_CACHE.clear
+process_schedule_cache_info = _PROCESS_CACHE.info

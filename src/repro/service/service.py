@@ -57,16 +57,18 @@ class SolveService:
 
     Parameters
     ----------
-    workers, chunk_size, task_timeout:
-        Pool shape, forwarded to the internally-built
+    workers:
+        Pool size, forwarded to the internally-built
         :class:`~repro.batch.runner.BatchRunner` (ignored when ``runner``
         is given). The default ``workers=1`` runs everything inline with
-        identical numbers.
+        identical numbers. Other pool settings (chunking, deadlines) go in
+        through ``backend=ProcessBackend(...)`` or ``runner``.
     backend:
         Execution strategy (``"serial"`` / ``"processes"``, a
-        :class:`~repro.batch.backends.Backend` instance, or ``None`` for
-        processes), forwarded to the runner. Both backends produce
-        bit-identical outcomes — see :mod:`repro.batch.backends`.
+        :class:`~repro.batch.backends.Backend` instance, which then owns
+        its pool shape, or ``None`` for processes), forwarded to the
+        runner. Both backends produce bit-identical outcomes — see
+        :mod:`repro.batch.backends`.
     fuse:
         Planner policy: coalesce duplicates and fuse SR/RSD cells sharing
         a model (default). ``False`` plans one task per request — same
@@ -87,16 +89,14 @@ class SolveService:
     def __init__(self,
                  *,
                  workers: int = 1,
-                 chunk_size: int = 1,
-                 task_timeout: float | None = None,
                  backend: "Backend | str | None" = None,
                  fuse: bool = True,
                  memoize: bool = True,
                  runner: BatchRunner | None = None) -> None:
         if runner is None:
-            runner = BatchRunner(max_workers=workers,
-                                 chunk_size=chunk_size,
-                                 task_timeout=task_timeout,
+            # A ready backend owns its pool shape unless workers is set.
+            shaped = isinstance(backend, Backend) and workers == 1
+            runner = BatchRunner(max_workers=None if shaped else workers,
                                  backend=backend)
         self._runner = runner
         self._fuse = bool(fuse)

@@ -19,9 +19,10 @@ from repro.batch.backends import (
     resolve_backend,
 )
 from repro.batch.kernel import kernel_build_count
-from repro.batch.planner import SolveRequest, worker_cache_clear
+from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario, generate_scenarios
+from repro.cache import clear_caches
 from repro.markov.rewards import Measure
 from repro.service import SolveService
 from repro.solvers import registry
@@ -80,7 +81,7 @@ class TestConformanceMatrix:
 
         reference = None
         for backend in BACKEND_NAMES:
-            worker_cache_clear()
+            clear_caches()
             outcomes = _service(backend).solve(requests)
             assert [o.key for o in outcomes] == [r.key for r in requests]
             sols = {}
@@ -112,7 +113,7 @@ class TestConformanceMatrix:
         ]
         captured = {}
         for backend in BACKEND_NAMES:
-            worker_cache_clear()
+            clear_caches()
             bad, good = _service(backend).solve(requests)
             assert not bad.ok and bad.error_type == "TruncationError"
             assert "max_steps" in bad.error
@@ -164,10 +165,10 @@ class TestCacheTopology:
         none in the parent — and the numbers still match the serial run
         bit for bit."""
         requests = self._memo_requests()
-        worker_cache_clear()
+        clear_caches()
         serial = SolveService(workers=1, backend="serial").solve(requests)
 
-        worker_cache_clear()
+        clear_caches()
         builds_before = kernel_build_count()
         pooled = SolveService(workers=2, backend="processes").solve(requests)
         assert kernel_build_count() - builds_before == 0  # parent idle

@@ -190,13 +190,13 @@ class TestFoxGlynnCache:
         fox_glynn_cache_clear()
         w1 = shared_fox_glynn(50.0, 1e-10)
         info = fox_glynn_cache_info()
-        assert info.misses == 1 and info.hits == 0
+        assert info["misses"] == 1 and info["hits"] == 0
         w2 = shared_fox_glynn(50.0, 1e-10)
         info = fox_glynn_cache_info()
-        assert info.hits == 1
+        assert info["hits"] == 1
         assert w1 is w2  # same cached object, not a recomputation
         shared_fox_glynn(50.0, 1e-8)  # different eps → different key
-        assert fox_glynn_cache_info().misses == 2
+        assert fox_glynn_cache_info()["misses"] == 2
 
     def test_cached_window_matches_direct(self):
         fox_glynn_cache_clear()
@@ -212,7 +212,7 @@ class TestFoxGlynnCache:
         kernel.window(5.0, 1e-10)
         kernel.window(5.0, 1e-10)
         info = fox_glynn_cache_info()
-        assert info.misses == 1 and info.hits == 1
+        assert info["misses"] == 1 and info["hits"] == 1
 
     def test_window_requires_rate(self):
         model, _ = two_state_availability()

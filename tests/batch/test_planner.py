@@ -12,7 +12,6 @@ from repro.batch.planner import (
     model_fingerprint,
     plan_requests,
     run_request,
-    worker_cache_clear,
     worker_cache_info,
 )
 from repro.batch.runner import BatchRunner
@@ -22,6 +21,7 @@ from repro.batch.scenarios import (
     scenario_requests,
     solve_scenarios,
 )
+from repro.cache import clear_caches
 from repro.exceptions import ModelError, UnknownMethodError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -143,7 +143,7 @@ class TestPlanShape:
     def test_model_major_order_keeps_models_cached(self):
         # More models than the worker LRU holds, each asked for by an SR
         # cell and, much later, an RRL cell: every model is built once.
-        worker_cache_clear()
+        clear_caches()
         sizes = range(4, 14)
         reqs = ([_request(method="SR", n=n, key=("SR", n)) for n in sizes]
                 + [_request(method="RRL", n=n, key=("RRL", n))
@@ -287,7 +287,7 @@ class TestFailureIsolation:
 
 class TestWorkerCache:
     def test_kernel_built_once_per_model(self):
-        worker_cache_clear()
+        clear_caches()
         reqs = [_request(method=m, eps=e, key=(m, e))
                 for m in ("SR", "RSD", "RRL") for e in (1e-6, 1e-8)]
         before = kernel_build_count()
@@ -301,7 +301,7 @@ class TestWorkerCache:
         assert info["hits"] == len(reqs) - 1
 
     def test_cache_serves_scenario_default_rewards(self):
-        worker_cache_clear()
+        clear_caches()
         sol = run_request(_request())
         assert sol.method == "SR"
         assert worker_cache_info()["size"] == 1

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.runner import get_solver
 from repro.batch.planner import SolveRequest, worker_cache_clear
 from repro.batch.scenarios import Scenario, build_scenario_model
+from repro.cache import clear_caches
 from repro.core.schedule_cache import (
     ScheduleCache,
     process_schedule_cache,
@@ -161,7 +162,7 @@ class TestPlannerIntegration:
                              + [extra]).schedule_builds() == 2
 
     def test_grid_builds_transformation_exactly_once(self):
-        worker_cache_clear()
+        clear_caches()
         outs = SolveService().solve(self._grid())
         assert all(o.ok for o in outs)
         info = process_schedule_cache_info()
@@ -171,9 +172,9 @@ class TestPlannerIntegration:
         assert hits == [False, True, True, True]
 
     def test_memoized_equals_unmemoized_bitwise(self):
-        worker_cache_clear()
+        clear_caches()
         memoized = SolveService(memoize=True).solve(self._grid())
-        worker_cache_clear()
+        clear_caches()
         plain = SolveService(memoize=False).solve(self._grid())
         assert process_schedule_cache_info()["misses"] == 0
         for a, b in zip(memoized, plain):
@@ -184,7 +185,7 @@ class TestPlannerIntegration:
         assert "schedule_cache_hit" not in plain[0].value.stats
 
     def test_unmemoizable_methods_never_touch_the_cache(self):
-        worker_cache_clear()
+        clear_caches()
         s = _scenario()
         outs = SolveService().solve([
             SolveRequest(scenario=s, measure=Measure.TRR, times=(5.0,),
@@ -197,7 +198,7 @@ class TestPlannerIntegration:
         assert info["misses"] == 0 and info["hits"] == 0
 
     def test_worker_cache_clear_also_clears_schedule_cache(self):
-        worker_cache_clear()
+        clear_caches()
         SolveService().solve(self._grid()[:1])
         assert len(process_schedule_cache()) == 1
         worker_cache_clear()

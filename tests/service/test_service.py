@@ -5,6 +5,7 @@ custom runners)."""
 import numpy as np
 import pytest
 
+from repro.batch.backends import ProcessBackend, SerialBackend
 from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchExecutionError, BatchRunner, BatchTask
 from repro.batch.scenarios import Scenario
@@ -108,6 +109,18 @@ class TestConfigurationPlumbing:
         service = SolveService(runner=runner, fuse=False)
         assert service.runner is runner
         assert service.fuse is False
+
+    def test_ready_backend_owns_pool_shape(self):
+        backend = ProcessBackend(max_workers=2, chunk_size=2)
+        service = SolveService(backend=backend)
+        assert service.backend is backend
+        with pytest.raises(ValueError, match="max_workers=2"):
+            SolveService(workers=2, backend=SerialBackend())
+        requests = _requests()
+        for a, b in zip(SolveService(workers=1).solve(requests),
+                        service.solve(requests)):
+            assert a.ok and b.ok
+            assert np.array_equal(a.value.values, b.value.values)
 
     def test_pooled_matches_inline(self):
         requests = _requests()
