@@ -44,52 +44,68 @@ Public API
   this process's caches (:mod:`repro.cache`).
 """
 
-from repro.exceptions import (
-    ConvergenceError,
-    InversionError,
-    MeasureError,
-    ModelError,
-    ProtocolError,
-    QueueError,
-    RegistryError,
-    ReproError,
-    TruncationError,
-    UnknownMethodError,
-)
-from repro.markov import (
-    CTMC,
-    DTMC,
-    MRR,
-    TRR,
-    AdaptiveUniformizationSolver,
-    Measure,
-    MultistepRandomizationSolver,
-    OdeSolver,
-    RewardStructure,
-    StandardRandomizationSolver,
-    SteadyStateDetectionSolver,
-)
-from repro.markov.base import TransientSolution
-from repro.core import (
-    BoundedSolution,
-    RegenerativeRandomizationSolver,
-    RRLBoundsSolver,
-    RRLSolver,
-    ScheduleCache,
-)
-from repro.solvers.registry import SolverSpec
-from repro.batch.backends import (
-    Backend,
-    ProcessBackend,
-    SerialBackend,
-)
-from repro.batch.kernel import UniformizationKernel
-from repro.batch.planner import SolveRequest
-from repro.batch.runner import BatchOutcome, BatchRunner, BatchTask
-from repro.batch.scenarios import Scenario, generate_scenarios
-from repro.service import JobQueue, ServiceResult, SolveService
-from repro.cache import cache_stats, clear_caches
+from typing import Any
 
+#: Where each export lives, in the order the package loads them.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ConvergenceError", "InversionError", "MeasureError", "ModelError",
+         "ProtocolError", "QueueError", "RegistryError", "ReproError",
+         "TruncationError", "UnknownMethodError"), "repro.exceptions"),
+    **dict.fromkeys(
+        ("CTMC", "DTMC", "MRR", "TRR", "AdaptiveUniformizationSolver",
+         "Measure", "MultistepRandomizationSolver", "OdeSolver",
+         "RewardStructure", "StandardRandomizationSolver",
+         "SteadyStateDetectionSolver"), "repro.markov"),
+    "TransientSolution": "repro.markov.base",
+    **dict.fromkeys(
+        ("BoundedSolution", "RegenerativeRandomizationSolver",
+         "RRLBoundsSolver", "RRLSolver", "ScheduleCache"), "repro.core"),
+    "SolverSpec": "repro.solvers.registry",
+    **dict.fromkeys(("Backend", "ProcessBackend", "SerialBackend"),
+                    "repro.batch.backends"),
+    "UniformizationKernel": "repro.batch.kernel",
+    "SolveRequest": "repro.batch.planner",
+    **dict.fromkeys(("BatchOutcome", "BatchRunner", "BatchTask"),
+                    "repro.batch.runner"),
+    **dict.fromkeys(("Scenario", "generate_scenarios"),
+                    "repro.batch.scenarios"),
+    **dict.fromkeys(("JobQueue", "ServiceResult", "SolveService"),
+                    "repro.service"),
+    **dict.fromkeys(("cache_stats", "clear_caches"), "repro.cache"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Load the exports on first use.
+
+    ``import repro`` itself imports no numpy, so ``python -m repro`` can
+    pin native thread pools before numpy loads. The first export asked
+    for loads them all, as an eager import would: every solver is
+    registered and every process-wide cache reports in
+    :func:`cache_stats`.
+    """
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    for export, module in _EXPORTS.items():
+        globals()[export] = getattr(importlib.import_module(module), export)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+# 5.1.0: the planner packs the SR and RSD cells of up to 8 models into
+# one task, whose models walk ``π_n`` side by side in blocks of levels
+# (``repro.markov.sweep.solve_stacked``, ``UniformizationKernel.stack``);
+# ``import repro`` loads its exports on first use, so ``python -m repro``
+# pins native thread pools before numpy loads. Every number is
+# bit-identical.
+#
 # 5.0.0: one ``repro.cache.BoundedCache`` behind every process-wide
 # cache, with ``cache_stats()`` and ``clear_caches()``. Breaking: the
 # kernel's ``fox_glynn_cache_info``/``poisson_tail_cache_info`` return
@@ -118,7 +134,7 @@ from repro.cache import cache_stats, clear_caches
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "5.0.0"
+__version__ = "5.1.0"
 
 __all__ = [
     "__version__",

@@ -33,6 +33,13 @@ from __future__ import annotations
 
 from typing import Any
 
+# The solvers of ``repro.markov`` import ``repro.batch.kernel``, and the
+# kernel imports ``repro.markov.poisson``. Load the solver package first,
+# so that a program whose first import is a ``repro.batch`` module (or
+# one that imports it, such as ``repro.core``) does not enter that cycle
+# from the kernel's side. ``import repro`` alone loads neither.
+import repro.markov  # noqa: E402,F401
+
 __all__ = [
     "UniformizationKernel",
     "ensure_model_kernel",

@@ -18,11 +18,19 @@ vectors per step with a single CSR × dense-matrix product. Column ``j`` of
 a stacked product is bit-for-bit identical to propagating vector ``j``
 alone (scipy's CSR multi-vector product accumulates each column in the
 same order as its matvec), so batching never changes any solver's
-numerics — a property the unit tests pin down. Stacking buys that
-bit-identity and one shared traversal of the index arrays, not speed on
-large chains: on the G=40 paper model (20,641 states, 157k nonzeros) one
-2-column ``csr_matvecs`` took 552 µs against 2 × 173 µs for two separate
-matvecs (2-CPU Xeon host).
+numerics — a property the unit tests pin down. Column stacks buy that
+bit-identity, not speed on large chains: on the G=40 paper model (20,641
+states, 157k nonzeros) one 2-column ``csr_matvecs`` took 552 µs against
+2 × 173 µs for two separate matvecs (2-CPU Xeon host).
+
+:meth:`UniformizationKernel.stack` stacks *chains* instead: one
+block-diagonal ``Pᵀ`` over several models, each row with its own
+kernel's entries in its own order, so one matvec steps every chain bit
+for bit as its own kernel would. That does buy speed on small chains,
+where the per-call overhead below dwarfs the flops: the ``π_n`` walks of
+:mod:`repro.markov.sweep` step up to 8 scenario-sweep models (5–253
+states each) per call, and ``scenario_sweep`` takes 23,349 products
+instead of 113,474 (``kernel.step_s`` 0.48 → 0.14 s, 2-CPU Xeon host).
 
 Every product calls scipy's CSR routines (``csr_matvec``/``csr_matvecs``)
 directly on the matrix's own arrays. That is what ``Pᵀ @ stack`` runs
@@ -43,6 +51,7 @@ cache serves the whole process; each pool worker builds its own.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -279,6 +288,44 @@ class UniformizationKernel:
         wasted work.
         """
         return cls(None, generator=model.generator)
+
+    @classmethod
+    def stack(cls, kernels: Sequence["UniformizationKernel"]
+              ) -> "UniformizationKernel":
+        """One kernel stepping several chains side by side.
+
+        Its ``Pᵀ`` is block-diagonal: the kernels' own CSR arrays
+        concatenated in order, column indices shifted by the states
+        before them. No transpose and no uniformization is redone, and
+        the result does not count as a kernel build. Each row keeps its
+        entries in its own kernel's order, so a stacked step equals each
+        chain's own step bit for bit. One kernel stacks to itself.
+        """
+        kernels = list(kernels)
+        if len(kernels) == 1:
+            return kernels[0]
+        if not kernels or any(k._pt is None for k in kernels):
+            raise ModelError("stacking needs kernels with transition "
+                             "matrices")
+        indptr, indices = [np.zeros(1, dtype=np.int64)], []
+        states = entries = 0
+        for k in kernels:
+            pt = k._pt
+            indptr.append(pt.indptr[1:] + entries)
+            indices.append(pt.indices + states)
+            states += k.n_states
+            entries += pt.nnz
+        stacked = cls.__new__(cls)
+        stacked._pt = sparse.csr_matrix(
+            (np.concatenate([k._pt.data for k in kernels]),
+             np.concatenate(indices), np.concatenate(indptr)),
+            shape=(states, states))
+        stacked._qt = None
+        stacked._rate = None
+        stacked._n = states
+        stacked._steps = 0
+        stacked._dtmc = None
+        return stacked
 
     # -- properties --------------------------------------------------------
 

@@ -12,11 +12,18 @@ cells into model-grouped work:
    rewards, method, measure, times, ε, solver options) are solved once
    and the solution is fanned out to every requester;
 2. **fusion** — SR and RSD cells (the stack-fusable methods) sharing
-   ``(model, solver kwargs)`` become one task that builds one kernel and
-   walks one ``π_n`` sweep (:mod:`repro.markov.sweep`) to the longest
-   need of any cell — each cell bit-for-bit identical to its standalone
-   solve. Tasks are emitted model-major, so a model's unfused cells run
-   next to its fused group while the worker cache still holds it;
+   ``(model, solver kwargs)`` form a *lane* that walks one ``π_n`` sweep
+   (:mod:`repro.markov.sweep`) to the longest need of any of its cells —
+   each cell bit-for-bit identical to its standalone solve. Models are
+   taken in model-major order, in *windows* of at most 8 (the capacity
+   of the worker's model cache): the lanes of a window (those of two or
+   more cells) with equal solver kwargs make one task, whose lanes walk
+   side by side in stacks of at most 2,048 states (a larger model walks
+   alone), followed by the window's unfused cells, model by model. So a
+   window's unfused cells run while the worker cache still holds their
+   models, and no model is built twice. The state bound is applied when
+   the task runs, since a scenario's state count is unknown until it is
+   built;
 3. **per-worker kernel caching** — cells that stay unfused (different
    methods, or fusion disabled) still share one built model + kernel per
    worker process through the ``"models"`` cache of :mod:`repro.cache`,
@@ -24,7 +31,7 @@ cells into model-grouped work:
 
 The planner emits ordinary :class:`~repro.batch.runner.BatchTask` objects,
 so fusion composes with :class:`~repro.batch.runner.BatchRunner` pool
-fan-out unchanged: a fused group is simply one (bigger) task. Requests are
+fan-out unchanged: a fused window is simply one (bigger) task. Requests are
 picklable — scenario-backed requests ship only the scenario description;
 model-backed requests ship the CSR once per task.
 
@@ -54,7 +61,7 @@ from repro.exceptions import ModelError
 from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
-from repro.markov.sweep import solve_shared
+from repro.markov.sweep import solve_stacked
 from repro.solvers import registry
 
 __all__ = [
@@ -193,10 +200,13 @@ def _fusion_key(request: SolveRequest) -> tuple:
 
 #: Models (and their kernels) an execution worker keeps warm, keyed on
 #: the model fingerprint: ``[model, scenario_default_rewards | None,
-#: kernel | None]``. A paper-style grid touches a handful of models; 8
-#: covers every in-tree sweep while bounding a long-lived worker's
-#: memory. Each process-pool worker owns a private copy.
-_MODELS = shared_cache("models", BoundedCache(8))
+#: kernel | None]``. A paper-style grid touches a handful of models, and
+#: the planner's windows (at most 8 models each) keep a larger sweep's
+#: models cached from their fused task to their last unfused cell; 8
+#: bounds a long-lived worker's memory. Each process-pool worker owns a
+#: private copy.
+_MODEL_SLOTS = 8
+_MODELS = shared_cache("models", BoundedCache(_MODEL_SLOTS))
 
 
 def worker_cache_clear() -> None:
@@ -283,49 +293,68 @@ def _cell_for(request: SolveRequest, rewards: RewardStructure) -> SolveCell:
                      times=request.times, eps=request.eps)
 
 
-def run_fused_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
-    """Execute a fused group (picklable worker entry point).
+def _run_alone(request: SolveRequest) -> dict:
+    """One cell's unfused record, its failure caught as data."""
+    try:
+        return {"ok": True, "value": run_request(request)}
+    except Exception as exc:
+        import traceback as _traceback
 
-    All requests share ``(model fingerprint, solver_kwargs)``; each
-    cell's solver, from the registry, joins one ``π_n`` sweep
-    (:func:`~repro.markov.sweep.solve_shared`). Returns one
-    ``{"ok": ..., ...}`` record per request so a single failing cell
-    cannot poison the group: if the fused pass raises (e.g. one cell
-    exceeds the solver's step budget, or an RSD cell meets a reducible
-    model), every cell is retried standalone and failures stay per-cell
-    — exactly the unfused semantics, at the unfused price for that group
-    only.
+        return {"ok": False, "error_type": type(exc).__name__,
+                "error": str(exc), "traceback": _traceback.format_exc()}
+
+
+def run_fused_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
+    """Execute a fused window (picklable worker entry point).
+
+    All requests share ``solver_kwargs``; the cells of each model form
+    one lane, and each cell's solver, from the registry, joins its lane's
+    ``π_n`` walk. The lanes walk together in stacks
+    (:func:`~repro.markov.sweep.solve_stacked`). Returns one
+    ``{"ok": ..., ...}`` record per request, in order, so a single
+    failing cell cannot poison the window: when a lane raises (e.g. one
+    cell exceeds the solver's step budget, or an RSD cell meets a
+    reducible model), every cell of that lane is retried standalone and
+    failures stay per-cell — exactly the unfused semantics, at the
+    unfused price for that lane only. Its stack-mates are unaffected.
     """
     requests = tuple(requests)
     kwargs = dict(requests[0].solver_kwargs)
+    by_model: dict[tuple, list[int]] = {}
+    for i, req in enumerate(requests):
+        by_model.setdefault(model_fingerprint(req), []).append(i)
+    records: list[dict | None] = [None] * len(requests)
+    lanes, members = [], []
+    for idx in by_model.values():
+        try:
+            model, _, kernel = _resolve_cached(requests[idx[0]])
+            jobs = [(registry.get_solver(requests[i].method, **kwargs),
+                     _cell_for(requests[i],
+                               _resolve_cached(requests[i])[1]))
+                    for i in idx]
+        except Exception:
+            for i in idx:
+                records[i] = _run_alone(requests[i])
+            continue
+        lanes.append((model, jobs, kernel))
+        members.append(idx)
     try:
-        model, _, kernel = _resolve_cached(requests[0])
-        jobs = [(registry.get_solver(req.method, **kwargs),
-                 _cell_for(req, _resolve_cached(req)[1]))
-                for req in requests]
-        return [{"ok": True, "value": sol}
-                for sol in solve_shared(model, jobs, kernel=kernel)]
+        results = solve_stacked(lanes)
     except Exception:
-        # Per-cell fallback: identical failure isolation to unfused runs.
-        import traceback as _traceback
-
-        records: list[dict] = []
-        for req in requests:
-            try:
-                records.append({"ok": True, "value": run_request(req)})
-            except Exception as exc:
-                records.append({"ok": False,
-                                "error_type": type(exc).__name__,
-                                "error": str(exc),
-                                "traceback": _traceback.format_exc()})
-        return records
+        results = [None] * len(lanes)
+    for idx, result in zip(members, results):
+        for pos, i in enumerate(idx):
+            records[i] = (_run_alone(requests[i])
+                          if not isinstance(result, list)
+                          else {"ok": True, "value": result[pos]})
+    return records  # type: ignore[return-value]
 
 
 # -- planning --------------------------------------------------------------
 
 @dataclass
 class ExecutionPlan:
-    """A batch of requests compiled into model-grouped tasks.
+    """A batch of requests compiled into window-grouped tasks.
 
     ``assignments[i]`` maps task ``i``'s result *slots* back onto request
     indices: fused tasks produce one slot per distinct cell, single tasks
@@ -431,7 +460,7 @@ def plan_requests(requests: Iterable[SolveRequest],
                   *,
                   fuse: bool = True,
                   memoize: bool = True) -> ExecutionPlan:
-    """Compile requests into coalesced, model-fused batch tasks.
+    """Compile requests into coalesced, window-fused batch tasks.
 
     With ``fuse=False`` the plan is the identity mapping — one task per
     request — which still benefits from the per-worker kernel cache and
@@ -467,38 +496,47 @@ def plan_requests(requests: Iterable[SolveRequest],
             gkey = ("single", len(groups))
         groups.setdefault(gkey, []).append(slot)
 
-    # 3. Model-major order, stable within a model: a model's cells run
-    # back to back, so the worker's model/kernel LRU never evicts it
-    # between its fused group and its unfused cells.
-    model_rank: dict[tuple, int] = {}
-    for slots in groups.values():
-        model_rank.setdefault(model_fingerprint(requests[slots[0][0]]),
-                              len(model_rank))
-    ordered = sorted(groups.items(), key=lambda item: model_rank[
-        model_fingerprint(requests[item[1][0][0]])])
+    # 3. Windows: runs of at most _MODEL_SLOTS models, in model-major
+    # order. A window's lanes (its models' fusable groups of two or more
+    # cells, per solver kwargs) make one fused task; its other cells
+    # follow, model by model, stable within a model. A window touches no
+    # more models than the worker's model cache holds, so no model is
+    # built twice.
+    by_model: "OrderedDict[tuple, list]" = OrderedDict()
+    for gkey, slots in groups.items():
+        by_model.setdefault(model_fingerprint(requests[slots[0][0]]),
+                            []).append((gkey, slots))
+    models = list(by_model.values())
 
     tasks: list[BatchTask] = []
     assignments: list[list[list[int]]] = []
     fused_flags: list[bool] = []
-    for gkey, slots in ordered:
-        reps = [requests[slot[0]] for slot in slots]
-        if gkey[0] == "fuse" and len(reps) >= 2:
-            # weight: the group does N cells' worth of work in one task,
-            # so BatchRunner timeout budgets must scale accordingly.
-            tasks.append(BatchTask(fn=run_fused_group, args=(tuple(reps),),
+    for first in range(0, len(models), _MODEL_SLOTS):
+        lanes: "OrderedDict[tuple, list[list[int]]]" = OrderedDict()
+        alone: list[list[int]] = []
+        for gkey, slots in (group for model_groups
+                            in models[first:first + _MODEL_SLOTS]
+                            for group in model_groups):
+            if gkey[0] == "fuse" and len(slots) >= 2:
+                lanes.setdefault(gkey[2], []).extend(slots)
+            else:
+                alone.extend(slots)
+        for slots in lanes.values():
+            reps = tuple(requests[slot[0]] for slot in slots)
+            # weight: the window does N cells' worth of work in one
+            # task, so BatchRunner timeout budgets must scale accordingly.
+            tasks.append(BatchTask(fn=run_fused_group, args=(reps,),
                                    key=("fused",
                                         tuple(r.key for r in reps)),
                                    weight=len(reps)))
             assignments.append(slots)
             fused_flags.append(True)
-        else:
-            for slot in slots:
-                rep = requests[slot[0]]
-                tasks.append(BatchTask(fn=run_request,
-                                       args=(rep, memoize),
-                                       key=rep.key))
-                assignments.append([slot])
-                fused_flags.append(False)
+        for slot in alone:
+            rep = requests[slot[0]]
+            tasks.append(BatchTask(fn=run_request, args=(rep, memoize),
+                                   key=rep.key))
+            assignments.append([slot])
+            fused_flags.append(False)
     return ExecutionPlan(requests=requests, tasks=tasks,
                          assignments=assignments, fused=fused_flags,
                          coalesced=coalesced, fuse_enabled=True,

@@ -73,12 +73,13 @@ class TransientSolution:
         * ``shared_steps`` — **SR only**: the steps of the ``π_n`` sweep
           actually walked, shared across the solve's time points and
           therefore possibly above any single entry of ``steps``. In a
-          fused group it is the whole sweep: the longest need of any of
-          its cells, SR or RSD;
+          fused group it is the model's whole sweep: the longest need of
+          any of its cells, SR or RSD (other models stacked into the
+          same walk do not count);
         * ``fused_width`` — present **only** on solutions produced by a
-          fused multi-cell pass (``solve_fused`` or a planner group): the
-          number of cells of both methods that shared the sweep. Absent
-          on ordinary solves.
+          fused multi-cell pass (``solve_fused`` or a planner window):
+          the number of cells of both methods, on this model, that
+          shared the sweep. Absent on ordinary solves.
         * ``transformation_steps`` — **RR/RRL only**: DTMC steps the
           schedule transformation charged to *this* solve. With a
           :class:`~repro.core.schedule_cache.ScheduleCache` injected a

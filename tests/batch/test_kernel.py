@@ -84,6 +84,51 @@ class TestStackedPropagation:
         assert kernel.steps_done == 4
 
 
+class TestStack:
+    """``UniformizationKernel.stack``: a block-diagonal kernel whose step
+    equals each chain's own step bit for bit."""
+
+    @staticmethod
+    def _kernels():
+        return [UniformizationKernel.from_model(
+            random_ctmc(n, density=0.3, seed=n))[0] for n in (5, 40, 17)]
+
+    def test_stacked_step_equals_each_kernel_bitwise(self):
+        kernels = self._kernels()
+        stacked = UniformizationKernel.stack(kernels)
+        rng = np.random.default_rng(9)
+        parts = [rng.dirichlet(np.ones(k.n_states)) for k in kernels]
+        pi = np.concatenate(parts)
+        for _ in range(12):
+            pi = stacked.step(pi)
+            parts = [k.step(p) for k, p in zip(kernels, parts)]
+            assert np.array_equal(pi, np.concatenate(parts))
+        assert stacked.n_states == sum(k.n_states for k in kernels)
+        assert stacked.steps_done == 12
+        assert stacked.rate is None and stacked.dtmc is None
+
+    def test_is_no_kernel_build_and_shares_no_counter(self):
+        kernels = self._kernels()
+        built = kernel_build_count()
+        stacked = UniformizationKernel.stack(kernels)
+        stacked.step(np.ones(stacked.n_states))
+        assert kernel_build_count() == built
+        assert [k.steps_done for k in kernels] == [0, 0, 0]
+
+    def test_one_kernel_stacks_to_itself(self):
+        kernel = self._kernels()[0]
+        assert UniformizationKernel.stack([kernel]) is kernel
+
+    def test_needs_transition_matrices(self):
+        model = random_ctmc(6, density=0.5, seed=1)
+        with pytest.raises(ModelError):
+            UniformizationKernel.stack(
+                [UniformizationKernel.from_generator(model),
+                 self._kernels()[0]])
+        with pytest.raises(ModelError):
+            UniformizationKernel.stack([])
+
+
 class TestDirectProduct:
     """``step``/``step_rate`` call scipy's CSR routines directly; these
     pin them to the ``@`` operator bit for bit, so a scipy release that

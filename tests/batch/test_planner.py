@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import get_solver
-from repro.batch.kernel import kernel_build_count
+from repro.batch.kernel import UniformizationKernel, kernel_build_count
 from repro.batch.planner import (
     SolveRequest,
     model_fingerprint,
@@ -123,31 +123,46 @@ class TestPlanShape:
         fused = plan.assignments[plan.fused.index(True)]
         assert sorted(idx for slot in fused for idx in slot) == [0, 1]
 
-    def test_tasks_are_model_major(self):
-        # Model A's RRL cell comes after model B's in the requests; the
-        # plan runs all of A's tasks first, stable within the model.
-        a_sr, a_rrl = _request(method="SR", key="a-sr"), \
-            _request(method="RRL", key="a-rrl")
-        b_sr, b_rrl = _request(method="SR", n=9, key="b-sr"), \
-            _request(method="RRL", n=9, key="b-rrl")
-        a_rsd = _request(method="RSD", key="a-rsd")
-        plan = plan_requests([a_sr, b_sr, b_rrl, a_rrl, a_rsd])
+    def test_tasks_are_window_major(self):
+        # Model A's RRL cell comes after model B's in the requests. The
+        # window's lanes (A's and B's SR+RSD cells) run first as one
+        # task; then each model's other cells, model by model, stable
+        # within a model; C's lone SR cell has no lane to join.
+        a_sr, a_rrl, a_rsd = (_request(method=m, key=f"a-{m.lower()}")
+                              for m in ("SR", "RRL", "RSD"))
+        b_sr, b_rrl, b_rsd = (_request(method=m, n=9, key=f"b-{m.lower()}")
+                              for m in ("SR", "RRL", "RSD"))
+        c_sr = _request(method="SR", n=10, key="c-sr")
+        reqs = [a_sr, b_sr, b_rrl, a_rrl, a_rsd, b_rsd, c_sr]
+        plan = plan_requests(reqs)
         order = [[plan.requests[i].key for slot in slots for i in slot]
                  for slots in plan.assignments]
-        assert order == [["a-sr", "a-rsd"], ["a-rrl"], ["b-sr"],
-                         ["b-rrl"]]
-        outs = SolveService().solve([a_sr, b_sr, b_rrl, a_rrl, a_rsd])
-        assert [o.key for o in outs] == ["a-sr", "b-sr", "b-rrl",
-                                         "a-rrl", "a-rsd"]
+        assert order == [["a-sr", "a-rsd", "b-sr", "b-rsd"], ["a-rrl"],
+                         ["b-rrl"], ["c-sr"]]
+        assert plan.fused == [True, False, False, False]
+        outs = SolveService().solve(reqs)
+        assert [o.key for o in outs] == ["a-sr", "b-sr", "b-rrl", "a-rrl",
+                                         "a-rsd", "b-rsd", "c-sr"]
 
-    def test_model_major_order_keeps_models_cached(self):
-        # More models than the worker LRU holds, each asked for by an SR
-        # cell and, much later, an RRL cell: every model is built once.
+    def test_window_major_order_keeps_models_cached(self):
+        # More models than the worker LRU holds, each asked for by SR
+        # and RSD cells and, much later, an RRL cell: two windows, and
+        # every model is built once.
         clear_caches()
         sizes = range(4, 14)
-        reqs = ([_request(method="SR", n=n, key=("SR", n)) for n in sizes]
+        reqs = ([_request(method=m, n=n, key=(m, n))
+                 for m in ("SR", "RSD") for n in sizes]
                 + [_request(method="RRL", n=n, key=("RRL", n))
                    for n in sizes])
+        plan = plan_requests(reqs)
+        order = [[plan.requests[i].key for slot in slots for i in slot]
+                 for slots in plan.assignments]
+        first, second = list(sizes)[:8], list(sizes)[8:]
+        assert order == (
+            [[(m, n) for n in first for m in ("SR", "RSD")]]
+            + [[("RRL", n)] for n in first]
+            + [[(m, n) for n in second for m in ("SR", "RSD")]]
+            + [[("RRL", n)] for n in second])
         outs = SolveService().solve(reqs)
         assert all(o.ok for o in outs)
         assert worker_cache_info()["misses"] == len(sizes)
@@ -285,6 +300,40 @@ class TestFailureIsolation:
             assert np.array_equal(out.value.steps, solo.steps)
 
 
+    def test_reducible_rsd_lane_fails_alone_in_a_stack(self):
+        # The absorbing model's lane shares a window and a stack with two
+        # healthy lanes: its RSD cell fails with ModelError, its SR cells
+        # match their standalone solves, and its stack-mates match the
+        # same window without it, stats included.
+        model = CTMC(np.array([[-1.0, 1.0, 0.0], [2.0, -2.5, 0.5],
+                               [0.0, 0.0, 0.0]]))
+        rewards = RewardStructure([1.0, 0.5, 0.0])
+        bad = [SolveRequest(model=model, rewards=rewards, measure=measure,
+                            times=(0.5, 3.0), eps=1e-9, method=method,
+                            key=(method, measure.value))
+               for method, measure in (("SR", Measure.TRR),
+                                       ("RSD", Measure.TRR),
+                                       ("SR", Measure.MRR))]
+        mates = [_request(method=m, n=n, key=(m, n))
+                 for n in (7, 11) for m in ("SR", "RSD")]
+        plan = plan_requests(mates[:2] + bad + mates[2:])
+        assert plan.n_tasks == 1 and plan.fused_cells == 7
+        outs = SolveService().solve(mates[:2] + bad + mates[2:])
+        assert [o.ok for o in outs] == [True, True, True, False, True,
+                                        True, True]
+        assert outs[3].error_type == "ModelError"
+        for out, r in zip((outs[2], outs[4]), (bad[0], bad[2])):
+            solo = get_solver("SR").solve(model, rewards, r.measure,
+                                          list(r.times), r.eps)
+            assert np.array_equal(out.value.values, solo.values)
+            assert np.array_equal(out.value.steps, solo.steps)
+        without = SolveService().solve(mates)
+        for got, want in zip(outs[:2] + outs[5:], without):
+            assert np.array_equal(got.value.values, want.value.values)
+            assert np.array_equal(got.value.steps, want.value.steps)
+            assert got.value.stats == want.value.stats
+
+
 class TestWorkerCache:
     def test_kernel_built_once_per_model(self):
         clear_caches()
@@ -305,3 +354,94 @@ class TestWorkerCache:
         sol = run_request(_request())
         assert sol.method == "SR"
         assert worker_cache_info()["size"] == 1
+
+
+def _sweep_requests(seed):
+    """The scenario sweep's cells: SR and, on the raid5 and
+    multiprocessor models, RRL on every scenario; RSD where the model is
+    irreducible."""
+    reqs = []
+    for s in generate_scenarios(seed=seed, random_count=4,
+                                measures=(Measure.TRR, Measure.MRR)):
+        methods = ["SR"]
+        if s.family in ("raid5", "multiprocessor"):
+            methods.append("RRL")
+        if s.params.get("kind") != "reliability":
+            methods.append("RSD")
+        reqs += [SolveRequest(scenario=s, measure=s.measure, times=s.times,
+                              eps=s.eps, method=m, key=(s.name, m))
+                 for m in methods]
+    return reqs
+
+
+class _Spies:
+    """Counts ``Scenario.build`` per model and records the lane sizes of
+    every stack a walk steps."""
+
+    def __init__(self, monkeypatch):
+        self.builds: dict = {}
+        self.stacks: list[list[int]] = []
+        build, stack = Scenario.build, UniformizationKernel.stack.__func__
+
+        def counted_build(scenario):
+            key = (scenario.family, tuple(sorted(scenario.params.items())))
+            self.builds[key] = self.builds.get(key, 0) + 1
+            return build(scenario)
+
+        def recorded_stack(cls, kernels):
+            self.stacks.append([k.n_states for k in kernels])
+            return stack(cls, kernels)
+
+        monkeypatch.setattr(Scenario, "build", counted_build)
+        monkeypatch.setattr(UniformizationKernel, "stack",
+                            classmethod(recorded_stack))
+
+
+@pytest.fixture(scope="module")
+def cold_sweep():
+    """One cold serial run of the sweep's cells at seed 1, spied on."""
+    with pytest.MonkeyPatch.context() as mp:
+        spies = _Spies(mp)
+        clear_caches()
+        result = SolveService(backend="serial").execute(_sweep_requests(1))
+    return result, spies
+
+
+class TestWindows:
+    def test_windows_hold_at_most_8_models_and_stacks_2048_states(
+            self, cold_sweep):
+        result, spies = cold_sweep
+        plan = result.plan
+        assert all(o.ok for o in result.outcomes)
+        windows = [{model_fingerprint(plan.requests[slot[0]])
+                    for slot in slots}
+                   for slots, fused in zip(plan.assignments, plan.fused)
+                   if fused]
+        assert [len(w) for w in windows] == [8, 8, 8]
+        # Every SR and RSD cell rides in a window.
+        assert plan.fused_cells == 80 and plan.n_tasks == 35
+        assert spies.stacks and all(sum(sizes) <= 2048
+                                    for sizes in spies.stacks)
+
+    def test_cold_serial_sweep_builds_each_model_once(self, cold_sweep):
+        _, spies = cold_sweep
+        assert len(spies.builds) == 24
+        assert set(spies.builds.values()) == {1}
+
+    def test_paper_size_models_never_share_a_stack(self, monkeypatch):
+        spies = _Spies(monkeypatch)
+        reqs = [_request(method="SR", n=n, measure=measure,
+                         times=(0.5,), key=(n, measure.value))
+                for n in (12, 2100, 30, 5521, 9)
+                for measure in (Measure.TRR, Measure.MRR)]
+        plan = plan_requests(reqs)
+        assert plan.n_tasks == 1 and plan.fused_cells == len(reqs)
+        outs = SolveService().solve(reqs)
+        assert all(o.ok for o in outs)
+        # One window; the big lanes walk alone, the small ones together.
+        assert spies.stacks == [[2100], [5521], [12, 30, 9]]
+        for out, req in zip(outs, reqs):
+            model, rewards = req.resolve()
+            solo = get_solver("SR").solve(model, rewards, req.measure,
+                                          list(req.times), req.eps)
+            assert np.array_equal(out.value.values, solo.values)

@@ -1,5 +1,10 @@
 """Public API surface: exports, version, and the README quickstart."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +36,32 @@ class TestExports:
     def test_markov_and_core_reexports_consistent(self):
         from repro.core import RRLSolver as core_rrl
         assert repro.RRLSolver is core_rrl
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestImports:
+    def test_package_import_loads_no_numpy(self):
+        # What lets ``python -m repro`` pin BLAS threads before numpy.
+        proc = _fresh_python("import sys, repro; "
+                             "assert 'numpy' not in sys.modules; "
+                             "repro.CTMC; assert len(repro.cache_stats()) == 4")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("module", ["repro.batch.kernel",
+                                        "repro.batch.planner", "repro.core",
+                                        "repro.service"])
+    def test_submodule_imports_first(self, module):
+        # The kernel and the solver package import each other; whichever
+        # a program imports first must load.
+        proc = _fresh_python(f"import {module}")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExceptionHierarchy:

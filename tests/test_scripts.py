@@ -11,7 +11,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 #: Records the native thread-pool variables at the moment numpy is first
 #: imported, then runs ``run_paper_grid.py --help`` (which exits after its
-#: imports, before any solving).
+#: imports, before any solving), or ``python -m repro --help`` when
+#: ``sys.argv_script`` is ``None``.
 _PROBE = """
 import importlib.abc, json, os, runpy, sys
 
@@ -26,13 +27,32 @@ class Probe(importlib.abc.MetaPathFinder):
 
 assert "numpy" not in sys.modules
 sys.meta_path.insert(0, Probe())
-sys.argv = ["run_paper_grid.py", "--help"]
 try:
-    runpy.run_path(sys.argv_script, run_name="__main__")
+    if sys.argv_script is None:
+        sys.argv = ["repro", "--help"]
+        runpy.run_module("repro", run_name="__main__", alter_sys=True)
+    else:
+        sys.argv = ["run_paper_grid.py", "--help"]
+        runpy.run_path(sys.argv_script, run_name="__main__")
 except SystemExit:
     pass
 print(json.dumps(seen))
 """
+
+
+def _threads_when_numpy_loads(script: str | None) -> dict:
+    """The probe's record for ``script`` (``None``: ``python -m repro``),
+    started with a caller environment that asks for 4 threads."""
+    env = dict(os.environ, OMP_NUM_THREADS="4", OPENBLAS_NUM_THREADS="4",
+               MKL_NUM_THREADS="4")
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import sys; sys.argv_script = {script!r}" + _PROBE
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_paper_grid_pins_blas_before_numpy_loads():
@@ -40,16 +60,15 @@ def test_paper_grid_pins_blas_before_numpy_loads():
     # output bits), and N pool workers must not each start a multi-threaded
     # BLAS pool. So the pin has to win over the caller's environment and
     # be in place before numpy is imported.
-    env = dict(os.environ, OMP_NUM_THREADS="4", OPENBLAS_NUM_THREADS="4",
-               MKL_NUM_THREADS="4")
-    src = str(SCRIPTS.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    script = str(SCRIPTS / "run_paper_grid.py")
-    code = f"import sys; sys.argv_script = {script!r}" + _PROBE
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    seen = _threads_when_numpy_loads(str(SCRIPTS / "run_paper_grid.py"))
+    assert seen == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+def test_cli_pins_blas_before_numpy_loads():
+    # ``python -m repro batch run --workers N`` fans out a process pool
+    # too; ``import repro`` loads no numpy, so ``repro.__main__`` pins
+    # first.
+    seen = _threads_when_numpy_loads(None)
     assert seen == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                     "MKL_NUM_THREADS": "1"}
