@@ -25,7 +25,7 @@ Public API
   :class:`RegenerativeRandomizationSolver` (original RR),
   :class:`StandardRandomizationSolver` (SR),
   :class:`SteadyStateDetectionSolver` (RSD),
-  :class:`AdaptiveUniformizationSolver` (AU),
+  :class:`MultistepRandomizationSolver` (MS, TRR only),
   :class:`OdeSolver` (cross-check).
 * Models: :mod:`repro.models` (parametric RAID-5 generator and a library
   of small analytical chains).
@@ -51,10 +51,11 @@ _EXPORTS = {
     **dict.fromkeys(
         ("ConvergenceError", "InversionError", "MeasureError", "ModelError",
          "ProtocolError", "QueueError", "RegistryError", "ReproError",
-         "TruncationError", "UnknownMethodError"), "repro.exceptions"),
+         "TruncationError", "UnknownMethodError",
+         "UnsupportedMeasureError"), "repro.exceptions"),
     **dict.fromkeys(
-        ("CTMC", "DTMC", "MRR", "TRR", "AdaptiveUniformizationSolver",
-         "Measure", "MultistepRandomizationSolver", "OdeSolver",
+        ("CTMC", "DTMC", "MRR", "TRR", "Measure",
+         "MultistepRandomizationSolver", "OdeSolver",
          "RewardStructure", "StandardRandomizationSolver",
          "SteadyStateDetectionSolver"), "repro.markov"),
     "TransientSolution": "repro.markov.base",
@@ -99,6 +100,13 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 6.0.0: adaptive uniformization is gone. SR does its job within ε and
+# faster on every in-tree workload. Breaking: its solver class and its
+# ``AU`` method tag are removed. ``SolverSpec.measures`` declares the
+# measures a method supports (MS is TRR only), and ``SolveRequest``
+# rejects an unsupported pair with ``UnsupportedMeasureError``. Every
+# other number is bit-identical.
+#
 # 5.1.0: the planner packs the SR and RSD cells of up to 8 models into
 # one task, whose models walk ``π_n`` side by side in blocks of levels
 # (``repro.markov.sweep.solve_stacked``, ``UniformizationKernel.stack``);
@@ -134,23 +142,22 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "5.1.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "__version__",
     # errors
     "ReproError", "ModelError", "MeasureError", "ConvergenceError",
     "TruncationError", "InversionError", "ProtocolError", "QueueError",
-    "UnknownMethodError", "RegistryError",
+    "UnknownMethodError", "RegistryError", "UnsupportedMeasureError",
     # substrate
     "CTMC", "DTMC", "RewardStructure", "Measure", "TRR", "MRR",
     "TransientSolution",
     # solvers + registry
     "RRLSolver", "RegenerativeRandomizationSolver",
     "StandardRandomizationSolver", "SteadyStateDetectionSolver",
-    "AdaptiveUniformizationSolver", "OdeSolver",
-    "MultistepRandomizationSolver", "RRLBoundsSolver", "BoundedSolution",
-    "SolverSpec", "ScheduleCache",
+    "OdeSolver", "MultistepRandomizationSolver", "RRLBoundsSolver",
+    "BoundedSolution", "SolverSpec", "ScheduleCache",
     # batch subsystem
     "UniformizationKernel", "BatchRunner", "BatchTask", "BatchOutcome",
     "Backend", "SerialBackend", "ProcessBackend",

@@ -1,7 +1,7 @@
 """One-call front door: ``solve(model, rewards, measure, times, method=...)``.
 
-Method tags (``"RRL"``, ``"RR"``, ``"SR"``, ``"RSD"``, ``"AU"``, ``"MS"``,
-``"ODE"``) resolve through the capability-declaring solver registry
+Method tags (``"RRL"``, ``"RR"``, ``"SR"``, ``"RSD"``, ``"MS"``, ``"ODE"``)
+resolve through the capability-declaring solver registry
 (:mod:`repro.solvers.registry`) — the solvers self-register, so this
 module carries no import ladder and new solvers need no edit here.
 

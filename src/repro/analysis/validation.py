@@ -42,7 +42,7 @@ class ValidationReport:
         common time grid, for ``a < b`` lexicographically.
     tolerance:
         The pass threshold used for :attr:`passed` (summed budgets for
-        strict pairs, a looser heuristic bound when AU/ODE participate).
+        strict pairs, a looser heuristic bound when ODE participates).
     """
 
     solutions: dict[str, TransientSolution]
@@ -88,11 +88,11 @@ def cross_validate(model: CTMC,
         As for any solver.
     methods:
         Method tags to include; defaults to the full strict family
-        (``RRL, RR, SR`` — plus ``RSD`` for irreducible models) — AU and
-        ODE can be added explicitly.
+        (``RRL, RR, SR`` — plus ``RSD`` for irreducible models) — ODE
+        and MS can be added explicitly.
     ode_slack:
         Tolerance multiplier applied to pairs involving the
-        heuristically-controlled AU/ODE solvers.
+        heuristically-controlled ODE solver.
     """
     if methods is None:
         methods = ("RRL", "RR", "SR")

@@ -6,8 +6,7 @@ two things:
 1. step one or more row vectors through the randomized DTMC,
    ``π ↦ π P`` with ``P = I + Q/Λ`` (the one ``π_n`` sweep that SR and RSD
    share, :mod:`repro.markov.sweep`; the regenerative schedule recursions
-   of RR/RRL; multistep's window summation; adaptive uniformization's
-   per-level steps ``π ↦ π (I + Q/Λ_n)``);
+   of RR/RRL; multistep's window summation);
 2. weight the results with Poisson probabilities from a Fox–Glynn window
    for some ``(Λt, ε)`` pair.
 
@@ -169,7 +168,9 @@ def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,
     ``csr_matvecs`` (2-D, raveled in C order) over ``a``'s own
     ``indptr/indices/data``. Same routine, same arrays, same accumulation
     order, so the result is bit-for-bit ``a @ stack``. ``out``, when
-    given, is zeroed and used as that output instead of a fresh array.
+    given, is zeroed and used as that output instead of a fresh array;
+    it must share no memory with the operand, which zeroing it would
+    wipe before the product reads it.
     """
     n = a.shape[0]
     x = np.asarray(stack, dtype=np.float64)
@@ -178,12 +179,12 @@ def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,
             f"dimension mismatch: matrix is {n}×{n}, operand {x.shape}")
     if out is None:
         out = np.zeros(x.shape)
-    elif (out.shape != x.shape or out is x
+    elif (out.shape != x.shape or np.may_share_memory(out, x)
           or (x.ndim == 2 and not out.flags.c_contiguous)):
         # A float64 dtype is checked by the csr routine itself.
         raise ValueError(
-            f"out must be a C-contiguous float64 {x.shape} array apart "
-            "from the operand")
+            f"out must be a C-contiguous float64 {x.shape} array sharing "
+            "no memory with the operand")
     else:
         out.fill(0.0)
     if x.ndim == 1:
@@ -206,8 +207,10 @@ class UniformizationKernel:
         stepping-only use, required for :meth:`window`.
     generator:
         The CTMC generator ``Q``; optional, required only for
-        :meth:`step_rate` (adaptive uniformization re-randomizes each
-        step with the current active rate instead of a fixed ``Λ``).
+        :meth:`step_rate`. No solver steps at a varying rate since
+        adaptive uniformization was removed (6.0.0); this path stays only
+        because ``perfbench/layers.py`` hooks ``step_rate`` by name, and
+        goes once the benchmark drops that hook.
 
     Notes
     -----
@@ -283,9 +286,8 @@ class UniformizationKernel:
     def from_generator(cls, model: "CTMC") -> "UniformizationKernel":
         """Rate-adaptive kernel over ``Q`` only (no fixed-rate ``P``).
 
-        For adaptive uniformization, which re-randomizes every step with
-        the current active rate — building ``P = I + Q/Λ`` would be
-        wasted work.
+        Part of the generator path that stays only for perfbench's
+        ``step_rate`` hook (see ``generator`` above); no solver calls it.
         """
         return cls(None, generator=model.generator)
 
@@ -365,8 +367,9 @@ class UniformizationKernel:
              out: np.ndarray | None = None) -> np.ndarray:
         """One uniformized step of every column: ``stack ↦ Pᵀ stack``.
 
-        ``out``, a C-contiguous float64 buffer of the result's shape other
-        than ``stack``, receives the product instead of a fresh array.
+        ``out``, a C-contiguous float64 buffer of the result's shape that
+        shares no memory with ``stack``, receives the product instead of
+        a fresh array.
         """
         if self._pt is None:
             raise ModelError(
@@ -385,10 +388,12 @@ class UniformizationKernel:
         return out
 
     def step_rate(self, stack: np.ndarray, rate: float) -> np.ndarray:
-        """One step of ``I + Q/rate`` (adaptive uniformization).
+        """One step of ``I + Q/rate``.
 
         ``rate`` must dominate the exit rates of every state carrying
-        mass; the caller (AU) guarantees this by construction.
+        mass, or the result is not a distribution. No solver calls this;
+        it stays only because perfbench hooks it by name (see
+        ``generator`` above).
         """
         if self._qt is None:
             raise ModelError(

@@ -57,7 +57,7 @@ from repro.batch.runner import BatchOutcome, BatchTask
 from repro.batch.scenarios import Scenario
 from repro.cache import BoundedCache, shared_cache
 from repro.core.schedule_cache import process_schedule_cache
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, UnsupportedMeasureError
 from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -125,8 +125,11 @@ class SolveRequest:
         object.__setattr__(self, "method", str(self.method).upper())
         # Fail at construction, not deep inside a worker: the registry is
         # the one authority on method tags (raises UnknownMethodError
-        # with the known-method list).
-        registry.get_spec(self.method)
+        # with the known-method list) and on the measures each computes.
+        spec = registry.get_spec(self.method)
+        if self.measure.name not in spec.measures:
+            raise UnsupportedMeasureError(self.method, self.measure.name,
+                                          spec.measures)
         object.__setattr__(self, "solver_kwargs", dict(self.solver_kwargs))
 
     def __hash__(self) -> int:

@@ -15,7 +15,7 @@ Rank regenerative-state candidates for the availability model::
 
     python -m repro diagnose --groups 10
 
-List the registered solvers and their capabilities::
+List the registered solvers, their measures and capabilities::
 
     python -m repro solvers list
 
@@ -161,11 +161,12 @@ def _cmd_solvers_list(args: argparse.Namespace) -> int:
     for spec in registry.specs():
         caps = ", ".join(flag.replace("_", "-")
                          for flag in spec.capabilities()) or "-"
-        rows.append([spec.name, caps, spec.summary])
+        rows.append([spec.name, ", ".join(spec.measures), caps,
+                     spec.summary])
     print(format_table(
         f"{len(rows)} registered solvers "
         "(capabilities drive planner fusion/caching/memoization)",
-        ["method", "capabilities", "summary"], rows))
+        ["method", "measures", "capabilities", "summary"], rows))
     return 0
 
 
@@ -369,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     solvers_sub = p.add_subparsers(dest="solvers_command", required=True)
     ps = solvers_sub.add_parser(
         "list",
-        help="list registered solvers, capabilities and summaries")
+        help="list registered solvers, their measures, capabilities and "
+        "summaries")
     ps.set_defaults(func=_cmd_solvers_list)
 
     p = sub.add_parser("validate",

@@ -21,7 +21,6 @@ from repro.markov.standard import StandardRandomizationSolver
 from repro.markov.rsd import SteadyStateDetectionSolver
 from repro.markov.steady_state import stationary_distribution
 from repro.markov.ode import OdeSolver
-from repro.markov.adaptive import AdaptiveUniformizationSolver
 from repro.markov.multistep import MultistepRandomizationSolver
 from repro.markov.mttf import AbsorptionTime, mean_time_to_absorption
 
@@ -41,7 +40,6 @@ __all__ = [
     "SteadyStateDetectionSolver",
     "stationary_distribution",
     "OdeSolver",
-    "AdaptiveUniformizationSolver",
     "MultistepRandomizationSolver",
     "AbsorptionTime",
     "mean_time_to_absorption",

@@ -1,6 +1,6 @@
 """Common result container and interface for transient solvers.
 
-Every solver in this package — SR, RSD, adaptive uniformization, the ODE
+Every solver in this package — SR, RSD, multistep randomization, the ODE
 baseline, and the paper's RR/RRL — exposes::
 
     solve(model, rewards, measure, times, eps) -> TransientSolution
@@ -67,7 +67,7 @@ class TransientSolution:
         solvers:
 
         * ``rate`` — **every** solver reports the randomization rate ``Λ``
-          it worked with (for the ODE baseline and AU, which have no fixed
+          it worked with (for the ODE baseline, which has no fixed
           ``Λ``, this is the model's maximum output rate — the minimal
           valid uniformization rate the other methods would use);
         * ``shared_steps`` — **SR only**: the steps of the ``π_n`` sweep

@@ -144,4 +144,5 @@ register(SolverSpec(
     constructor=MultistepRandomizationSolver,
     summary="Multistep (power-skipping) randomization for TRR",
     kernel_aware=True,
+    measures=("TRR",),
 ))

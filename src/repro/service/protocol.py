@@ -42,8 +42,11 @@ from scipy import sparse
 from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchOutcome
 from repro.batch.scenarios import Scenario
-from repro.exceptions import ProtocolError, UnknownMethodError
-from repro.solvers import registry
+from repro.exceptions import (
+    ProtocolError,
+    UnknownMethodError,
+    UnsupportedMeasureError,
+)
 from repro.markov.base import TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -292,24 +295,25 @@ def request_from_dict(data: Mapping) -> SolveRequest:
     model = _field(d, "model", "solve_request")
     rewards = _field(d, "rewards", "solve_request")
     method = _field(d, "method", "solve_request")
-    # Validate against the solver registry *here* so a journal written by
-    # a newer/older deployment fails as a protocol problem (with the
-    # known-method list), not as a deep worker-side exception.
+    # SolveRequest checks the method and measure against the solver
+    # registry; a journal written by a newer/older deployment then fails
+    # as a protocol problem (with the known-method list, or the measures
+    # the method computes), not as a deep worker-side exception.
     try:
-        registry.get_spec(method)
-    except UnknownMethodError as exc:
+        return SolveRequest(
+            measure=_measure_from(_field(d, "measure", "solve_request")),
+            times=tuple(float(t)
+                        for t in _field(d, "times", "solve_request")),
+            eps=float(_field(d, "eps", "solve_request")),
+            method=method,
+            scenario=scenario_from_dict(scenario) if scenario else None,
+            model=ctmc_from_dict(model) if model else None,
+            rewards=rewards_from_dict(rewards) if rewards else None,
+            solver_kwargs=_decode_plain(
+                _field(d, "solver_kwargs", "solve_request")),
+            key=_decode_plain(_field(d, "key", "solve_request")))
+    except (UnknownMethodError, UnsupportedMeasureError) as exc:
         raise ProtocolError(f"solve_request: {exc}") from None
-    return SolveRequest(
-        measure=_measure_from(_field(d, "measure", "solve_request")),
-        times=tuple(float(t) for t in _field(d, "times", "solve_request")),
-        eps=float(_field(d, "eps", "solve_request")),
-        method=method,
-        scenario=scenario_from_dict(scenario) if scenario else None,
-        model=ctmc_from_dict(model) if model else None,
-        rewards=rewards_from_dict(rewards) if rewards else None,
-        solver_kwargs=_decode_plain(
-            _field(d, "solver_kwargs", "solve_request")),
-        key=_decode_plain(_field(d, "key", "solve_request")))
 
 
 # -- solutions -------------------------------------------------------------

@@ -63,6 +63,11 @@ __all__ = [
 #: the display order of ``repro solvers list``).
 CAPABILITY_FLAGS = ("kernel_aware", "stack_fusable", "schedule_memoizable")
 
+#: Names of the measures a :class:`SolverSpec` may declare, as
+#: :class:`repro.markov.rewards.Measure` member names (this module does
+#: not import the numerics).
+MEASURES = ("TRR", "MRR")
+
 
 def _default_schedule_fingerprint(solver_kwargs: Mapping[str, Any]) -> tuple:
     """Fallback fingerprint: every constructor kwarg is assumed to affect
@@ -123,6 +128,11 @@ class SolverSpec:
         Display label for the paper's step tables (``"RR/RRL"`` — RR and
         RRL share the transformation phase, so the paper prints one
         column); defaults to ``name``.
+    measures:
+        Names of the measures the solver computes (a subset of
+        :data:`MEASURES`); a :class:`~repro.batch.planner.SolveRequest`
+        for any other is rejected at construction with
+        :class:`~repro.exceptions.UnsupportedMeasureError`.
     """
 
     name: str
@@ -137,6 +147,7 @@ class SolverSpec:
     step_budget_kwarg: str | None = None
     requires_irreducible: bool = False
     table_label: str | None = None
+    measures: tuple[str, ...] = MEASURES
 
     def __post_init__(self) -> None:
         if not self.name or self.name != self.name.upper():
@@ -146,6 +157,10 @@ class SolverSpec:
         if not callable(self.constructor):
             raise RegistryError(
                 f"solver {self.name!r}: constructor must be callable")
+        if not self.measures or not set(self.measures) <= set(MEASURES):
+            raise RegistryError(
+                f"solver {self.name!r}: measures must be a non-empty "
+                f"subset of {', '.join(MEASURES)}, got {self.measures!r}")
         if self.table_label is None:
             object.__setattr__(self, "table_label", self.name)
 
@@ -168,7 +183,6 @@ _REGISTRY: dict[str, SolverSpec] = {}
 _BUILTIN_MODULES = (
     "repro.markov.standard",      # SR
     "repro.markov.rsd",           # RSD
-    "repro.markov.adaptive",      # AU
     "repro.markov.multistep",     # MS
     "repro.markov.ode",           # ODE
     "repro.core.rr_solver",       # RR

@@ -12,7 +12,7 @@ from tests.conftest import exact_two_state_ua
 class TestRegistry:
     def test_all_methods_present(self):
         assert set(registry.known_methods()) == {"RRL", "RR", "SR", "RSD",
-                                                 "AU", "ODE", "MS"}
+                                                 "ODE", "MS"}
 
     def test_case_insensitive(self):
         assert isinstance(get_solver("rrl"), RRLSolver)
@@ -27,8 +27,7 @@ class TestRegistry:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("method", ["RRL", "RR", "SR", "RSD", "AU",
-                                        "ODE"])
+    @pytest.mark.parametrize("method", ["RRL", "RR", "SR", "RSD", "ODE"])
     def test_every_method_solves(self, method, two_state):
         model, rewards, *_ = two_state
         sol = solve(model, rewards, TRR, [1.0], eps=1e-9, method=method)

@@ -66,6 +66,18 @@ class TestStackedPropagation:
         with pytest.raises(ValueError):
             kernel.step(stack, out=np.empty((2, model.n_states)).T)
 
+    def test_step_out_rejects_every_overlap(self, kernel_and_model):
+        # Zeroing ``out`` first would wipe an aliased operand.
+        kernel, dtmc, _, model = kernel_and_model
+        rows = np.tile(dtmc.initial, (2, 1))
+        buf = np.ones(model.n_states + 1)
+        for x, out in ((rows[0], rows[0]), (buf[:-1], buf[1:])):
+            with pytest.raises(ValueError, match="sharing no memory"):
+                kernel.step(x, out=out)
+        # Disjoint rows of one buffer stay allowed (the π_n walk's case).
+        got = kernel.step(rows[0], out=rows[1])
+        assert np.array_equal(got, kernel.step(dtmc.initial))
+
     def test_propagate_zero_steps_is_identity(self, kernel_and_model):
         kernel, dtmc, _, _ = kernel_and_model
         out = kernel.propagate(dtmc.initial, 0)
@@ -215,8 +227,8 @@ class TestStepRate:
             kernel.step_rate(dtmc.initial, 0.0)
 
     def test_generator_only_kernel(self):
-        # AU's cheap construction: no P is built, step_rate still works
-        # and fixed-rate stepping is refused.
+        # No P is built, step_rate still works and fixed-rate stepping
+        # is refused.
         model, _ = two_state_availability()
         kernel = UniformizationKernel.from_generator(model)
         assert kernel.n_states == model.n_states

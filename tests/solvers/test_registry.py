@@ -1,6 +1,6 @@
 """The capability-declaring solver registry: registration semantics,
-capability-derived dispatch sets, and unknown-method errors across every
-entry point (runner, planner, protocol, CLI)."""
+capability-derived dispatch sets, declared measures, and unknown-method
+errors across every entry point (runner, planner, protocol, CLI)."""
 
 import pytest
 
@@ -8,11 +8,24 @@ from repro.exceptions import (
     ProtocolError,
     RegistryError,
     UnknownMethodError,
+    UnsupportedMeasureError,
 )
 from repro.solvers import registry
 from repro.solvers.registry import SolverSpec
 
-EXPECTED_METHODS = {"AU", "MS", "ODE", "RR", "RRL", "RSD", "SR"}
+EXPECTED_METHODS = {"MS", "ODE", "RR", "RRL", "RSD", "SR"}
+
+
+def _request(method, measure="trr"):
+    from repro.batch.planner import SolveRequest
+    from repro.batch.scenarios import Scenario
+    from repro.markov.rewards import Measure
+
+    scenario = Scenario(name="s", family="birth_death",
+                        params={"n": 4, "birth": 1.0, "death": 2.0},
+                        times=(1.0,), eps=1e-8)
+    return SolveRequest(scenario=scenario, measure=Measure(measure),
+                        times=(1.0,), eps=1e-8, method=method)
 
 
 class TestRegistrations:
@@ -153,33 +166,23 @@ class TestUnknownMethodEntryPoints:
         with pytest.raises(UnknownMethodError, match="known methods"):
             registry.get_spec("FFT")
 
-    def test_planner_request_construction(self):
-        from repro.batch.planner import SolveRequest
-        from repro.batch.scenarios import Scenario
-        from repro.markov.rewards import Measure
+    # AU is the tag removed in 6.0.0, as a 5.x journal may still hold it.
+    @pytest.mark.parametrize("tag", ["FFT", "AU"])
+    def test_planner_request_construction(self, tag):
+        with pytest.raises(UnknownMethodError,
+                           match=f"'{tag}'; known methods"):
+            _request(tag)
 
-        scenario = Scenario(name="s", family="birth_death",
-                            params={"n": 4, "birth": 1.0, "death": 2.0},
-                            times=(1.0,), eps=1e-8)
-        with pytest.raises(UnknownMethodError, match="FFT"):
-            SolveRequest(scenario=scenario, measure=Measure.TRR,
-                         times=(1.0,), eps=1e-8, method="FFT")
-
-    def test_protocol_decode(self):
-        from repro.batch.planner import SolveRequest
-        from repro.batch.scenarios import Scenario
-        from repro.markov.rewards import Measure
+    @pytest.mark.parametrize("tag", ["FFT", "AU"])
+    def test_protocol_decode(self, tag):
         from repro.service.protocol import request_from_dict, \
             request_to_dict
 
-        scenario = Scenario(name="s", family="birth_death",
-                            params={"n": 4, "birth": 1.0, "death": 2.0},
-                            times=(1.0,), eps=1e-8)
-        wire = request_to_dict(SolveRequest(
-            scenario=scenario, measure=Measure.TRR, times=(1.0,),
-            eps=1e-8, method="RRL"))
-        wire["method"] = "FFT"  # a journal from an alien deployment
-        with pytest.raises(ProtocolError, match="known methods"):
+        wire = request_to_dict(_request("RRL"))
+        assert wire["schema_version"] == 1
+        wire["method"] = tag  # a journal from an alien deployment
+        with pytest.raises(ProtocolError,
+                           match="known methods: MS, ODE, RR, RRL, RSD, SR"):
             request_from_dict(wire)
 
     def test_cli_solve_choices_generated_from_registry(self, capsys):
@@ -205,7 +208,37 @@ class TestUnknownMethodEntryPoints:
 
         assert main(["solvers", "list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPECTED_METHODS:
-            assert name in out
+        assert out.startswith(f"{len(EXPECTED_METHODS)} registered solvers")
+        rows = {line.split()[0]: line for line in out.splitlines()[3:]}
+        assert set(rows) == EXPECTED_METHODS
+        assert rows["MS"].split()[1] == "TRR" and "TRR, MRR" in rows["SR"]
         assert "schedule-memoizable" in out
         assert "stack-fusable" in out
+
+
+class TestDeclaredMeasures:
+    """A request for a measure its method does not declare (MS computes
+    TRR only) fails at construction, never inside a task."""
+
+    def test_declared_measures(self):
+        assert registry.get_spec("MS").measures == ("TRR",)
+        assert {spec.name for spec in registry.specs()
+                if spec.measures != ("TRR", "MRR")} == {"MS"}
+        for bad in ((), ("TRR", "PDF")):
+            with pytest.raises(RegistryError, match="measures"):
+                SolverSpec(name="X", constructor=dict, summary="x",
+                           measures=bad)
+
+    def test_request_and_wire_reject_unsupported_measure(self):
+        from repro.service.protocol import request_from_dict, \
+            request_to_dict
+
+        with pytest.raises(UnsupportedMeasureError,
+                           match="'MS' does not support MRR") as exc:
+            _request("ms", "mrr")
+        assert isinstance(exc.value, RegistryError)
+        assert exc.value.supported == ("TRR",)
+        wire = request_to_dict(_request("MS"))
+        wire["measure"] = "mrr"
+        with pytest.raises(ProtocolError, match="does not support MRR"):
+            request_from_dict(wire)

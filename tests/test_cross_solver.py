@@ -2,13 +2,13 @@
 on every generated scenario.
 
 For each scenario from the parametric generator, RR, RRL, SR, RSD (on
-irreducible models), AU and ODE are run on the same ``(measure, t, ε)``
-grid. Methods with guaranteed error bounds (SR, RR, RRL, RSD, AU-on-TRR)
-must agree pairwise within their *combined* ε budgets; the unguaranteed
-comparators (ODE everywhere, AU's Simpson-integrated MRR) get a looser
-numerical tolerance. A disagreement here means a solver's truncation
-analysis — not just its speed — is broken, which is exactly the class of
-bug a refactor of the shared stepping kernel could introduce.
+irreducible models) and ODE are run on the same ``(measure, t, ε)``
+grid. Methods with guaranteed error bounds (SR, RR, RRL, RSD) must agree
+pairwise within their *combined* ε budgets; the unguaranteed ODE
+comparator gets a looser numerical tolerance. A disagreement here means a
+solver's truncation analysis — not just its speed — is broken, which is
+exactly the class of bug a refactor of the shared stepping kernel could
+introduce.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ EPS = 1e-8
 #: each eps-accurate can differ by 2·eps; a small float fuzz rides along.
 GUARANTEED_TOL = 4.0 * EPS
 
-#: ODE (heuristic local error control) and AU's Simpson-integrated MRR.
+#: ODE (heuristic local error control; no ε guarantee).
 NUMERIC_TOL = 5e-6
 
 TRR_SCENARIOS = (
@@ -50,22 +50,18 @@ MRR_SCENARIOS = [
 ]
 
 
-def _methods_for(model, measure):
+def _methods_for(model):
     """(guaranteed methods, numeric-tolerance methods) for a scenario."""
     guaranteed = ["SR", "RR", "RRL"]
     numeric = ["ODE"]
     if model.is_irreducible():
         guaranteed.append("RSD")
-    if measure is Measure.TRR:
-        guaranteed.append("AU")
-    else:
-        numeric.append("AU")
     return guaranteed, numeric
 
 
 def _solve_all(scenario):
     model, rewards = build_scenario_model(scenario)
-    guaranteed, numeric = _methods_for(model, scenario.measure)
+    guaranteed, numeric = _methods_for(model)
     values = {}
     for method in guaranteed + numeric:
         sol = get_solver(method).solve(model, rewards, scenario.measure,
@@ -171,7 +167,7 @@ def test_matrix_covers_every_registered_solver():
     covered = set()
     for scenario in TRR_SCENARIOS + MRR_SCENARIOS:
         model, _ = build_scenario_model(scenario)
-        guaranteed, numeric = _methods_for(model, scenario.measure)
+        guaranteed, numeric = _methods_for(model)
         covered.update(guaranteed)
         covered.update(numeric)
     covered.add("MS")  # exercised by test_multistep_agrees_on_trr

@@ -42,8 +42,8 @@ class TestSmallModels:
     def test_irreducible_all_methods(self, random_irreducible):
         rewards = RewardStructure.indicator(15, [2, 9])
         worst, _ = agreement_matrix(random_irreducible, rewards, TRR,
-                                    ["RRL", "RR", "SR", "RSD", "AU", "ODE"])
-        assert worst < 5e-8  # ODE/AU are the loose ones
+                                    ["RRL", "RR", "SR", "RSD", "ODE"])
+        assert worst < 5e-8  # ODE is the loose one
 
     def test_irreducible_randomization_family_tight(self,
                                                     random_irreducible):
