@@ -53,6 +53,9 @@ def solve(model: CTMC,
         the paper's ``"RRL"``).
     solver_kwargs:
         Forwarded to the solver constructor (e.g. ``regenerative=...``).
+
+    Raises :class:`~repro.exceptions.UnsupportedMeasureError` before any
+    solving when the method does not declare ``measure`` (MS is TRR only).
     """
     # np.ndim handles every scalar spelling uniformly — python floats,
     # np.float64 *and* 0-d arrays (np.isscalar(np.array(1.0)) is False,
@@ -61,5 +64,7 @@ def solve(model: CTMC,
         times = [float(times)]  # type: ignore[arg-type]
     elif len(times) == 0:
         raise ValueError("times must contain at least one time point")
-    solver = get_solver(method, **solver_kwargs)
-    return solver.solve(model, rewards, measure, times, eps)
+    spec = registry.get_spec(method)
+    spec.require_measure(measure.name)
+    return spec.build(**solver_kwargs).solve(model, rewards, measure,
+                                             times, eps)

@@ -57,7 +57,7 @@ from repro.batch.runner import BatchOutcome, BatchTask
 from repro.batch.scenarios import Scenario
 from repro.cache import BoundedCache, shared_cache
 from repro.core.schedule_cache import process_schedule_cache
-from repro.exceptions import ModelError, UnsupportedMeasureError
+from repro.exceptions import ModelError
 from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -126,10 +126,7 @@ class SolveRequest:
         # Fail at construction, not deep inside a worker: the registry is
         # the one authority on method tags (raises UnknownMethodError
         # with the known-method list) and on the measures each computes.
-        spec = registry.get_spec(self.method)
-        if self.measure.name not in spec.measures:
-            raise UnsupportedMeasureError(self.method, self.measure.name,
-                                          spec.measures)
+        registry.get_spec(self.method).require_measure(self.measure.name)
         object.__setattr__(self, "solver_kwargs", dict(self.solver_kwargs))
 
     def __hash__(self) -> int:

@@ -391,16 +391,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         ProtocolError,
         QueueError,
         UnknownMethodError,
+        UnsupportedMeasureError,
     )
 
     parser = build_parser()
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
     try:
         return args.func(args)
-    except (ProtocolError, QueueError, UnknownMethodError) as exc:
+    except (ProtocolError, QueueError, UnknownMethodError,
+            UnsupportedMeasureError) as exc:
         # Operational errors of the queue-backed commands (missing
         # journal, incomplete queue, bad wire payload, a method tag the
-        # registry does not know) are runtime failures, not usage
+        # registry does not know, a measure the method does not compute)
+        # are runtime failures, not usage
         # mistakes: report them plainly on stderr with an ordinary
         # failure code — no usage banner, no traceback, and
         # distinguishable from argparse's exit status 2.

@@ -39,7 +39,11 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.exceptions import RegistryError, UnknownMethodError
+from repro.exceptions import (
+    RegistryError,
+    UnknownMethodError,
+    UnsupportedMeasureError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.markov.base import TransientSolver
@@ -168,6 +172,12 @@ class SolverSpec:
         """The capability flags this spec declares, in display order."""
         return tuple(flag for flag in CAPABILITY_FLAGS
                      if getattr(self, flag))
+
+    def require_measure(self, measure: str) -> None:
+        """Raise :class:`~repro.exceptions.UnsupportedMeasureError` unless
+        this solver declares ``measure`` (a ``Measure`` member name)."""
+        if measure not in self.measures:
+            raise UnsupportedMeasureError(self.name, measure, self.measures)
 
     def build(self, **kwargs) -> "TransientSolver":
         """Instantiate the solver (kwargs forwarded to the constructor)."""

@@ -27,7 +27,8 @@ class TestRegistry:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("method", ["RRL", "RR", "SR", "RSD", "ODE"])
+    @pytest.mark.parametrize("method", ["RRL", "RR", "SR", "RSD", "MS",
+                                        "ODE"])
     def test_every_method_solves(self, method, two_state):
         model, rewards, *_ = two_state
         sol = solve(model, rewards, TRR, [1.0], eps=1e-9, method=method)

@@ -166,21 +166,33 @@ class TestUnknownMethodEntryPoints:
         with pytest.raises(UnknownMethodError, match="known methods"):
             registry.get_spec("FFT")
 
-    # AU is the tag removed in 6.0.0, as a 5.x journal may still hold it.
-    @pytest.mark.parametrize("tag", ["FFT", "AU"])
-    def test_planner_request_construction(self, tag):
-        with pytest.raises(UnknownMethodError,
-                           match=f"'{tag}'; known methods"):
-            _request(tag)
+    def test_planner_request_construction(self):
+        with pytest.raises(UnknownMethodError, match="FFT"):
+            _request("FFT")
 
-    @pytest.mark.parametrize("tag", ["FFT", "AU"])
-    def test_protocol_decode(self, tag):
+    def test_protocol_decode(self):
+        from repro.service.protocol import request_from_dict, \
+            request_to_dict
+
+        wire = request_to_dict(_request("RRL"))
+        wire["method"] = "FFT"  # a journal from an alien deployment
+        with pytest.raises(ProtocolError, match="known methods"):
+            request_from_dict(wire)
+
+    def test_removed_au_tag_request_construction(self):
+        # AU is the tag removed in 6.0.0.
+        with pytest.raises(UnknownMethodError,
+                           match="'AU'; known methods"):
+            _request("AU")
+
+    def test_removed_au_tag_in_journal_record(self):
+        # A schema_version=1 record as a 5.x journal may still hold it.
         from repro.service.protocol import request_from_dict, \
             request_to_dict
 
         wire = request_to_dict(_request("RRL"))
         assert wire["schema_version"] == 1
-        wire["method"] = tag  # a journal from an alien deployment
+        wire["method"] = "AU"
         with pytest.raises(ProtocolError,
                            match="known methods: MS, ODE, RR, RRL, RSD, SR"):
             request_from_dict(wire)
@@ -220,25 +232,50 @@ class TestDeclaredMeasures:
     """A request for a measure its method does not declare (MS computes
     TRR only) fails at construction, never inside a task."""
 
-    def test_declared_measures(self):
+    def test_only_ms_declares_trr_only(self):
         assert registry.get_spec("MS").measures == ("TRR",)
         assert {spec.name for spec in registry.specs()
                 if spec.measures != ("TRR", "MRR")} == {"MS"}
-        for bad in ((), ("TRR", "PDF")):
-            with pytest.raises(RegistryError, match="measures"):
-                SolverSpec(name="X", constructor=dict, summary="x",
-                           measures=bad)
 
-    def test_request_and_wire_reject_unsupported_measure(self):
-        from repro.service.protocol import request_from_dict, \
-            request_to_dict
+    @pytest.mark.parametrize("bad", [(), ("TRR", "PDF")],
+                             ids=["empty", "unknown"])
+    def test_spec_rejects_bad_measures(self, bad):
+        with pytest.raises(RegistryError, match="measures"):
+            SolverSpec(name="X", constructor=dict, summary="x",
+                       measures=bad)
 
+    def test_request_rejects_unsupported_measure(self):
         with pytest.raises(UnsupportedMeasureError,
                            match="'MS' does not support MRR") as exc:
             _request("ms", "mrr")
         assert isinstance(exc.value, RegistryError)
         assert exc.value.supported == ("TRR",)
+
+    def test_wire_rejects_unsupported_measure(self):
+        from repro.service.protocol import request_from_dict, \
+            request_to_dict
+
         wire = request_to_dict(_request("MS"))
         wire["measure"] = "mrr"
         with pytest.raises(ProtocolError, match="does not support MRR"):
             request_from_dict(wire)
+
+    def test_runner_solve_rejects_unsupported_measure(self):
+        from repro.analysis.runner import solve
+        from repro.markov.rewards import Measure
+        from repro.models.library import two_state_availability
+
+        model, rewards = two_state_availability()
+        with pytest.raises(UnsupportedMeasureError,
+                           match="'MS' does not support MRR"):
+            solve(model, rewards, Measure.MRR, [1.0], method="ms")
+
+    def test_cli_solve_reports_unsupported_measure(self, capsys):
+        from repro.cli import main
+
+        code = main(["solve", "--method", "MS", "--measure", "mrr",
+                     "--groups", "1", "--times", "1.0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'MS' does not support MRR" in err
+        assert "Traceback" not in err
