@@ -32,7 +32,8 @@ def exact_mrr(t: np.ndarray) -> np.ndarray:
 
 def report(tag: str, sol: TransientSolution, exact: np.ndarray) -> None:
     err = np.max(np.abs(sol.values - exact))
-    print(f"  {tag:4s} max|err| = {err:.2e}   steps = {list(sol.steps)}")
+    steps = [int(n) for n in sol.steps]
+    print(f"  {tag:4s} max|err| = {err:.2e}   steps = {steps}")
 
 
 def main() -> None:

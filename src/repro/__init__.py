@@ -100,6 +100,14 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 7.0.0: one path to the paper's tables. Breaking: the Gaver–Stehfest
+# inverter and its two ``repro.laplace`` exports, the process pool's
+# chunking knob (on ``BatchRunner``, ``ProcessBackend`` and
+# ``resolve_backend``; the pool submits one task per future) and the
+# ``repro table1|table2|figure3|figure4`` subcommands are gone; the
+# tables come from ``scripts/run_paper_grid.py``. Every number is
+# bit-identical.
+#
 # 6.0.0: adaptive uniformization is gone. SR does its job within ε and
 # faster on every in-tree workload. Breaking: its solver class and its
 # ``AU`` method tag are removed. ``SolverSpec.measures`` declares the
@@ -117,10 +125,10 @@ def __dir__() -> list[str]:
 # 5.0.0: one ``repro.cache.BoundedCache`` behind every process-wide
 # cache, with ``cache_stats()`` and ``clear_caches()``. Breaking: the
 # kernel's ``fox_glynn_cache_info``/``poisson_tail_cache_info`` return
-# dicts, not ``functools`` ``CacheInfo``; ``ExperimentConfig.chunk_size``
-# and ``SolveService``'s ``chunk_size``/``task_timeout`` are gone (shape
-# a pool on ``BatchRunner`` or ``ProcessBackend``). Every number is
-# bit-identical.
+# dicts, not ``functools`` ``CacheInfo``; ``ExperimentConfig``'s
+# chunking knob and ``SolveService``'s chunking and ``task_timeout``
+# knobs are gone (shape a pool on ``BatchRunner`` or ``ProcessBackend``).
+# Every number is bit-identical.
 #
 # 4.0.0: SR and RSD cells of one model share one ``π_n`` sweep
 # (``repro.markov.sweep``). Breaking: ``UniformizationKernel``'s
@@ -142,7 +150,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "__version__",

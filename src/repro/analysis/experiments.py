@@ -39,10 +39,10 @@ depend on hardware); ``run_figure3/4`` reproduce the timing series on the
 current machine (shape, not absolute seconds). Cells whose *predicted*
 step count exceeds the configured budget are skipped and reported as
 ``None`` — SR at ``Λt ≈ 4.4·10⁶`` is precisely the pathology the paper's
-method avoids, and a benchmark run should not take hours by default.
+method avoids, and a grid run should not take hours by default.
 
 The paper's published numbers are embedded (``PAPER_TABLE1`` etc.) so the
-benchmark output can print measured-vs-paper side by side.
+rendered tables print measured-vs-paper side by side.
 """
 
 from __future__ import annotations

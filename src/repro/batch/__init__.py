@@ -15,8 +15,8 @@ Four layers, each usable on its own:
   kernel cache;
 * :mod:`repro.batch.runner` — a :class:`~repro.batch.runner.BatchRunner`
   running tasks inline or on a process pool
-  (:mod:`repro.batch.backends`) with chunking, per-task timeouts,
-  structured failure capture and deterministic result ordering.
+  (:mod:`repro.batch.backends`) with per-task timeouts, structured
+  failure capture and deterministic result ordering.
 
 These are the substrate layers; application code should normally enter
 through :class:`repro.service.service.SolveService` (the canonical

@@ -10,8 +10,8 @@ objects, and they produce bit-identical outcomes:
   worker is an isolated interpreter with its own cold caches (the
   planner's model/kernel LRU, the Fox–Glynn windows and the RR/RRL
   :class:`~repro.core.schedule_cache.ScheduleCache`), so it pays pool
-  boot, pickle/IPC per chunk and one warm-up per worker. In exchange it
-  gets real parallelism on every part of a solve, and an expired chunk's
+  boot, pickle/IPC per task and one warm-up per worker. In exchange it
+  gets real parallelism on every part of a solve, and an expired task's
   worker is genuinely abandoned.
 
 Both make the same guarantees: submission-order results, structured
@@ -62,10 +62,10 @@ class Backend(ABC):
     """One execution strategy for a list of
     :class:`~repro.batch.runner.BatchTask` objects.
 
-    Implementations own their pool shape (worker count, chunking,
-    deadlines) and must uphold the runner's contract: outcomes come back
-    in submission order, task exceptions become failed outcomes, and —
-    for backends that enforce deadlines — a chunk missing its budget is
+    Implementations own their pool shape (worker count, deadlines) and
+    must uphold the runner's contract: outcomes come back in submission
+    order, task exceptions become failed outcomes, and — for backends
+    that enforce deadlines — a task missing its budget is
     reported as ``error_type="TimeoutError"`` without blocking the run
     on the hung worker.
     """
@@ -107,7 +107,8 @@ class SerialBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """``ProcessPoolExecutor`` fan-out with chunking and deadlines.
+    """``ProcessPoolExecutor`` fan-out, one task per future, with
+    deadlines.
 
     Workers start under the platform's default start method. Tasks must
     be picklable: module-level functions plus plain-data arguments.
@@ -117,25 +118,17 @@ class ProcessBackend(Backend):
 
     def __init__(self,
                  max_workers: int | None = None,
-                 chunk_size: int = 1,
                  task_timeout: float | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if task_timeout is not None and task_timeout <= 0.0:
             raise ValueError("task_timeout must be positive")
         self._max_workers = max_workers or available_cpus()
-        self._chunk_size = int(chunk_size)
         self._task_timeout = task_timeout
 
     @property
     def max_workers(self) -> int:
         return self._max_workers
-
-    @property
-    def chunk_size(self) -> int:
-        return self._chunk_size
 
     @property
     def task_timeout(self) -> float | None:
@@ -157,44 +150,39 @@ class ProcessBackend(Backend):
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FuturesTimeout
 
-        from repro.batch.runner import BatchOutcome, _run_chunk
+        from repro.batch.runner import BatchOutcome, _run_one
 
-        chunks = [tasks[i:i + self._chunk_size]
-                  for i in range(0, len(tasks), self._chunk_size)]
         outcomes: list[BatchOutcome] = []
         timed_out = False
         pool = ProcessPoolExecutor(max_workers=self._max_workers)
         try:
-            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-            # Deadlines are anchored at submission time: every chunk must
+            futures = [pool.submit(_run_one, task) for task in tasks]
+            # Deadlines are anchored at submission time: every task must
             # deliver within its own budget of wall-clock from *now*,
-            # however long earlier chunks took to collect.
+            # however long earlier tasks took to collect.
             submitted = time.monotonic()
-            for chunk, future in zip(chunks, futures):
+            for task, future in zip(tasks, futures):
                 budget = remaining = None
                 if self._task_timeout is not None:
-                    budget = self._task_timeout * sum(
-                        max(1, t.weight) for t in chunk)
+                    budget = self._task_timeout * max(1, task.weight)
                     remaining = max(0.0,
                                     budget - (time.monotonic() - submitted))
                 try:
-                    outcomes.extend(future.result(timeout=remaining))
+                    outcomes.append(future.result(timeout=remaining))
                 except FuturesTimeout:
                     timed_out = True
                     future.cancel()
-                    outcomes.extend(
-                        BatchOutcome(key=t.key, ok=False,
+                    outcomes.append(
+                        BatchOutcome(key=task.key, ok=False,
                                      error_type="TimeoutError",
                                      error=f"no result within {budget:.3g}s "
-                                           "of submission (chunk deadline)")
-                        for t in chunk)
+                                           "of submission (task deadline)"))
                 except Exception as exc:  # BrokenProcessPool and friends;
                     # KeyboardInterrupt must abort the whole run instead.
-                    outcomes.extend(
-                        BatchOutcome(key=t.key, ok=False,
+                    outcomes.append(
+                        BatchOutcome(key=task.key, ok=False,
                                      error_type=type(exc).__name__,
-                                     error=str(exc))
-                        for t in chunk)
+                                     error=str(exc)))
         finally:
             # After a timeout, do NOT wait for the hung worker — run()'s
             # deadline contract beats a clean join. The abandoned worker
@@ -206,7 +194,6 @@ class ProcessBackend(Backend):
 def resolve_backend(backend: "Backend | str | None",
                     *,
                     max_workers: int | None = None,
-                    chunk_size: int = 1,
                     task_timeout: float | None = None) -> Backend:
     """Turn a backend spec into a live :class:`Backend`.
 
@@ -216,11 +203,10 @@ def resolve_backend(backend: "Backend | str | None",
     """
     if isinstance(backend, Backend):
         # A ready instance owns its pool shape: silently dropping the
-        # caller's explicit max_workers/timeout/etc. would disable the
+        # caller's explicit max_workers/task_timeout would disable the
         # very behaviour the call visibly requested.
         conflicts = [label for label, clash in (
             (f"max_workers={max_workers}", max_workers is not None),
-            (f"chunk_size={chunk_size}", chunk_size != 1),
             (f"task_timeout={task_timeout}", task_timeout is not None),
         ) if clash]
         if conflicts:
@@ -237,5 +223,4 @@ def resolve_backend(backend: "Backend | str | None",
     if name == "serial":
         return SerialBackend()
     return ProcessBackend(max_workers=max_workers,
-                          chunk_size=chunk_size,
                           task_timeout=task_timeout)

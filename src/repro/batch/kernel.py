@@ -79,7 +79,7 @@ __all__ = [
 
 #: Process-wide count of kernel constructions. The fusion planner's whole
 #: point is that a grid over one model builds the CSR once per (model,
-#: worker), so the benchmarks assert sharing by diffing this counter.
+#: worker), so the tests assert sharing by diffing this counter.
 _BUILD_COUNT = 0
 
 

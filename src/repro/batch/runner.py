@@ -5,14 +5,12 @@ grid of independent ``(model, measure, ε, t, method)`` cells. The
 :class:`BatchRunner` runs such cells on an execution backend
 (:mod:`repro.batch.backends`: inline serial or a process pool) with:
 
-* **chunking** — adjacent tasks are grouped so cheap cells amortize the
-  per-round-trip pickle/IPC overhead;
 * **structured failure capture** — a task raising (e.g.
   :class:`~repro.exceptions.TruncationError` for an over-budget SR cell)
   produces a :class:`BatchOutcome` carrying the exception type, message
   and formatted traceback instead of poisoning the whole run;
-* **per-task timeouts** — a chunk that exceeds ``task_timeout`` × (chunk
-  length) is recorded as timed out (best-effort: a running worker cannot
+* **per-task timeouts** — a task that exceeds ``task_timeout`` × (its
+  weight) is recorded as timed out (best-effort: a running worker cannot
   be interrupted mid-task, so the deadline is enforced at collection
   time);
 * **deterministic ordering** — results always come back in submission
@@ -107,11 +105,6 @@ def _run_one(task: BatchTask) -> BatchOutcome:
                         worker_pid=os.getpid())
 
 
-def _run_chunk(tasks: list[BatchTask]) -> list[BatchOutcome]:
-    """Worker entry point: execute a chunk sequentially."""
-    return [_run_one(t) for t in tasks]
-
-
 class BatchRunner:
     """Fan :class:`BatchTask` lists over an execution backend.
 
@@ -121,24 +114,20 @@ class BatchRunner:
         Pool size; defaults to the CPUs available to this process. With
         ``max_workers=1`` everything runs inline (no pool), which is
         also the fallback when only one task is submitted.
-    chunk_size:
-        Tasks per worker round-trip. 1 maximizes load balance; larger
-        values amortize per-round-trip overhead for many cheap tasks.
     task_timeout:
         Soft per-task seconds budget, enforced by the process backend. A
-        chunk is given ``task_timeout * sum(task.weight)`` measured from
-        the moment the batch is *submitted* (not from when its result is
-        collected — deadlines anchored at collection would let a slow
-        early chunk silently grant every later chunk extra wall-clock).
-        Time spent queued behind other chunks — and pool startup itself,
-        which under the ``spawn`` start method includes booting
-        interpreters — counts: a chunk still queued when its deadline
+        task is given ``task_timeout * max(1, task.weight)`` measured
+        from the moment the batch is *submitted* (not from when its
+        result is collected — deadlines anchored at collection would let
+        a slow early task silently grant every later task extra
+        wall-clock). Time spent queued behind other tasks — and pool
+        startup itself, which under the ``spawn`` start method includes
+        booting interpreters — counts: a task still queued when its deadline
         passes is reported timed out even though it never ran, and once
-        one chunk expires every later same-deadline chunk that has not
-        finished expires with it. Size the timeout for the whole fan-out
-        (or raise ``chunk_size`` so queueing is bounded), not just one
-        task's compute. On expiry a chunk's tasks are recorded as failed
-        with ``error_type="TimeoutError"`` and :meth:`run` returns
+        one task expires every later same-deadline task that has not
+        finished expires with it. Size the timeout for the whole fan-out,
+        not just one task's compute. On expiry the task is recorded as
+        failed with ``error_type="TimeoutError"`` and :meth:`run` returns
         without joining the hung worker (an orphaned process runs its
         current task to completion or dies with the interpreter — a
         running task cannot be interrupted from outside). ``None``
@@ -152,12 +141,10 @@ class BatchRunner:
 
     def __init__(self,
                  max_workers: int | None = None,
-                 chunk_size: int = 1,
                  task_timeout: float | None = None,
                  backend: Backend | str | None = None) -> None:
         self._backend = resolve_backend(backend,
                                         max_workers=max_workers,
-                                        chunk_size=chunk_size,
                                         task_timeout=task_timeout)
 
     @property

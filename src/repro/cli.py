@@ -1,11 +1,9 @@
-"""Command-line interface: reproduce the paper's artefacts from a shell.
+"""Command-line interface: solve, diagnose and queue RAID workloads from
+a shell. The paper's tables and figures are reproduced by
+``scripts/run_paper_grid.py``.
 
 Examples
 --------
-Reproduce Table 2 on the paper's grid::
-
-    python -m repro table2 --paper
-
 Solve the RAID unreliability at three horizons with RRL::
 
     python -m repro solve --model raid-ur --groups 20 \
@@ -42,10 +40,6 @@ from repro.batch.backends import BACKEND_NAMES
 from repro.analysis.experiments import (
     ExperimentConfig,
     grid_solve_requests,
-    run_figure3,
-    run_figure4,
-    run_table1,
-    run_table2,
 )
 from repro.analysis.reporting import format_table
 from repro.analysis.runner import solve
@@ -59,42 +53,6 @@ from repro.models import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    if args.paper:
-        return ExperimentConfig.paper(sr_step_budget=args.sr_budget)
-    kwargs = {}
-    if args.groups:
-        kwargs["groups"] = tuple(args.groups)
-    if args.times:
-        kwargs["times"] = tuple(args.times)
-    return ExperimentConfig(sr_step_budget=args.sr_budget, **kwargs)
-
-
-def _add_grid_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--paper", action="store_true",
-                   help="use the paper's exact grid (G=20/40, t<=1e5 h)")
-    p.add_argument("--groups", type=int, nargs="+",
-                   help="parity-group counts G (default: 5 10)")
-    p.add_argument("--times", type=float, nargs="+",
-                   help="horizons in hours (default: 1..1e4, decades)")
-    p.add_argument("--sr-budget", type=int, default=2_000_000,
-                   help="skip SR/RR cells beyond this many inner steps")
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    table = run_table1(cfg) if args.which == "table1" else run_table2(cfg)
-    print(table.render())
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    fig = run_figure3(cfg) if args.which == "figure3" else run_figure4(cfg)
-    print(fig.render())
-    return 0
 
 
 def _build_model(kind: str, groups: int):
@@ -188,7 +146,14 @@ def _positive_int(text: str) -> int:
 def _batch_config_from(args: argparse.Namespace) -> ExperimentConfig:
     if args.quick:
         return ExperimentConfig.quick()
-    return _config_from(args)
+    if args.paper:
+        return ExperimentConfig.paper(sr_step_budget=args.sr_budget)
+    kwargs = {}
+    if args.groups:
+        kwargs["groups"] = tuple(args.groups)
+    if args.times:
+        kwargs["times"] = tuple(args.times)
+    return ExperimentConfig(sr_step_budget=args.sr_budget, **kwargs)
 
 
 def _cmd_batch_submit(args: argparse.Namespace) -> int:
@@ -274,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "inversion — paper reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for which, runner in (("table1", _cmd_table), ("table2", _cmd_table),
-                          ("figure3", _cmd_figure),
-                          ("figure4", _cmd_figure)):
-        p = sub.add_parser(which, help=f"reproduce the paper's {which}")
-        _add_grid_options(p)
-        p.set_defaults(func=runner, which=which)
-
     p = sub.add_parser("solve", help="solve a RAID measure directly")
     p.add_argument("--model", choices=["raid-ua", "raid-ur"],
                    default="raid-ur")
@@ -319,7 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="queue directory (created if missing)")
     pb.add_argument("--quick", action="store_true",
                     help="submit the seconds-scale smoke grid")
-    _add_grid_options(pb)
+    pb.add_argument("--paper", action="store_true",
+                    help="use the paper's exact grid (G=20/40, t<=1e5 h)")
+    pb.add_argument("--groups", type=int, nargs="+",
+                    help="parity-group counts G (default: 5 10)")
+    pb.add_argument("--times", type=float, nargs="+",
+                    help="horizons in hours (default: 1..1e4, decades)")
+    pb.add_argument("--sr-budget", type=int, default=2_000_000,
+                    help="skip SR/RR cells beyond this many inner steps")
     pb.add_argument("--scenarios", nargs="+", metavar="FAMILY",
                     help="submit a generated scenario sweep instead of "
                          "the paper grid")

@@ -15,8 +15,8 @@ randomization solution of ``V_{K,L}`` by
 so the solution phase costs a few hundred transform evaluations —
 *independent of* ``Λt`` — instead of ``O(Λt)`` inner steps. The paper
 reports the inversion at 1–2% of total RRL runtime with 105–329 abscissae;
-the solver records the abscissa count per time point so the benchmark
-harness can reproduce that claim.
+the solver records the abscissa count per time point so the tests and
+the paper grid can check that claim.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from repro.laplace.inversion import (
     invert_cumulative,
     invert,
 )
-from repro.laplace.gaver import invert_gaver_stehfest, stehfest_weights
 
 __all__ = [
     "EpsilonAccelerator",
@@ -34,6 +33,4 @@ __all__ = [
     "invert_bounded",
     "invert_cumulative",
     "invert",
-    "invert_gaver_stehfest",
-    "stehfest_weights",
 ]

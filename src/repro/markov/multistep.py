@@ -13,8 +13,7 @@ matrix densify, so memory/time per multiplication grow toward ``n²``
 while plain SR keeps the original sparsity forever. This implementation
 is faithful to that trade-off: it tracks the densification and refuses
 (with :class:`~repro.exceptions.TruncationError`) past a configurable
-nnz budget rather than silently thrashing; the ablation benchmark
-measures exactly this blow-up.
+nnz budget rather than silently thrashing.
 
 Only the instant-of-time measure is supported (the interval measure
 needs every ``d_n``, which defeats step-skipping).

@@ -131,8 +131,8 @@ class StandardRandomizationSolver:
         Hard cap on the number of DTMC steps; exceeded horizons raise
         :class:`~repro.exceptions.TruncationError` rather than looping for
         hours — SR at ``Λt ≈ 4.4e6`` is exactly the pathology the paper's
-        method removes, and the benchmark harness treats the raise as
-        "off the chart".
+        method removes, and the paper grid's timing figures report the
+        raise as a skipped (``None``) cell.
     """
 
     method_name = "SR"

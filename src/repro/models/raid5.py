@@ -329,7 +329,7 @@ def raid5_performability_rewards(explored: ExploredModel,
     (``degraded_factor``); reconstructing groups run at
     ``reconstructing_factor`` (rebuild traffic); when a controller is
     down every group is degraded; the FAILED state earns 0. Used by the
-    performability example and the MRR benchmarks.
+    performability example and the RRL-vs-SR integration test.
     """
     p = params or Raid5Params()
     g = p.groups

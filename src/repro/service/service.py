@@ -61,7 +61,7 @@ class SolveService:
         Pool size, forwarded to the internally-built
         :class:`~repro.batch.runner.BatchRunner` (ignored when ``runner``
         is given). The default ``workers=1`` runs everything inline with
-        identical numbers. Other pool settings (chunking, deadlines) go in
+        identical numbers. Other pool settings (deadlines) go in
         through ``backend=ProcessBackend(...)`` or ``runner``.
     backend:
         Execution strategy (``"serial"`` / ``"processes"``, a

@@ -19,6 +19,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--method", "FFT"])
 
+    @pytest.mark.parametrize("command",
+                             ["table1", "table2", "figure3", "figure4"])
+    def test_table_commands_are_gone(self, command):
+        # scripts/run_paper_grid.py is the one path to the tables.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
 
 class TestCommands:
     def test_solve_trr(self, capsys):
@@ -35,25 +42,6 @@ class TestCommands:
                    "--times", "10", "--eps", "1e-9"])
         assert rc == 0
         assert "MRR" in capsys.readouterr().out
-
-    def test_table1_small(self, capsys):
-        rc = main(["table1", "--groups", "4", "--times", "1", "10"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "Table 1" in out and "RSD" in out
-
-    def test_table2_small(self, capsys):
-        rc = main(["table2", "--groups", "4", "--times", "1", "10"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "Table 2" in out and "SR" in out
-
-    def test_figure4_small_with_budget(self, capsys):
-        rc = main(["figure4", "--groups", "4", "--times", "1", "100",
-                   "--sr-budget", "10000"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "Figure 4" in out
 
     def test_mttf(self, capsys):
         rc = main(["mttf", "--groups", "4"])

@@ -9,8 +9,17 @@ from repro.analysis.convergence import (
     excursion_decay,
     predict_truncation,
 )
+from repro.core._setup import prepare
+from repro.core.truncation import select_truncation
 from repro.exceptions import ModelError
-from repro.models import birth_death, random_ctmc, two_state_availability
+from repro.models import (
+    Raid5Params,
+    birth_death,
+    build_raid5_availability,
+    random_ctmc,
+    two_state_availability,
+)
+from repro.models.raid5 import FAILED
 
 
 class TestDecayFit:
@@ -85,3 +94,23 @@ class TestRanking:
         ranked = compare_regenerative_states(model)
         absorbing = set(int(i) for i in model.absorbing_states())
         assert all(state not in absorbing for state, _ in ranked)
+
+    def test_raid_hub_needs_fewest_steps(self):
+        # The paper's guidance that RRL does well when r is visited
+        # often, on RAID availability at t = 1e4: the all-up hub needs
+        # fewer K + L steps than a degraded state.
+        params = Raid5Params(groups=1)
+        model, rewards, explored = build_raid5_availability(params)
+
+        def steps(state) -> int:
+            setup = prepare(model, rewards, explored.state_index(state),
+                            None)
+            return select_truncation(setup.main, setup.primed, setup.rate,
+                                     1e4, 1e-12 / 2.0,
+                                     rewards.max_rate).steps
+
+        hub = steps(params.initial_state)
+        one_disk_failed = (1, 0, 0, params.spare_disks, True, 0,
+                           params.spare_controllers)
+        assert hub <= steps(one_disk_failed)
+        assert hub < steps(FAILED)

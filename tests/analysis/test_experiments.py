@@ -1,5 +1,6 @@
-"""Experiment harness on a reduced grid (the paper grid runs in the
-benchmarks; here we verify the machinery and the qualitative shapes)."""
+"""Experiment harness on a reduced grid (the paper's numbers are checked
+in ``test_paper_numbers.py``; here we verify the machinery and the
+qualitative shapes)."""
 
 import dataclasses
 

@@ -205,7 +205,7 @@ class TestBackendResolution:
         # A ready instance owns its pool shape: explicit shape args
         # alongside it must error rather than be silently dropped.
         with pytest.raises(ValueError, match="owns its own pool shape"):
-            resolve_backend(ProcessBackend(), chunk_size=4)
+            resolve_backend(ProcessBackend(), max_workers=4)
         with pytest.raises(ValueError, match="task_timeout"):
             BatchRunner(task_timeout=30.0, backend=ProcessBackend())
         with pytest.raises(ValueError, match="max_workers"):

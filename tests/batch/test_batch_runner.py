@@ -1,5 +1,5 @@
 """Unit tests for the BatchRunner: failure capture, determinism,
-chunking, timeouts and the inline fallback."""
+timeouts and the inline fallback."""
 
 import multiprocessing
 import time
@@ -89,12 +89,6 @@ class TestPool:
         assert [o.key for o in outs] == list(range(6))
         assert [o.value for o in outs] == [i * i for i in range(6)]
 
-    def test_chunking_preserves_order_and_results(self):
-        runner = BatchRunner(max_workers=2, chunk_size=3)
-        outs = runner.run([BatchTask(fn=_square, args=(i,), key=i)
-                           for i in range(10)])
-        assert [o.value for o in outs] == [i * i for i in range(10)]
-
     def test_worker_failure_capture(self):
         runner = BatchRunner(max_workers=2)
         outs = runner.run(
@@ -121,8 +115,8 @@ class TestPool:
 
     def test_chunk_deadline_measured_from_submission(self):
         # Regression: deadlines used to start when *collection* of a
-        # chunk started, so a slow (but in-budget) early chunk granted
-        # every later chunk that much extra wall-clock. Four 0.8s tasks
+        # task started, so a slow (but in-budget) early task granted
+        # every later task that much extra wall-clock. Four 0.8s tasks
         # on two workers with a 1.2s budget: the first pair finishes at
         # ~0.8s (in budget), the second pair at ~1.6s after submission
         # and must be recorded as timed out — under collection-anchored
@@ -146,7 +140,7 @@ class TestPool:
 
     def test_task_weight_scales_timeout_budget(self):
         # A fused task doing N cells' worth of work declares weight=N;
-        # its chunk budget must be task_timeout * N, not * 1.
+        # its budget must be task_timeout * N, not * 1.
         runner = BatchRunner(max_workers=2, task_timeout=0.25)
         heavy = BatchTask(fn=_sleepy, args=(0.6,), key="w", weight=4)
         light = BatchTask(fn=_sleepy, args=(1.2,), key="l")  # weight 1
@@ -166,8 +160,6 @@ class TestValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             BatchRunner(max_workers=0)
-        with pytest.raises(ValueError):
-            BatchRunner(chunk_size=0)
         with pytest.raises(ValueError):
             BatchRunner(task_timeout=0.0)
 

@@ -349,6 +349,16 @@ class TestWorkerCache:
         assert info["misses"] == 1
         assert info["hits"] == len(reqs) - 1
 
+    def test_fused_cells_build_the_kernel_once(self):
+        clear_caches()
+        reqs = [_request(method=m, eps=e, key=(m, e))
+                for m in ("SR", "RSD", "RRL") for e in (1e-6, 1e-8)]
+        before = kernel_build_count()
+        outs = SolveService(fuse=True).solve(reqs)
+        assert all(o.ok for o in outs)
+        assert kernel_build_count() - before == 1
+        assert worker_cache_info()["misses"] == 1
+
     def test_cache_serves_scenario_default_rewards(self):
         clear_caches()
         sol = run_request(_request())

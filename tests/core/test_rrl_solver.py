@@ -11,8 +11,23 @@ from repro import (
     RRLSolver,
     StandardRandomizationSolver,
 )
-from repro.models import mm1k_queue, random_ctmc
+from repro.models import (
+    Raid5Params,
+    build_raid5_reliability,
+    mm1k_queue,
+    random_ctmc,
+)
 from tests.conftest import exact_two_state_mrr, exact_two_state_ua
+
+
+@pytest.fixture(scope="module")
+def raid_ur_reference():
+    """RAID unreliability at G = 5, t = 1 … 1e4, with SR values at 1e-13."""
+    model, rewards, _ = build_raid5_reliability(Raid5Params(groups=5))
+    times = [1.0, 10.0, 1e2, 1e3, 1e4]
+    ref = StandardRandomizationSolver().solve(model, rewards, TRR, times,
+                                              eps=1e-13)
+    return model, rewards, times, ref.values
 
 
 class TestCorrectness:
@@ -118,6 +133,18 @@ class TestWorkAndStats:
                                              eps=1e-10)
         assert sol.values[0] == pytest.approx(exact_two_state_ua(1.0),
                                               abs=1e-10)
+
+    @pytest.mark.parametrize("t_factor", [None, 16.0])
+    def test_paper_t_factors_meet_eps_on_raid_ur(self, raid_ur_reference,
+                                                  t_factor):
+        # The paper's T = 8t (the default) and Piessens' T = 16t both
+        # hold ε against an SR reference on the small UR model.
+        model, rewards, times, ref = raid_ur_reference
+        solver = RRLSolver() if t_factor is None \
+            else RRLSolver(t_factor=t_factor)
+        sol = solver.solve(model, rewards, TRR, times, eps=1e-12)
+        assert sol.stats["t_factor"] == (t_factor or 8.0)
+        assert np.max(np.abs(sol.values - ref)) <= 1e-12
 
     def test_steps_logarithmic_in_t(self, random_irreducible):
         rewards = RewardStructure.indicator(15, [3])

@@ -170,6 +170,12 @@ class TestPlannerIntegration:
         assert info["hits"] == len(self._grid()) - 1, info
         hits = [o.value.stats["schedule_cache_hit"] for o in outs]
         assert hits == [False, True, True, True]
+        # Warm cells only extend: the steps charged across the grid are
+        # one build to the deepest cell, not a rebuild per cell.
+        stats = [o.value.stats for o in outs]
+        assert sum(st["transformation_steps"] for st in stats) == max(
+            st["transformation_steps"] + st["transformation_steps_reused"]
+            for st in stats)
 
     def test_memoized_equals_unmemoized_bitwise(self):
         clear_caches()

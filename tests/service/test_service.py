@@ -105,13 +105,13 @@ class TestConfigurationPlumbing:
         assert not SolveService(fuse=False).plan(_requests()).fuse_enabled
 
     def test_properties_and_custom_runner(self):
-        runner = BatchRunner(max_workers=1, chunk_size=3)
+        runner = BatchRunner(max_workers=1)
         service = SolveService(runner=runner, fuse=False)
         assert service.runner is runner
         assert service.fuse is False
 
     def test_ready_backend_owns_pool_shape(self):
-        backend = ProcessBackend(max_workers=2, chunk_size=2)
+        backend = ProcessBackend(max_workers=2)
         service = SolveService(backend=backend)
         assert service.backend is backend
         with pytest.raises(ValueError, match="max_workers=2"):

@@ -25,6 +25,7 @@ def run_example(name: str, monkeypatch, capsys, g: str | None = "4",
 def test_quickstart(monkeypatch, capsys):
     out = run_example("quickstart.py", monkeypatch, capsys, g=None)
     assert "UA(t)" in out and "MRR(t)" in out
+    assert "np.int64(" not in out
     # Every reported error line must show an error below 1e-7.
     for line in out.splitlines():
         if "max|err|" in line:
