@@ -4,17 +4,15 @@
 Default: the paper's exact grid (G ∈ {20, 40}, t up to 10⁵ h) compiled by
 the fusion planner (duplicate solves coalesce, unfused cells share one
 kernel per worker) and fanned over an execution backend (``--backend``:
-process pool by default, or inline serial). ``--quick``
-switches to a seconds-scale smoke grid for CI; ``--no-fuse`` disables
-the planner (one task per cell, the PR-1 execution shape); ``--verify``
-re-runs the measure columns unfused-pooled, serial and on both
-backends, asserts all in-process executions produce
-bit-identical tables (neither the batch decomposition, the fusion plan,
-nor the execution backend may ever change a number), and additionally
-proves the service path: the grid's solve cells are pushed through an
-on-disk ``JobQueue`` — killed halfway and resumed from the journal — and
-every collected outcome must match serial in-process execution bit for
-bit.
+process pool by default, or inline serial). ``--quick`` switches to a
+seconds-scale smoke grid for CI. ``--verify`` asserts that neither the
+planner nor the execution backend ever changes a number: every solve
+cell of the grid, solved through the configured service, must equal its
+direct registry solve (values, steps and abscissa counts, bit for bit);
+pooled runs are re-run on both backends and their grids compared; and
+the grid's solve cells are pushed through an on-disk ``JobQueue`` —
+killed halfway and resumed from the journal — whose collected outcomes
+must equal the direct solves too.
 
 Native BLAS/OpenMP thread pools are pinned to one thread before numpy
 loads. Pool workers inherit the pin, so N workers use N cores instead of
@@ -23,10 +21,10 @@ count — which keeps ``--verify`` bit-identical.
 
 Examples
 --------
-    python scripts/run_paper_grid.py                 # paper grid, fused+pooled
+    python scripts/run_paper_grid.py                 # paper grid, pooled
     python scripts/run_paper_grid.py --workers 8
     python scripts/run_paper_grid.py --quick --verify
-    python scripts/run_paper_grid.py --no-fuse --serial --json out.json
+    python scripts/run_paper_grid.py --serial --json out.json
 """
 
 from __future__ import annotations
@@ -54,10 +52,12 @@ from repro.analysis.experiments import (  # noqa: E402
     grid_solve_requests,
     run_grid,
 )
+from repro.analysis.runner import solve  # noqa: E402
 from repro.batch.backends import BACKEND_NAMES  # noqa: E402
 from repro.batch.runner import available_cpus  # noqa: E402
 from repro.models import build_raid5_availability  # noqa: E402
-from repro.service import JobQueue, SolveService  # noqa: E402
+from repro.service import JobQueue  # noqa: E402
+from repro.solvers.registry import get_spec  # noqa: E402
 
 
 def _default_workers() -> int:
@@ -69,14 +69,11 @@ def _default_workers() -> int:
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
     workers = 1 if args.serial else args.workers
     # Normalize the backend to a concrete name so the verify axis can
-    # dedup "same execution" configurations by field equality.
+    # skip the backend this run already used.
     backend = args.backend or "processes"
     if args.quick:
-        return ExperimentConfig.quick(workers=workers, fuse=args.fuse,
-                                      memoize=args.memoize,
-                                      backend=backend)
-    return ExperimentConfig.paper(workers=workers, fuse=args.fuse,
-                                  memoize=args.memoize, backend=backend)
+        return ExperimentConfig.quick(workers=workers, backend=backend)
+    return ExperimentConfig.paper(workers=workers, backend=backend)
 
 
 def _assert_grids_equal(reference: GridResult, other: GridResult,
@@ -89,111 +86,128 @@ def _assert_grids_equal(reference: GridResult, other: GridResult,
     for g, vals in reference.ur_values.items():
         if other.ur_values[g] != vals:
             raise AssertionError(f"UR values differ for G={g} ({label})")
+        if other.ur_abscissae[g] != reference.ur_abscissae[g]:
+            raise AssertionError(
+                f"UR abscissa counts differ for G={g} ({label})")
 
 
-def verify_service_queue(config: ExperimentConfig) -> None:
-    """Assert on-disk queue execution (with a kill/resume cycle) ==
-    serial in-process execution, bit for bit.
+def _direct_solve(request):
+    """The registry's solver on the request's freshly built model: no
+    shared kernel, no schedule cache, no plan."""
+    model, rewards = request.resolve()
+    return solve(model, rewards, request.measure, list(request.times),
+                 request.eps, method=request.method,
+                 **request.solver_kwargs)
+
+
+def _abscissae(solution) -> list[int]:
+    """RRL's abscissa counts (an array in process, a list once a queue
+    has journaled the solution); empty for other methods."""
+    return [int(a) for a in solution.stats.get("n_abscissae", ())]
+
+
+def _assert_outcomes_equal(outcomes, requests, reference,
+                           label: str) -> None:
+    """Every outcome equals its direct solve: values, steps and abscissa
+    counts, bit for bit."""
+    if len(outcomes) != len(requests):
+        raise AssertionError(f"{label} returned {len(outcomes)} outcomes "
+                             f"for {len(requests)} requests")
+    for got, req, ref in zip(outcomes, requests, reference):
+        if not got.ok:
+            raise AssertionError(
+                f"cell {req.key!r} failed ({label}): {got.error}")
+        sol = got.value
+        if got.key != req.key \
+                or not np.array_equal(sol.values, ref.values) \
+                or not np.array_equal(sol.steps, ref.steps) \
+                or _abscissae(sol) != _abscissae(ref):
+            raise AssertionError(
+                f"{label} differs from the direct solve for cell "
+                f"{req.key!r}")
+
+
+def _assert_grid_matches(result: GridResult, requests, reference) -> None:
+    """The main run's measured cells (the RRL/RSD step columns, the UR
+    values and abscissa counts) equal the direct solves."""
+    for req, ref in zip(requests, reference):
+        if req.key[0] == "ur":
+            g = req.key[1]
+            same = result.ur_values[g] == [float(v) for v in ref.values] \
+                and result.ur_abscissae[g] == _abscissae(ref)
+        else:
+            _, kind, g, column = req.key
+            table = result.table1 if kind == "UA" else result.table2
+            label = f"G={g} {get_spec(column).table_label}"
+            same = table.columns[label] == [int(s) for s in ref.steps]
+        if not same:
+            raise AssertionError(
+                f"the grid differs from the direct solve for cell "
+                f"{req.key!r}")
+
+
+def verify_service_queue(config: ExperimentConfig, requests,
+                         reference) -> None:
+    """Assert on-disk queue execution (with a kill/resume cycle) == the
+    direct solves, bit for bit.
 
     The grid's solve cells are submitted to a temporary
     :class:`JobQueue`, half are executed, the queue object is dropped
     (the "kill" — only the journal survives), a fresh queue resumes from
     the journal and finishes, and every collected outcome is compared
-    bitwise against the same requests solved in-process.
-
-    The in-process reference deliberately uses the *same* planner policy
-    as the queue run, which isolates exactly the layer under test (the
-    protocol/journal/resume machinery) and avoids re-solving the whole
-    grid unfused — ``verify_executions`` has already established
-    fused == unfused == serial at the grid level, so the chain closes:
-    queue == in-process(policy) == serial unfused.
+    with its direct solve.
     """
-    requests = grid_solve_requests(config)
-    reference = SolveService(workers=1, fuse=config.fuse,
-                             memoize=config.memoize).solve(requests)
     with tempfile.TemporaryDirectory(prefix="repro-queue-") as tmp:
         queue = JobQueue(tmp)
         queue.submit(requests)
         # First half, one fsync per job, then "kill" the process state.
-        queue.run(SolveService(workers=config.workers,
-                               backend=config.backend, fuse=config.fuse,
-                               memoize=config.memoize),
-                  limit=len(requests) // 2, checkpoint=1)
+        queue.run(config.service(), limit=len(requests) // 2,
+                  checkpoint=1)
         del queue
         resumed = JobQueue.resume(tmp)
         n_pending = len(resumed.pending())
-        resumed.run(SolveService(workers=config.workers,
-                                 backend=config.backend,
-                                 fuse=config.fuse,
-                                 memoize=config.memoize))
+        resumed.run(config.service())
         outcomes = resumed.collect()
-    if len(outcomes) != len(requests):
-        raise AssertionError(
-            f"queue returned {len(outcomes)} outcomes for "
-            f"{len(requests)} requests")
-    for got, ref in zip(outcomes, reference):
-        if not (got.ok and ref.ok):
-            raise AssertionError(
-                f"cell {ref.key!r} failed: queue={got.error!r} "
-                f"serial={ref.error!r}")
-        if got.key != ref.key \
-                or not np.array_equal(got.value.values, ref.value.values) \
-                or not np.array_equal(got.value.steps, ref.value.steps):
-            raise AssertionError(
-                f"queue outcome differs from serial in-process for "
-                f"cell {ref.key!r}")
+    _assert_outcomes_equal(outcomes, requests, reference, "on-disk queue")
     print(f"verify: on-disk queue (kill after "
           f"{len(requests) - n_pending}/{len(requests)} jobs, resumed "
-          "from journal) vs serial in-process — bit-identical, OK",
+          "from journal) vs direct solves — bit-identical, OK",
           flush=True)
 
 
 def verify_executions(config: ExperimentConfig, result: GridResult) -> None:
-    """Assert fused == unfused == serial — and memoized == unmemoized,
-    and serial == processes — bit for bit, plus that the
-    service/queue path (including a kill/resume cycle) reproduces the
-    serial run exactly.
+    """Assert planned == direct, serial == processes and queue == direct,
+    bit for bit.
 
-    Alternate configurations equal to the main run (or to each other —
-    e.g. under ``--serial`` the "unfused" and "serial unfused" runs are
-    the same thing) are executed only once.
+    The reference is each grid solve cell's direct registry solve. The
+    main run's tables and UR sweep, and the cells solved again through
+    ``config.service()`` (values included), must match it; pooled runs
+    re-run the grid on every backend and compare it with the main run;
+    the queue axis runs the cells through a killed and resumed
+    :class:`JobQueue`.
     """
-    this = "fused" if config.fuse else "unfused"
-    this += ", memoized" if config.memoize else ", unmemoized"
-    this += ", serial" if config.workers == 1 else \
-        f", pooled ({config.backend})"
-    pool = "serial" if config.workers == 1 else "pooled"
-    candidates = [
-        (f"{this} vs unfused {pool}",
-         dataclasses.replace(config, fuse=False)),
-        (f"{this} vs unmemoized {pool}",
-         dataclasses.replace(config, memoize=False)),
-    ]
+    requests = grid_solve_requests(config)
+    reference = [_direct_solve(req) for req in requests]
+    pool = "serial" if config.workers == 1 else \
+        f"pooled ({config.backend})"
+    _assert_grid_matches(result, requests, reference)
+    _assert_outcomes_equal(config.service().solve(requests), requests,
+                           reference, f"planned {pool}")
+    print(f"verify: planned {pool} grid and its {len(requests)} solve "
+          "cells vs direct solves — bit-identical, OK", flush=True)
     if config.workers > 1:
         # The backend axis: the same pooled grid on both execution
         # backends. With workers=1 each backend degrades to the
         # identical inline loop, so there is nothing to compare.
-        candidates += [
-            (f"{this} vs {name} backend",
-             dataclasses.replace(config, backend=name))
-            for name in BACKEND_NAMES
-        ]
-    candidates.append(
-        (f"{this} vs serial unfused unmemoized",
-         dataclasses.replace(config, workers=1, fuse=False,
-                             memoize=False)))
-    ran: list[ExperimentConfig] = []
-    for label, alt_config in candidates:
-        if alt_config == config or alt_config in ran:
-            continue
-        ran.append(alt_config)
-        alt = run_grid(alt_config, include_timings=False)
-        _assert_grids_equal(result, alt, label)
-        print(f"verify: {label} — bit-identical, OK", flush=True)
-    if not ran:
-        print("verify: in-process runs need no comparison — the run is "
-              "already serial and unfused", flush=True)
-    verify_service_queue(config)
+        for name in BACKEND_NAMES:
+            if name == config.backend:
+                continue
+            alt = run_grid(dataclasses.replace(config, backend=name),
+                           include_timings=False)
+            label = f"{pool} vs {name} backend"
+            _assert_grids_equal(result, alt, label)
+            print(f"verify: {label} — bit-identical, OK", flush=True)
+    verify_service_queue(config, requests, reference)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,21 +223,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="execution backend: serial runs inline, "
                              "processes fans out to isolated workers "
                              "(default: processes)")
-    parser.add_argument("--fuse", dest="fuse", action="store_true",
-                        default=True,
-                        help="compile cells through the fusion planner "
-                             "(default)")
-    parser.add_argument("--no-fuse", dest="fuse", action="store_false",
-                        help="one task per cell, no coalescing/fusion")
-    parser.add_argument("--no-memoize", dest="memoize",
-                        action="store_false", default=True,
-                        help="disable the per-worker RR/RRL schedule-"
-                             "transformation cache")
     parser.add_argument("--no-timings", action="store_true",
                         help="skip the Figure 3/4 timing sweeps")
     parser.add_argument("--verify", action="store_true",
-                        help="re-run the measure columns unfused and "
-                             "serially; assert all runs are bit-identical")
+                        help="assert planned == direct solves, both "
+                             "backends and a killed/resumed queue agree "
+                             "bit for bit")
     parser.add_argument("--json", metavar="PATH",
                         help="dump the full grid result as JSON")
     args = parser.parse_args(argv)
@@ -233,8 +238,6 @@ def main(argv: list[str] | None = None) -> int:
     config = make_config(args)
     mode = "serial" if config.workers == 1 \
         else f"{config.workers} workers on {config.backend}"
-    mode += ", fused" if config.fuse else ", unfused"
-    mode += ", memoized" if config.memoize else ", unmemoized"
     print(f"== paper grid ({'quick' if args.quick else 'paper'} scale, "
           f"{mode}) ==", flush=True)
     if not args.no_timings and config.workers > 1:
@@ -264,8 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         payload["elapsed_seconds"] = elapsed
         payload["workers"] = config.workers
         payload["backend"] = config.backend
-        payload["fused"] = config.fuse
-        payload["memoized"] = config.memoize
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}", flush=True)

@@ -100,6 +100,17 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 8.0.0: one batch execution path. Breaking: the planner's ``fuse`` and
+# ``memoize`` switches are gone from ``plan_requests``, ``run_request``,
+# ``ExecutionPlan``, ``SolveService``, ``ExperimentConfig``,
+# ``solve_scenarios`` and both CLIs; so are the un-planned scenario
+# fan-out (``scenario_tasks``, ``solve_scenario``,
+# ``build_scenario_model``), the per-table wrappers of
+# ``repro.analysis`` (``run_table1|2``, ``run_figure3|4``,
+# ``run_steps_table``, ``run_timing_table``, ``run_ur_values``; the
+# tables come from ``run_grid``) and ``BatchRunner.map`` /
+# ``BatchRunner.backend_name``. Every number is bit-identical.
+#
 # 7.0.0: one path to the paper's tables. Breaking: the Gaver–Stehfest
 # inverter and its two ``repro.laplace`` exports, the process pool's
 # chunking knob (on ``BatchRunner``, ``ProcessBackend`` and
@@ -150,7 +161,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "__version__",

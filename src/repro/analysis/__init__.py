@@ -14,13 +14,6 @@ from repro.analysis.experiments import (
     GridResult,
     StepTable,
     TimingTable,
-    run_steps_table,
-    run_timing_table,
-    run_table1,
-    run_table2,
-    run_figure3,
-    run_figure4,
-    run_ur_values,
     run_grid,
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -42,13 +35,6 @@ __all__ = [
     "GridResult",
     "StepTable",
     "TimingTable",
-    "run_steps_table",
-    "run_timing_table",
-    "run_table1",
-    "run_table2",
-    "run_figure3",
-    "run_figure4",
-    "run_ur_values",
     "run_grid",
     "PAPER_TABLE1",
     "PAPER_TABLE2",

@@ -16,12 +16,10 @@ mean. Everything executes through one
 grid rides a process pool: ``ExperimentConfig(workers=4)`` or
 ``run_grid(config, service=...)``. With ``workers=1`` (the default) the
 tasks run inline and the results are identical — neither the task
-decomposition nor the fusion plan ever changes any number
-(``fuse=False`` disables planning for A/B verification). Timing columns
-are measured per-cell *inside* a worker; on an oversubscribed pool the
-absolute seconds inflate, so timing sweeps prefer ``workers <=`` physical
-cores.
-
+decomposition nor the fusion plan ever changes any number. Timing
+columns are measured per-cell *inside* a worker; on an oversubscribed
+pool the absolute seconds inflate, so timing sweeps prefer
+``workers <=`` physical cores.
 
 Section 3 of the paper evaluates four methods on a level-5 RAID model
 (``C_H = 1, D_H = 3``, ``G ∈ {20, 40}``, ``ε = 10⁻¹²``):
@@ -34,12 +32,13 @@ Section 3 of the paper evaluates four methods on a level-5 RAID model
 * in-text: ``UR(10⁵) = 0.50480`` (G=20) / ``0.74750`` (G=40), Laplace
   inversion ≈ 1–2% of RRL runtime, 105–329 abscissae.
 
-``run_table1/2`` reproduce the step tables (exact integers — these do not
-depend on hardware); ``run_figure3/4`` reproduce the timing series on the
-current machine (shape, not absolute seconds). Cells whose *predicted*
-step count exceeds the configured budget are skipped and reported as
-``None`` — SR at ``Λt ≈ 4.4·10⁶`` is precisely the pathology the paper's
-method avoids, and a grid run should not take hours by default.
+:func:`run_grid` reproduces all of them in one fan-out: the step tables
+are exact integers (they do not depend on hardware); the timing series
+are measured on the current machine (shape, not absolute seconds).
+Cells whose *predicted* step count exceeds the configured budget are
+skipped and reported as ``None`` — SR at ``Λt ≈ 4.4·10⁶`` is precisely
+the pathology the paper's method avoids, and a grid run should not take
+hours by default.
 
 The paper's published numbers are embedded (``PAPER_TABLE1`` etc.) so the
 rendered tables print measured-vs-paper side by side.
@@ -50,12 +49,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.runner import get_solver
-from repro.batch.planner import (ExecutionPlan, SolveRequest,
-                                 cached_model)
+from repro.batch.planner import SolveRequest, cached_model
 from repro.batch.runner import BatchTask
 from repro.service.service import SolveService
 from repro.batch.scenarios import Scenario
@@ -65,11 +61,7 @@ from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.standard import sr_required_steps
 from repro.solvers.registry import SolverSpec, get_spec
-from repro.models.raid5 import (
-    Raid5Params,
-    build_raid5_availability,
-    build_raid5_reliability,
-)
+from repro.models.raid5 import Raid5Params
 
 __all__ = [
     "ExperimentConfig",
@@ -77,13 +69,6 @@ __all__ = [
     "TimingTable",
     "GridResult",
     "grid_solve_requests",
-    "run_steps_table",
-    "run_timing_table",
-    "run_table1",
-    "run_table2",
-    "run_figure3",
-    "run_figure4",
-    "run_ur_values",
     "run_grid",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
@@ -140,49 +125,34 @@ class ExperimentConfig:
     (isolated workers, per-worker caches) or ``None`` for processes.
     Both produce bit-identical numbers — this is an execution knob (see
     :mod:`repro.batch.backends`)."""
-    fuse: bool = True
-    """Compile solve columns through the fusion planner (coalescing +
-    per-worker kernel cache); False plans one task per cell. Either way
-    the numbers are identical — this is an execution knob."""
-    memoize: bool = True
-    """Let RR/RRL cells share the schedule transformation through each
-    worker's :class:`~repro.core.schedule_cache.ScheduleCache`; False
-    rebuilds per cell. Either way the numbers are identical — this is an
-    execution knob."""
 
     @classmethod
     def paper(cls, *, sr_step_budget: int = 10_000_000,
               rr_inner_budget: int = 10_000_000,
-              workers: int = 1, fuse: bool = True,
-              memoize: bool = True,
+              workers: int = 1,
               backend: str | None = None) -> "ExperimentConfig":
         """The paper's exact grid (G ∈ {20,40}, t up to 10⁵ h)."""
         return cls(groups=PAPER_GROUPS, times=PAPER_TIMES,
                    sr_step_budget=sr_step_budget,
                    rr_inner_budget=rr_inner_budget,
-                   workers=workers, fuse=fuse, memoize=memoize,
-                   backend=backend)
+                   workers=workers, backend=backend)
 
     @classmethod
-    def quick(cls, *, workers: int = 1, fuse: bool = True,
-              memoize: bool = True,
+    def quick(cls, *, workers: int = 1,
               backend: str | None = None) -> "ExperimentConfig":
         """A seconds-scale smoke grid (CI, queue end-to-end tests)."""
         return cls(groups=(2, 3), times=(1.0, 10.0, 100.0), eps=1e-10,
-                   sr_step_budget=200_000, workers=workers, fuse=fuse,
-                   memoize=memoize, backend=backend)
+                   sr_step_budget=200_000, workers=workers,
+                   backend=backend)
 
     def service(self) -> SolveService:
         """The :class:`~repro.service.service.SolveService` this
-        configuration asks for — pool shape plus planner policy.
+        configuration asks for (its pool shape).
 
         (Replaces the pre-2.0 ``runner()`` accessor: the pool now rides
         inside the service instead of being wired up by callers.)
         """
-        return SolveService(workers=self.workers,
-                            backend=self.backend,
-                            fuse=self.fuse,
-                            memoize=self.memoize)
+        return SolveService(workers=self.workers, backend=self.backend)
 
     def params_for(self, g: int) -> Raid5Params:
         """RAID parameters for group count ``g`` (other knobs fixed)."""
@@ -253,23 +223,12 @@ class TimingTable:
                 "series": {k: list(v) for k, v in self.series.items()}}
 
 
-def _build(config: ExperimentConfig, g: int, kind: str
-           ) -> tuple[CTMC, RewardStructure]:
-    if kind == "UA":
-        model, rewards, _ = build_raid5_availability(config.params_for(g))
-    elif kind == "UR":
-        model, rewards, _ = build_raid5_reliability(config.params_for(g))
-    else:
-        raise ValueError(f"unknown measure kind {kind!r}")
-    return model, rewards
-
-
 def _raid5_scenario(config: ExperimentConfig, g: int, kind: str) -> Scenario:
     """The grid cell's model as a planner-friendly scenario description.
 
-    Builds the *same* model as :func:`_build` (the scenario registry's
-    raid5 family constructs identical ``Raid5Params``), so requests for
-    one ``(G, kind)`` share a model fingerprint and can coalesce/fuse.
+    The scenario registry's raid5 family builds the model from the
+    config's ``Raid5Params``, so requests for one ``(G, kind)`` share a
+    model fingerprint and can coalesce/fuse.
     """
     if kind not in ("UA", "UR"):
         raise ValueError(f"unknown measure kind {kind!r}")
@@ -281,17 +240,6 @@ def _raid5_scenario(config: ExperimentConfig, g: int, kind: str) -> Scenario:
                             "spare_controllers": p.spare_controllers,
                             "kind": variant},
                     measure=Measure.TRR, times=config.times, eps=config.eps)
-
-
-def _execute_workload(config: ExperimentConfig,
-                      requests: list[SolveRequest],
-                      tasks: list[BatchTask],
-                      service: SolveService | None
-                      ) -> tuple[list, ExecutionPlan]:
-    """Run the solve requests plus the passthrough tasks in one
-    :meth:`SolveService.execute` fan-out; returns per-cell outcomes."""
-    result = (service or config.service()).execute(requests, tasks)
-    return result.all_outcomes, result.plan
 
 
 def _steps_column(config: ExperimentConfig, g: int, kind: str,
@@ -372,15 +320,6 @@ def _assemble_steps_table(config: ExperimentConfig, kind: str,
                      paper_columns=paper_cols)
 
 
-def run_steps_table(config: ExperimentConfig, kind: str,
-                    service: SolveService | None = None) -> StepTable:
-    """Reproduce a step table (Table 1 for ``kind='UA'``, Table 2 for
-    ``'UR'``) by planning one cell per ``(G, column)`` over ``service``."""
-    requests, tasks = _steps_table_workload(config, kind)
-    outcomes, _ = _execute_workload(config, requests, tasks, service)
-    return _assemble_steps_table(config, kind, outcomes)
-
-
 def _timed_solve(method: str, model: CTMC, rewards: RewardStructure,
                  t: float, eps: float, **kwargs) -> float | None:
     solver = get_solver(method, **kwargs)
@@ -404,7 +343,7 @@ def _timing_column(config: ExperimentConfig, g: int, kind: str,
     """
     spec = get_spec(method)
     budget = config.step_budget_for(spec)
-    model, rewards = _build(config, g, kind)
+    model, rewards = _raid5_scenario(config, g, kind).build()
     lam = model.max_output_rate
     vals: list[float | None] = []
     for t in config.times:
@@ -447,44 +386,6 @@ def _assemble_timing_table(config: ExperimentConfig, kind: str,
     return TimingTable(title=title, times=config.times, series=series)
 
 
-def run_timing_table(config: ExperimentConfig, kind: str,
-                     service: SolveService | None = None) -> TimingTable:
-    """Reproduce a CPU-time figure (Figure 3 for ``'UA'``, 4 for ``'UR'``)
-    by fanning one task per ``(G, method)`` series over ``service``.
-
-    Cells are timed inside the worker; oversubscribed pools inflate the
-    absolute seconds, so keep ``workers`` within the physical core count
-    when the numbers (rather than just the shapes) matter.
-    """
-    tasks = _timing_table_tasks(config, kind)
-    outcomes, _ = _execute_workload(config, [], tasks, service)
-    return _assemble_timing_table(config, kind, outcomes)
-
-
-def run_table1(config: ExperimentConfig | None = None,
-               service: SolveService | None = None) -> StepTable:
-    """Paper Table 1 (steps, UA)."""
-    return run_steps_table(config or ExperimentConfig(), "UA", service)
-
-
-def run_table2(config: ExperimentConfig | None = None,
-               service: SolveService | None = None) -> StepTable:
-    """Paper Table 2 (steps, UR)."""
-    return run_steps_table(config or ExperimentConfig(), "UR", service)
-
-
-def run_figure3(config: ExperimentConfig | None = None,
-                service: SolveService | None = None) -> TimingTable:
-    """Paper Figure 3 (CPU times, UA)."""
-    return run_timing_table(config or ExperimentConfig(), "UA", service)
-
-
-def run_figure4(config: ExperimentConfig | None = None,
-                service: SolveService | None = None) -> TimingTable:
-    """Paper Figure 4 (CPU times, UR)."""
-    return run_timing_table(config or ExperimentConfig(), "UR", service)
-
-
 def _ur_requests(config: ExperimentConfig) -> list[SolveRequest]:
     """RRL unreliability sweeps, one request per model size.
 
@@ -507,16 +408,6 @@ def _assemble_ur(outcomes
         values[out.key[1]] = [float(v) for v in sol.values]
         abscissae[out.key[1]] = [int(a) for a in sol.stats["n_abscissae"]]
     return values, abscissae
-
-
-def run_ur_values(config: ExperimentConfig | None = None,
-                  service: SolveService | None = None
-                  ) -> tuple[dict[int, list[float]], dict[int, list[int]]]:
-    """In-text UR(t) values and RRL abscissa counts, per model size."""
-    config = config or ExperimentConfig()
-    outcomes, _ = _execute_workload(config, _ur_requests(config), [],
-                                    service)
-    return _assemble_ur(outcomes)
 
 
 def grid_solve_requests(config: ExperimentConfig | None = None
@@ -587,24 +478,23 @@ def run_grid(config: ExperimentConfig | None = None,
     """Run the full evaluation grid through one service fan-out.
 
     Every column of Tables 1–2, the UR value sweep, and (optionally)
-    every series of Figures 3–4 becomes one cell. Solve cells are
-    compiled by the fusion planner (with ``config.fuse``), so e.g. the
-    Table 2 RR/RRL column and the UR sweep coalesce into one solve per
-    ``G``; then a single :meth:`SolveService.execute` call runs the
-    whole workload, keeping ``k`` workers' worth of columns in flight.
+    every series of Figures 3–4 becomes one cell. Solve cells
+    (:func:`grid_solve_requests`) are compiled by the fusion planner, so
+    e.g. the Table 2 RR/RRL column and the UR sweep coalesce into one
+    solve per ``G``; then a single :meth:`SolveService.execute` call
+    runs the whole workload, keeping ``k`` workers' worth of columns in
+    flight.
     """
     config = config or ExperimentConfig()
-    requests: list[SolveRequest] = []
     tasks: list[BatchTask] = []
     for kind in ("UA", "UR"):
-        kind_requests, kind_tasks = _steps_table_workload(config, kind)
-        requests += kind_requests
-        tasks += kind_tasks
-    requests += _ur_requests(config)
+        tasks += _steps_table_workload(config, kind)[1]
     if include_timings:
         tasks += _timing_table_tasks(config, "UA")
         tasks += _timing_table_tasks(config, "UR")
-    outcomes, plan = _execute_workload(config, requests, tasks, service)
+    result = (service or config.service()).execute(
+        grid_solve_requests(config), tasks)
+    outcomes, plan = result.all_outcomes, result.plan
     by_kind: dict[str, list] = {}
     for out in outcomes:
         by_kind.setdefault((out.key[0], out.key[1]) if out.key[0] != "ur"

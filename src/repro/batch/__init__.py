@@ -61,8 +61,6 @@ __all__ = [
     "Scenario",
     "generate_scenarios",
     "scenario_families",
-    "solve_scenario",
-    "scenario_tasks",
     "scenario_requests",
     "solve_scenarios",
     "SolveRequest",
@@ -91,8 +89,6 @@ _EXPORTS = {
     "Scenario": "repro.batch.scenarios",
     "generate_scenarios": "repro.batch.scenarios",
     "scenario_families": "repro.batch.scenarios",
-    "solve_scenario": "repro.batch.scenarios",
-    "scenario_tasks": "repro.batch.scenarios",
     "scenario_requests": "repro.batch.scenarios",
     "solve_scenarios": "repro.batch.scenarios",
     "SolveRequest": "repro.batch.planner",

@@ -24,10 +24,10 @@ cells into model-grouped work:
    models, and no model is built twice. The state bound is applied when
    the task runs, since a scenario's state count is unknown until it is
    built;
-3. **per-worker kernel caching** — cells that stay unfused (different
-   methods, or fusion disabled) still share one built model + kernel per
-   worker process through the ``"models"`` cache of :mod:`repro.cache`,
-   keyed on the model fingerprint.
+3. **per-worker kernel caching** — cells that stay unfused (methods
+   that do not stack, or a model's only fusable cell) still share one
+   built model + kernel per worker process through the ``"models"``
+   cache of :mod:`repro.cache`, keyed on the model fingerprint.
 
 The planner emits ordinary :class:`~repro.batch.runner.BatchTask` objects,
 so fusion composes with :class:`~repro.batch.runner.BatchRunner` pool
@@ -263,18 +263,17 @@ def cached_model(request: SolveRequest) -> tuple[CTMC, RewardStructure]:
 
 # -- worker entry points ---------------------------------------------------
 
-def run_request(request: SolveRequest,
-                memoize: bool = True) -> TransientSolution:
+def run_request(request: SolveRequest) -> TransientSolution:
     """Execute one unfused request (picklable worker entry point).
 
     Builds — or fetches from this worker's cache — the model and its
     kernel, then runs the ordinary solver; when the method's
     :class:`~repro.solvers.registry.SolverSpec` declares
-    ``schedule_memoizable`` (RR/RRL) and ``memoize`` is on, the worker's
-    process-wide :class:`~repro.core.schedule_cache.ScheduleCache` is
-    injected so cells sharing ``(model, rewards, regenerative, rate)``
-    pay the ``K + L`` transformation once. Bit-identical to
-    ``get_solver(method).solve(model, rewards, ...)`` either way.
+    ``schedule_memoizable`` (RR/RRL), the worker's process-wide
+    :class:`~repro.core.schedule_cache.ScheduleCache` is injected so
+    cells sharing ``(model, rewards, regenerative, rate)`` pay the
+    ``K + L`` transformation once. Bit-identical to
+    ``get_solver(method).solve(model, rewards, ...)``.
     """
     spec = registry.get_spec(request.method)
     model, rewards, kernel = _resolve_cached(request)
@@ -282,7 +281,7 @@ def run_request(request: SolveRequest,
     extra: dict[str, Any] = {}
     if kernel is not None:
         extra["kernel"] = kernel
-    if memoize and spec.schedule_memoizable:
+    if spec.schedule_memoizable:
         extra["schedule_cache"] = process_schedule_cache()
     return solver.solve(model, rewards, request.measure,
                         list(request.times), request.eps, **extra)
@@ -369,8 +368,6 @@ class ExecutionPlan:
     assignments: list[list[list[int]]]
     fused: list[bool]
     coalesced: int
-    fuse_enabled: bool
-    memoize_enabled: bool = True
 
     @property
     def n_requests(self) -> int:
@@ -403,11 +400,8 @@ class ExecutionPlan:
         and RRL cells on one model share a group. An upper bound because
         the hook sees raw kwargs: a cell spelling out a default
         (``rate=Λ_max``) fingerprints apart from one relying on it, yet
-        lands on the same cache entry at run time. 0 with memoization
-        off.
+        lands on the same cache entry at run time.
         """
-        if not self.memoize_enabled:
-            return 0
         groups = set()
         for req in self.requests:
             spec = registry.get_spec(req.method)
@@ -421,10 +415,7 @@ class ExecutionPlan:
         """One-line human description (scripts print this)."""
         return (f"{self.n_requests} requests -> {self.n_tasks} tasks "
                 f"({self.fused_tasks} fused covering {self.fused_cells} "
-                f"cells, {self.coalesced} coalesced; "
-                f"fusion {'on' if self.fuse_enabled else 'off'}, "
-                f"schedule memo "
-                f"{'on' if self.memoize_enabled else 'off'})")
+                f"cells, {self.coalesced} coalesced)")
 
     def scatter(self, outcomes: list[BatchOutcome]) -> list[BatchOutcome]:
         """Per-request outcomes (request order) from per-task outcomes."""
@@ -456,29 +447,9 @@ class ExecutionPlan:
         return result  # type: ignore[return-value]
 
 
-def plan_requests(requests: Iterable[SolveRequest],
-                  *,
-                  fuse: bool = True,
-                  memoize: bool = True) -> ExecutionPlan:
-    """Compile requests into coalesced, window-fused batch tasks.
-
-    With ``fuse=False`` the plan is the identity mapping — one task per
-    request — which still benefits from the per-worker kernel cache and
-    serves as the comparison baseline for ``--verify``-style checks.
-    ``memoize=False`` additionally disables the per-worker RR/RRL
-    schedule-transformation cache (the A/B baseline for the memoization
-    verify) — either way the numbers are identical.
-    """
+def plan_requests(requests: Iterable[SolveRequest]) -> ExecutionPlan:
+    """Compile requests into coalesced, window-fused batch tasks."""
     requests = list(requests)
-    if not fuse:
-        tasks = [BatchTask(fn=run_request, args=(req, memoize),
-                           key=req.key)
-                 for req in requests]
-        return ExecutionPlan(requests=requests, tasks=tasks,
-                             assignments=[[[i]] for i in range(len(requests))],
-                             fused=[False] * len(requests),
-                             coalesced=0, fuse_enabled=False,
-                             memoize_enabled=memoize)
 
     # 1. Coalesce exact duplicates: one representative per signature.
     by_signature: "OrderedDict[tuple, list[int]]" = OrderedDict()
@@ -533,11 +504,10 @@ def plan_requests(requests: Iterable[SolveRequest],
             fused_flags.append(True)
         for slot in alone:
             rep = requests[slot[0]]
-            tasks.append(BatchTask(fn=run_request, args=(rep, memoize),
+            tasks.append(BatchTask(fn=run_request, args=(rep,),
                                    key=rep.key))
             assignments.append([slot])
             fused_flags.append(False)
     return ExecutionPlan(requests=requests, tasks=tasks,
                          assignments=assignments, fused=fused_flags,
-                         coalesced=coalesced, fuse_enabled=True,
-                         memoize_enabled=memoize)
+                         coalesced=coalesced)

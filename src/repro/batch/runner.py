@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 import traceback as _traceback
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -157,20 +157,7 @@ class BatchRunner:
         """The execution backend this runner fans out on."""
         return self._backend
 
-    @property
-    def backend_name(self) -> str:
-        """Registry spelling of the active backend."""
-        return self._backend.name
-
     # -- public API --------------------------------------------------------
-
-    def map(self, fn: Callable[..., Any], items: Iterable[Any],
-            key_fn: Callable[[Any], Any] | None = None) -> list[BatchOutcome]:
-        """Run ``fn(item)`` for every item (convenience over :meth:`run`)."""
-        tasks = [BatchTask(fn=fn, args=(item,),
-                           key=key_fn(item) if key_fn else i)
-                 for i, item in enumerate(items)]
-        return self.run(tasks)
 
     def run(self, tasks: Sequence[BatchTask]) -> list[BatchOutcome]:
         """Execute every task; outcomes come back in submission order."""

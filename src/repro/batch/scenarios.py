@@ -44,7 +44,6 @@ from repro.models.raid5 import (
 )
 
 __all__ = ["Scenario", "scenario_families", "generate_scenarios",
-           "build_scenario_model", "solve_scenario", "scenario_tasks",
            "scenario_requests", "solve_scenarios"]
 
 #: Default evaluation horizon grid (hours, paper-style log sweep).
@@ -134,45 +133,11 @@ class Scenario:
                        name=f"{self.name}/{tag}")
 
 
-def build_scenario_model(scenario: Scenario
-                         ) -> tuple[CTMC, RewardStructure]:
-    """Module-level builder (picklable worker entry point)."""
-    return scenario.build()
-
-
-def solve_scenario(scenario: Scenario, method: str = "RRL",
-                   **solver_kwargs):
-    """Build and solve one scenario (picklable worker entry point).
-
-    Returns the solver's :class:`~repro.markov.base.TransientSolution`.
-    """
-    from repro.analysis.runner import get_solver
-
-    model, rewards = scenario.build()
-    solver = get_solver(method, **solver_kwargs)
-    return solver.solve(model, rewards, scenario.measure,
-                        list(scenario.times), scenario.eps)
-
-
-def scenario_tasks(scenarios: Iterable[Scenario],
-                   methods: Sequence[str] = ("RRL",)) -> list:
-    """One :class:`~repro.batch.runner.BatchTask` per (scenario, method).
-
-    The un-planned fan-out; :func:`scenario_requests` through
-    :class:`~repro.service.service.SolveService` additionally share
-    kernels and fuse compatible cells across scenarios with equal models.
-    """
-    from repro.batch.runner import BatchTask
-
-    return [BatchTask(fn=solve_scenario, args=(s, m), key=(s.name, m))
-            for s in scenarios for m in methods]
-
-
 def scenario_requests(scenarios: Iterable[Scenario],
                       methods: Sequence[str] = ("RRL",)) -> list:
     """One :class:`~repro.batch.planner.SolveRequest` per
-    (scenario, method), keyed ``(scenario.name, method)`` like
-    :func:`scenario_tasks` — ready for the fusion planner."""
+    (scenario, method), keyed ``(scenario.name, method)`` — ready for
+    :class:`~repro.service.service.SolveService`."""
     from repro.batch.planner import SolveRequest
 
     return [SolveRequest(scenario=s, measure=s.measure, times=s.times,
@@ -182,23 +147,20 @@ def scenario_requests(scenarios: Iterable[Scenario],
 
 def solve_scenarios(scenarios: Iterable[Scenario],
                     methods: Sequence[str] = ("RRL",),
-                    service=None,
-                    *,
-                    fuse: bool = True) -> list:
+                    service=None) -> list:
     """Solve a scenario sweep through the
-    :class:`~repro.service.service.SolveService` facade.
+    :class:`~repro.service.service.SolveService` facade (a fresh inline
+    one unless ``service`` is given).
 
     Scenarios sharing a model fuse (SR/RSD) or at least share a
     per-worker kernel; returns one
     :class:`~repro.batch.runner.BatchOutcome` per (scenario, method) in
-    order. ``fuse=False`` plans one task per cell — same numbers, paying
-    the per-cell stepping price (ignored when ``service`` is given: the
-    service carries its own planner policy).
+    order.
     """
     from repro.service.service import SolveService
 
     if service is None:
-        service = SolveService(fuse=fuse)
+        service = SolveService()
     return service.solve(scenario_requests(scenarios, methods))
 
 

@@ -185,8 +185,7 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
     from repro.service import JobQueue, SolveService
 
     queue = JobQueue.resume(args.queue)
-    service = SolveService(workers=args.workers, backend=args.backend,
-                           fuse=args.fuse, memoize=args.memoize)
+    service = SolveService(workers=args.workers, backend=args.backend)
     processed = queue.run(service, limit=args.limit,
                           checkpoint=args.checkpoint)
     failed = sum(1 for _, o in processed if not o.ok)
@@ -303,13 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="execution backend: serial runs inline, "
                          "processes fans out to isolated workers "
                          "(default: processes)")
-    pb.add_argument("--no-fuse", dest="fuse", action="store_false",
-                    default=True,
-                    help="disable planner coalescing/fusion")
-    pb.add_argument("--no-memoize", dest="memoize", action="store_false",
-                    default=True,
-                    help="disable the per-worker RR/RRL schedule-"
-                         "transformation cache")
     pb.add_argument("--limit", type=int, default=None,
                     help="process at most this many pending jobs")
     pb.add_argument("--checkpoint", type=_positive_int, default=8,

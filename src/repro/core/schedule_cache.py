@@ -20,14 +20,15 @@ So a grid of RR/RRL cells sharing a model pays the stepping phase once:
 the first cell builds the :class:`~repro.core._setup.RegenerativeSetup`,
 later cells (RR *and* RRL — the key carries no method) reuse and at most
 extend it, with bit-for-bit identical values and step counts (pinned by
-``tests/core/test_schedule_cache.py`` and the three-way
-``run_paper_grid.py --verify``).
+``tests/core/test_schedule_cache.py`` and ``run_paper_grid.py
+--verify``, which compares every grid cell with a direct solve).
 
 Workers use the process-wide instance (:func:`process_schedule_cache`),
 registered in :mod:`repro.cache` as ``"schedules"``; the planner's
 :func:`repro.batch.planner.run_request` injects it into every solver
 whose :class:`~repro.solvers.registry.SolverSpec` declares
-``schedule_memoizable`` (disable per run with ``memoize=False``).
+``schedule_memoizable``. A direct ``solve`` call without a
+``schedule_cache`` builds its own schedules.
 """
 
 from __future__ import annotations

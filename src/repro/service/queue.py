@@ -266,8 +266,8 @@ class JobQueue:
         ----------
         service:
             The :class:`~repro.service.service.SolveService` to execute
-            on (default: a fresh inline fused service). The service's
-            fuse/pool policy never changes a number — only the price.
+            on (default: a fresh inline service). Its pool shape
+            never changes a number — only the price.
         limit:
             Process at most this many pending jobs (test harnesses use
             it to simulate a kill between checkpoints).

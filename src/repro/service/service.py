@@ -2,7 +2,7 @@
 
 Per-solver ``solve(...)`` and :func:`repro.analysis.runner.solve` serve
 one ad-hoc solve of a live model. Everything batch-shaped goes through
-``SolveService``: it owns the planner policy (coalescing + fusion), the
+``SolveService``: it owns the planner (coalescing + fusion), the
 :class:`~repro.batch.runner.BatchRunner` pool it executes on (and with it
 the per-worker kernel-cache behaviour), and the scatter bookkeeping that
 maps task results back onto requests — so ``analysis``,
@@ -69,18 +69,6 @@ class SolveService:
         its pool shape, or ``None`` for processes), forwarded to the
         runner. Both backends produce bit-identical outcomes — see
         :mod:`repro.batch.backends`.
-    fuse:
-        Planner policy: coalesce duplicates and fuse SR/RSD cells sharing
-        a model (default). ``False`` plans one task per request — same
-        numbers, per-cell stepping price — which is the A/B baseline the
-        verify paths compare against.
-    memoize:
-        Planner policy: let schedule-memoizable solvers (RR/RRL, per
-        their registry capability) share the ``K + L`` schedule
-        transformation across cells through each worker's
-        :class:`~repro.core.schedule_cache.ScheduleCache` (default).
-        ``False`` rebuilds the transformation per cell — same numbers,
-        the A/B baseline for the memoization verify.
     runner:
         A pre-built runner to execute on instead (e.g. one shared across
         several services).
@@ -90,8 +78,6 @@ class SolveService:
                  *,
                  workers: int = 1,
                  backend: "Backend | str | None" = None,
-                 fuse: bool = True,
-                 memoize: bool = True,
                  runner: BatchRunner | None = None) -> None:
         if runner is None:
             # A ready backend owns its pool shape unless workers is set.
@@ -99,20 +85,6 @@ class SolveService:
             runner = BatchRunner(max_workers=None if shaped else workers,
                                  backend=backend)
         self._runner = runner
-        self._fuse = bool(fuse)
-        self._memoize = bool(memoize)
-
-    @property
-    def fuse(self) -> bool:
-        """Whether this service compiles requests through the fusion
-        planner."""
-        return self._fuse
-
-    @property
-    def memoize(self) -> bool:
-        """Whether this service lets RR/RRL cells share schedule
-        transformations per worker."""
-        return self._memoize
 
     @property
     def runner(self) -> BatchRunner:
@@ -125,10 +97,9 @@ class SolveService:
         return self._runner.backend
 
     def plan(self, requests: Iterable[SolveRequest]) -> ExecutionPlan:
-        """Compile requests under this service's planner policy (without
-        executing — useful for cost inspection and ``plan.summary()``)."""
-        return plan_requests(requests, fuse=self._fuse,
-                             memoize=self._memoize)
+        """Compile requests through the planner (without executing —
+        useful for cost inspection and ``plan.summary()``)."""
+        return plan_requests(requests)
 
     def execute(self,
                 requests: Iterable[SolveRequest],
@@ -142,8 +113,7 @@ class SolveService:
         """
         requests = list(requests)
         tasks = list(tasks)
-        plan = plan_requests(requests, fuse=self._fuse,
-                             memoize=self._memoize)
+        plan = plan_requests(requests)
         outcomes = self._runner.run(plan.tasks + tasks)
         return ServiceResult(
             outcomes=plan.scatter(outcomes[:plan.n_tasks]),

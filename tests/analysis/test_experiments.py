@@ -2,9 +2,6 @@
 in ``test_paper_numbers.py``; here we verify the machinery and the
 qualitative shapes)."""
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -12,24 +9,29 @@ from repro.analysis.experiments import (
     PAPER_TABLE2,
     PAPER_UR_1E5,
     ExperimentConfig,
-    run_figure4,
+    grid_solve_requests,
     run_grid,
-    run_table1,
-    run_table2,
 )
+from repro.solvers.registry import get_spec
+from tests.conftest import direct_solve
 
 CFG = ExperimentConfig(groups=(4,), times=(1.0, 10.0, 100.0),
                        sr_step_budget=100_000)
 
 
 @pytest.fixture(scope="module")
-def table1():
-    return run_table1(CFG)
+def grid():
+    return run_grid(CFG, include_timings=False)
 
 
 @pytest.fixture(scope="module")
-def table2():
-    return run_table2(CFG)
+def table1(grid):
+    return grid.table1
+
+
+@pytest.fixture(scope="module")
+def table2(grid):
+    return grid.table2
 
 
 class TestStepTables:
@@ -64,7 +66,7 @@ class TestTimingTable:
     def test_figure4_budget_skip(self):
         cfg = ExperimentConfig(groups=(4,), times=(1.0, 1000.0),
                                sr_step_budget=500)
-        fig = run_figure4(cfg)
+        fig = run_grid(cfg).figure4
         sr = fig.series["G=4, SR"]
         assert sr[0] is None or sr[0] >= 0.0
         assert sr[1] is None  # over budget: skipped
@@ -77,28 +79,30 @@ class TestTimingTable:
         cfg = ExperimentConfig.paper()
         assert cfg.groups == (20, 40)
         assert cfg.times[-1] == 1e5
-        assert cfg.fuse is True
 
 
 class TestPlannedGrid:
-    @pytest.fixture(scope="class")
-    def fused_grid(self):
-        return run_grid(CFG, include_timings=False)
+    def test_grid_equals_direct_solves(self, grid):
+        # Every measured cell of the planned grid equals the direct
+        # registry solve of its request, abscissa counts included.
+        for req in grid_solve_requests(CFG):
+            sol = direct_solve(req)
+            if req.key[0] == "ur":
+                g = req.key[1]
+                assert grid.ur_values[g] == [float(v) for v in sol.values]
+                assert grid.ur_abscissae[g] == [
+                    int(a) for a in sol.stats["n_abscissae"]]
+                continue
+            _, kind, g, column = req.key
+            table = grid.table1 if kind == "UA" else grid.table2
+            label = f"G={g} {get_spec(column).table_label}"
+            assert table.columns[label] == [int(s) for s in sol.steps]
 
-    def test_fused_equals_unfused_grid(self, fused_grid):
-        unfused = run_grid(dataclasses.replace(CFG, fuse=False),
-                           include_timings=False)
-        assert fused_grid.table1.columns == unfused.table1.columns
-        assert fused_grid.table2.columns == unfused.table2.columns
-        assert fused_grid.ur_values == unfused.ur_values
-        assert fused_grid.ur_abscissae == unfused.ur_abscissae
-
-    def test_plan_coalesces_rrl_ur_duplicate(self, fused_grid):
+    def test_plan_coalesces_rrl_ur_duplicate(self, grid):
         # Table 2's RR/RRL column and the UR sweep are the same solve:
         # the plan must report one coalesced request per model size.
-        assert fused_grid.plan_summary is not None
-        assert f"{len(CFG.groups)} coalesced" in fused_grid.plan_summary
+        assert grid.plan_summary is not None
+        assert f"{len(CFG.groups)} coalesced" in grid.plan_summary
 
-    def test_plan_summary_in_json_dump(self, fused_grid):
-        assert fused_grid.to_dict()["plan_summary"] \
-            == fused_grid.plan_summary
+    def test_plan_summary_in_json_dump(self, grid):
+        assert grid.to_dict()["plan_summary"] == grid.plan_summary

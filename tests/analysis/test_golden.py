@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import ExperimentConfig, run_steps_table
+from repro.analysis.experiments import ExperimentConfig, run_grid
 from repro.analysis.runner import get_solver
 from repro.core.rrl_solver import RRLSolver
 from repro.markov.rewards import Measure
@@ -63,23 +63,21 @@ def _figure_steps(kind: str) -> dict[str, list[int]]:
 def compute_golden() -> dict:
     """Recompute every pinned quantity (slow-ish: a few seconds)."""
     g = CONFIG.groups[0]
-    table1 = run_steps_table(CONFIG, "UA")
-    table2 = run_steps_table(CONFIG, "UR")
+    grid = run_grid(CONFIG, include_timings=False)
     ua_model, ua_rewards, _ = build_raid5_availability(CONFIG.params_for(g))
-    ur_model, ur_rewards, _ = build_raid5_reliability(CONFIG.params_for(g))
     ua = RRLSolver().solve(ua_model, ua_rewards, Measure.TRR,
-                           list(CONFIG.times), CONFIG.eps)
-    ur = RRLSolver().solve(ur_model, ur_rewards, Measure.TRR,
                            list(CONFIG.times), CONFIG.eps)
     return {
         "config": {"groups": list(CONFIG.groups),
                    "times": list(CONFIG.times), "eps": CONFIG.eps},
-        "table1_columns": {k: list(v) for k, v in table1.columns.items()},
-        "table2_columns": {k: list(v) for k, v in table2.columns.items()},
+        "table1_columns": {k: list(v)
+                           for k, v in grid.table1.columns.items()},
+        "table2_columns": {k: list(v)
+                           for k, v in grid.table2.columns.items()},
         "figure3_steps": _figure_steps("UA"),
         "figure4_steps": _figure_steps("UR"),
         "ua_values": [float(v) for v in ua.values],
-        "ur_values": [float(v) for v in ur.values],
+        "ur_values": grid.ur_values[g],
     }
 
 

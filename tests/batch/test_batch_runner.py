@@ -149,12 +149,6 @@ class TestPool:
         assert outs[1].ok is False      # 1.2s > 0.25 * 1
         assert outs[1].error_type == "TimeoutError"
 
-    def test_map_convenience(self):
-        runner = BatchRunner(max_workers=1)
-        outs = runner.map(_square, [1, 2, 3], key_fn=lambda x: f"item-{x}")
-        assert [o.key for o in outs] == ["item-1", "item-2", "item-3"]
-        assert [o.value for o in outs] == [1, 4, 9]
-
 
 class TestValidation:
     def test_rejects_bad_parameters(self):

@@ -1,6 +1,7 @@
 """Unit tests for the model-fused execution planner: request identity,
 plan shape (fusion groups, coalescing), scatter bookkeeping, per-worker
-caching, failure isolation and the bit-for-bit fused == unfused promise."""
+caching, failure isolation and the bit-for-bit planned == direct
+promise."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.exceptions import ModelError, UnknownMethodError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 from repro.service import SolveService
+from tests.conftest import assert_bit_identical, direct_solve
 
 
 def _bd_scenario(name="bd", n=8, birth=0.5, death=1.5, times=(0.5, 2.0),
@@ -177,13 +179,6 @@ class TestPlanShape:
         assert [o.key for o in outs] == ["x", "y", "z"]
         assert np.array_equal(outs[0].value.values, outs[1].value.values)
 
-    def test_no_fuse_is_identity_plan(self):
-        reqs = [_request(eps=1e-6), _request(eps=1e-8), _request(eps=1e-8)]
-        plan = plan_requests(reqs, fuse=False)
-        assert plan.n_tasks == 3
-        assert plan.fused_tasks == 0
-        assert plan.coalesced == 0
-
     def test_summary_mentions_shape(self):
         plan = plan_requests([_request(eps=1e-6), _request(eps=1e-8)])
         assert "2 requests" in plan.summary()
@@ -192,17 +187,16 @@ class TestPlanShape:
 
 class TestExecution:
     @pytest.mark.parametrize("method", ["SR", "RSD"])
-    def test_fused_equals_unfused_bitwise(self, method):
+    def test_fused_equals_direct_bitwise(self, method):
         reqs = [_request(method=method, eps=eps, key=eps)
                 for eps in (1e-6, 1e-8, 1e-10)]
-        fused = SolveService(fuse=True).solve(reqs)
-        unfused = SolveService(fuse=False).solve(reqs)
-        for a, b in zip(fused, unfused):
-            assert a.ok and b.ok
-            assert np.array_equal(a.value.values, b.value.values)
-            assert np.array_equal(a.value.steps, b.value.steps)
-            assert a.value.stats["fused_width"] == 3
-            assert "fused_width" not in b.value.stats
+        fused = SolveService().solve(reqs)
+        for out, req in zip(fused, reqs):
+            direct = direct_solve(req)
+            assert out.ok
+            assert_bit_identical(out.value, direct)
+            assert out.value.stats["fused_width"] == 3
+            assert "fused_width" not in direct.stats
 
     def test_fused_equals_direct_solver(self):
         req = _request(eps=1e-9)
@@ -335,16 +329,27 @@ class TestFailureIsolation:
 
 
 class TestWorkerCache:
-    def test_kernel_built_once_per_model(self):
+    def test_kernel_built_once_per_model(self, monkeypatch):
         clear_caches()
+        # Methods that do not stack, so every cell runs unfused.
         reqs = [_request(method=m, eps=e, key=(m, e))
-                for m in ("SR", "RSD", "RRL") for e in (1e-6, 1e-8)]
-        before = kernel_build_count()
-        outs = SolveService(fuse=False).solve(reqs)
+                for m in ("RRL", "RR", "ODE") for e in (1e-6, 1e-8)]
+        assert plan_requests(reqs).fused_tasks == 0
+        built = []
+        from_model = UniformizationKernel.from_model
+
+        def spy(model, *args, **kwargs):
+            built.append(model.content_digest())
+            return from_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(UniformizationKernel, "from_model",
+                            staticmethod(spy))
+        outs = SolveService().solve(reqs)
         assert all(o.ok for o in outs)
-        built = kernel_build_count() - before
-        # Six unfused cells over one model: exactly one kernel build.
-        assert built == 1
+        # Six unfused cells over one model: exactly one kernel build for
+        # it (RR's inner solves uniformize their own truncated models).
+        model, _ = reqs[0].resolve()
+        assert built.count(model.content_digest()) == 1
         info = worker_cache_info()
         assert info["misses"] == 1
         assert info["hits"] == len(reqs) - 1
@@ -354,7 +359,7 @@ class TestWorkerCache:
         reqs = [_request(method=m, eps=e, key=(m, e))
                 for m in ("SR", "RSD", "RRL") for e in (1e-6, 1e-8)]
         before = kernel_build_count()
-        outs = SolveService(fuse=True).solve(reqs)
+        outs = SolveService().solve(reqs)
         assert all(o.ok for o in outs)
         assert kernel_build_count() - before == 1
         assert worker_cache_info()["misses"] == 1

@@ -5,17 +5,16 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.batch.runner import BatchRunner
 from repro.batch.scenarios import (
     Scenario,
-    build_scenario_model,
     generate_scenarios,
     scenario_families,
-    scenario_tasks,
-    solve_scenario,
+    scenario_requests,
+    solve_scenarios,
 )
 from repro.exceptions import ModelError
 from repro.markov.rewards import Measure
+from repro.service import SolveService
 
 
 class TestGeneration:
@@ -62,7 +61,7 @@ class TestGeneration:
 class TestBuilding:
     def test_every_scenario_builds(self):
         for s in generate_scenarios(random_count=2):
-            model, rewards = build_scenario_model(s)
+            model, rewards = s.build()
             assert model.n_states == rewards.n_states
             assert rewards.max_rate > 0.0
 
@@ -70,8 +69,8 @@ class TestBuilding:
         # Pool workers rebuild models from the spec; the rebuild must
         # match exactly or parallel results could drift from serial ones.
         s = generate_scenarios(families=("block",), random_count=1)[0]
-        m1, r1 = build_scenario_model(s)
-        m2, r2 = build_scenario_model(s)
+        m1, r1 = s.build()
+        m2, r2 = s.build()
         assert np.array_equal(m1.generator.toarray(), m2.generator.toarray())
         assert np.array_equal(r1.rates, r2.rates)
 
@@ -85,17 +84,18 @@ class TestSolving:
     def test_solve_scenario_end_to_end(self):
         s = generate_scenarios(families=("birth_death",), random_count=1,
                                times=(1.0, 5.0), eps=1e-8)[0]
-        sol = solve_scenario(s, method="SR")
+        (out,) = solve_scenarios([s], methods=("SR",))
+        sol = out.unwrap()
         assert sol.values.shape == (2,)
         assert np.all(sol.values >= 0.0)
 
-    def test_scenario_tasks_through_runner(self):
+    def test_scenario_requests_through_service(self):
         scs = generate_scenarios(families=("birth_death",), random_count=2,
                                  times=(1.0,), eps=1e-8)
-        tasks = scenario_tasks(scs, methods=("SR", "ODE"))
-        assert [t.key for t in tasks] == [
+        requests = scenario_requests(scs, methods=("SR", "ODE"))
+        assert [r.key for r in requests] == [
             (s.name, m) for s in scs for m in ("SR", "ODE")]
-        outs = BatchRunner(max_workers=1).run(tasks)
+        outs = SolveService().solve(requests)
         assert all(o.ok for o in outs)
         # SR and ODE agree on the same scenario.
         by_key = {o.key: o.value for o in outs}

@@ -64,3 +64,23 @@ def make_stiff_model() -> tuple[CTMC, RewardStructure]:
     trans = [(0, 1, 1e-4), (1, 0, 100.0), (1, 2, 1e-3), (2, 0, 50.0)]
     model = CTMC.from_transitions(3, trans, initial=0)
     return model, RewardStructure.indicator(3, [2])
+
+
+def direct_solve(request):
+    """A request's registry solver run on its freshly built model, with
+    no shared kernel, no schedule cache and no plan: the reference every
+    planned execution must match bit for bit."""
+    from repro.analysis.runner import solve
+
+    model, rewards = request.resolve()
+    return solve(model, rewards, request.measure, list(request.times),
+                 request.eps, method=request.method,
+                 **request.solver_kwargs)
+
+
+def assert_bit_identical(got, want):
+    """Values, steps and (RRL's) abscissa counts agree bit for bit."""
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(np.asarray(got.stats.get("n_abscissae", ())),
+                          np.asarray(want.stats.get("n_abscissae", ())))

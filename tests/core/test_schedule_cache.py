@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.runner import get_solver
 from repro.batch.planner import SolveRequest, worker_cache_clear
-from repro.batch.scenarios import Scenario, build_scenario_model
+from repro.batch.scenarios import Scenario
 from repro.cache import clear_caches
 from repro.core.schedule_cache import (
     ScheduleCache,
@@ -17,6 +17,7 @@ from repro.core.schedule_cache import (
 )
 from repro.markov.rewards import Measure, RewardStructure
 from repro.service import SolveService
+from tests.conftest import assert_bit_identical, direct_solve
 
 EPS = 1e-10
 
@@ -29,7 +30,7 @@ def _scenario(n=40, birth=1.0, death=2.5, times=(0.5, 5.0, 50.0)):
 
 @pytest.fixture()
 def model_rewards():
-    return build_scenario_model(_scenario())
+    return _scenario().build()
 
 
 class TestScheduleCache:
@@ -151,8 +152,6 @@ class TestPlannerIntegration:
         # transformation group: the spec fingerprint hooks exclude
         # solution-phase knobs and carry no method.
         assert plan_requests(self._grid()).schedule_builds() == 1
-        assert plan_requests(self._grid(),
-                             memoize=False).schedule_builds() == 0
         # A distinct regenerative state is a genuine second build.
         s = _scenario()
         extra = SolveRequest(scenario=s, measure=Measure.TRR,
@@ -177,18 +176,17 @@ class TestPlannerIntegration:
             st["transformation_steps"] + st["transformation_steps_reused"]
             for st in stats)
 
-    def test_memoized_equals_unmemoized_bitwise(self):
+    def test_memoized_equals_direct_bitwise(self):
         clear_caches()
-        memoized = SolveService(memoize=True).solve(self._grid())
+        memoized = SolveService().solve(self._grid())
         clear_caches()
-        plain = SolveService(memoize=False).solve(self._grid())
+        direct = [direct_solve(req) for req in self._grid()]
         assert process_schedule_cache_info()["misses"] == 0
-        for a, b in zip(memoized, plain):
-            assert a.ok and b.ok
-            assert np.array_equal(a.value.values, b.value.values)
-            assert np.array_equal(a.value.steps, b.value.steps)
-        # memoize=False never touches the cache and leaves no stats flag.
-        assert "schedule_cache_hit" not in plain[0].value.stats
+        for got, want in zip(memoized, direct):
+            assert got.ok
+            assert_bit_identical(got.value, want)
+        # A direct solve never touches the cache and leaves no stats flag.
+        assert "schedule_cache_hit" not in direct[0].stats
 
     def test_unmemoizable_methods_never_touch_the_cache(self):
         clear_caches()

@@ -12,6 +12,7 @@ from repro.exceptions import QueueError
 from repro.markov.rewards import Measure
 from repro.service import JobQueue, SolveService
 from repro.service.protocol import SCHEMA_VERSION
+from tests.conftest import assert_bit_identical, direct_solve
 
 
 def _scenario(n=7, birth=0.4, death=1.2):
@@ -70,27 +71,26 @@ class TestSubmitAndInspect:
 class TestKillAndResume:
     def test_resume_is_bit_identical_to_in_process(self, tmp_path):
         """The acceptance test: kill after half the jobs, resume from
-        the journal alone, and every outcome must match uninterrupted
-        in-process execution bit for bit."""
+        the journal alone, and every outcome must match its direct
+        registry solve bit for bit."""
         requests = _requests(6)
-        reference = SolveService(fuse=False).solve(requests)
+        reference = [direct_solve(req) for req in requests]
 
         queue = JobQueue(tmp_path / "q")
         queue.submit(requests)
-        done = queue.run(SolveService(fuse=True), limit=3, checkpoint=1)
+        done = queue.run(SolveService(), limit=3, checkpoint=1)
         assert len(done) == 3
         del queue  # the "kill": only the journal survives
 
         resumed = JobQueue.resume(tmp_path / "q")
         assert len(resumed.pending()) == 3
-        resumed.run(SolveService(fuse=True), checkpoint=2)
+        resumed.run(SolveService(), checkpoint=2)
         outcomes = resumed.collect()
 
         assert [o.key for o in outcomes] == [r.key for r in requests]
         for got, ref in zip(outcomes, reference):
-            assert got.ok and ref.ok
-            assert np.array_equal(got.value.values, ref.value.values)
-            assert np.array_equal(got.value.steps, ref.value.steps)
+            assert got.ok
+            assert_bit_identical(got.value, ref)
 
     def test_torn_final_line_is_ignored_job_stays_pending(self, tmp_path):
         queue = JobQueue(tmp_path / "q")

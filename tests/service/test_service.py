@@ -1,6 +1,6 @@
-"""``SolveService`` facade: fused == unfused, correct scatter/ordering
-for mixed workloads, and proper plan policy plumbing (fuse on/off,
-custom runners)."""
+"""``SolveService`` facade: planned == direct solves, correct
+scatter/ordering for mixed workloads, and pool plumbing (custom
+runners, ready backends)."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from repro.batch.scenarios import Scenario
 from repro.markov.base import TransientSolution
 from repro.markov.rewards import Measure
 from repro.service import ServiceResult, SolveService
-from repro.solvers import registry
+from tests.conftest import assert_bit_identical, direct_solve
 
 
 def _scenario(name="svc-bd", n=8, birth=0.5, death=1.5):
@@ -24,7 +24,7 @@ def _scenario(name="svc-bd", n=8, birth=0.5, death=1.5):
 def _requests():
     s = _scenario()
     out = []
-    for i, method in enumerate(("SR", "SR", "RSD", "RRL")):
+    for i, method in enumerate(("SR", "SR", "RSD", "RRL", "RR")):
         out.append(SolveRequest(scenario=s, measure=Measure.TRR,
                                 times=s.times, eps=1e-8 * 10.0 ** -(i % 2),
                                 method=method, key=(method, i)))
@@ -36,27 +36,21 @@ def _passthrough(tag):
 
 
 class TestFacadeEquivalence:
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_bit_identical_to_direct_solver(self, fuse):
+    def test_bit_identical_to_direct_solver(self):
         # Neither the fusion plan nor the cross-cell caches may change a
         # number: every cell equals its registry solver called directly.
+        # The two SR cells and RSD share one stepping sweep; RR shares
+        # RRL's schedules through the worker's schedule cache.
         requests = _requests()
-        via_service = SolveService(fuse=fuse).solve(requests)
+        service = SolveService()
+        plan = service.plan(requests)
+        assert plan.fused_cells == 3
+        assert plan.schedule_builds() == 1
+        via_service = service.solve(requests)
         assert [o.key for o in via_service] == [r.key for r in requests]
         for out, req in zip(via_service, requests):
-            model, rewards = req.resolve()
-            direct = registry.get_spec(req.method).build().solve(
-                model, rewards, req.measure, list(req.times), req.eps)
             assert out.ok
-            assert np.array_equal(out.value.values, direct.values)
-            assert np.array_equal(out.value.steps, direct.steps)
-
-    def test_fused_equals_unfused_through_facade(self):
-        requests = _requests()
-        fused = SolveService(fuse=True).solve(requests)
-        unfused = SolveService(fuse=False).solve(requests)
-        for a, b in zip(fused, unfused):
-            assert np.array_equal(a.value.values, b.value.values)
+            assert_bit_identical(out.value, direct_solve(req))
 
 
 class TestMixedWorkload:
@@ -97,18 +91,16 @@ class TestConfigurationPlumbing:
         assert isinstance(sol, TransientSolution)
         assert sol.method == "SR"
 
-    def test_plan_reports_policy(self):
-        service = SolveService(fuse=True)
-        plan = service.plan(_requests())
-        assert plan.fuse_enabled
-        assert "fusion on" in plan.summary()
-        assert not SolveService(fuse=False).plan(_requests()).fuse_enabled
+    def test_plan_summary(self):
+        plan = SolveService().plan(_requests())
+        assert plan.summary() == ("5 requests -> 3 tasks (1 fused "
+                                  "covering 3 cells, 0 coalesced)")
 
     def test_properties_and_custom_runner(self):
         runner = BatchRunner(max_workers=1)
-        service = SolveService(runner=runner, fuse=False)
+        service = SolveService(runner=runner)
         assert service.runner is runner
-        assert service.fuse is False
+        assert service.backend is runner.backend
 
     def test_ready_backend_owns_pool_shape(self):
         backend = ProcessBackend(max_workers=2)
@@ -137,19 +129,20 @@ class TestExperimentsIntegration:
 
         cfg = ExperimentConfig(groups=(2,), times=(1.0, 10.0))
         default = run_grid(cfg, include_timings=False)
-        explicit = run_grid(cfg, SolveService(workers=1, fuse=True),
+        explicit = run_grid(cfg, SolveService(workers=1),
                             include_timings=False)
         assert explicit.table1.columns == default.table1.columns
         assert explicit.table2.columns == default.table2.columns
         assert explicit.ur_values == default.ur_values
+        assert explicit.ur_abscissae == default.ur_abscissae
 
-    def test_config_service_carries_policy(self):
+    def test_config_service_carries_pool_shape(self):
         from repro.analysis.experiments import ExperimentConfig
 
         cfg = ExperimentConfig(groups=(2,), times=(1.0,), workers=2,
-                               fuse=False)
+                               backend="processes")
         service = cfg.service()
-        assert service.fuse is False
+        assert service.backend.name == "processes"
         assert service.runner.max_workers == 2
 
     def test_quick_preset(self):

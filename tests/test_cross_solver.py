@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import get_solver
-from repro.batch.scenarios import build_scenario_model, generate_scenarios
+from repro.batch.scenarios import generate_scenarios
 from repro.markov.base import SolveCell
 from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.sweep import solve_shared
@@ -60,7 +60,7 @@ def _methods_for(model):
 
 
 def _solve_all(scenario):
-    model, rewards = build_scenario_model(scenario)
+    model, rewards = scenario.build()
     guaranteed, numeric = _methods_for(model)
     values = {}
     for method in guaranteed + numeric:
@@ -123,7 +123,7 @@ def test_fused_equals_unfused_bitwise(scenario):
     eps, times) so the stacked pass cannot accidentally share anything
     beyond the stepping itself.
     """
-    model, rewards = build_scenario_model(scenario)
+    model, rewards = scenario.build()
     cell = SolveCell(rewards=rewards, measure=scenario.measure,
                      times=scenario.times, eps=scenario.eps)
     siblings = [
@@ -166,7 +166,7 @@ def test_matrix_covers_every_registered_solver():
 
     covered = set()
     for scenario in TRR_SCENARIOS + MRR_SCENARIOS:
-        model, _ = build_scenario_model(scenario)
+        model, _ = scenario.build()
         guaranteed, numeric = _methods_for(model)
         covered.update(guaranteed)
         covered.update(numeric)
@@ -184,7 +184,7 @@ def test_multistep_agrees_on_trr():
     scenario = generate_scenarios(families=("birth_death",), seed=13,
                                   random_count=1, times=(0.5, 5.0),
                                   eps=EPS)[0]
-    model, rewards = build_scenario_model(scenario)
+    model, rewards = scenario.build()
     ms = get_solver("MS").solve(model, rewards, Measure.TRR,
                                 list(scenario.times), scenario.eps)
     sr = get_solver("SR").solve(model, rewards, Measure.TRR,

@@ -1,11 +1,17 @@
 """Command-line scripts under ``scripts/``: start-up behaviour that the
 library's own tests cannot see."""
 
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.analysis.experiments import GridResult, StepTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -72,3 +78,31 @@ def test_cli_pins_blas_before_numpy_loads():
     seen = _threads_when_numpy_loads(None)
     assert seen == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                     "MKL_NUM_THREADS": "1"}
+
+
+def _load_paper_grid_script(monkeypatch):
+    """``run_paper_grid.py`` as a module. It pins the thread-pool
+    variables on import; ``monkeypatch`` restores them afterwards."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(
+        "run_paper_grid", SCRIPTS / "run_paper_grid.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_compares_ur_abscissae(monkeypatch):
+    # Two grids that differ only in one abscissa count are not the same
+    # reproduction: --verify must reject them.
+    script = _load_paper_grid_script(monkeypatch)
+    table = StepTable(title="t", times=(1.0,), columns={"G=2 RSD": [27]})
+    grid = GridResult(table1=table, table2=table,
+                      ur_values={2: [0.5, 0.7]},
+                      ur_abscissae={2: [33, 62]})
+    script._assert_grids_equal(grid, dataclasses.replace(grid), "same")
+    drifted = dataclasses.replace(grid, ur_abscissae={2: [33, 63]})
+    with pytest.raises(AssertionError, match="abscissa"):
+        script._assert_grids_equal(grid, drifted, "drifted")
