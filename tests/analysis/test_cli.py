@@ -26,6 +26,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
 
+    @pytest.mark.parametrize("flag", ["--no-fuse", "--no-memoize"])
+    def test_batch_run_policy_flags_are_gone(self, flag):
+        # The planned path, fused and memoized, is the only batch path.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "run", "--queue", "q", flag])
+
 
 class TestCommands:
     def test_solve_trr(self, capsys):

@@ -15,6 +15,7 @@ from repro.batch.scenarios import (
 from repro.exceptions import ModelError
 from repro.markov.rewards import Measure
 from repro.service import SolveService
+from tests.conftest import assert_bit_identical, direct_solve
 
 
 class TestGeneration:
@@ -88,6 +89,17 @@ class TestSolving:
         sol = out.unwrap()
         assert sol.values.shape == (2,)
         assert np.all(sol.values >= 0.0)
+
+    def test_solve_scenarios_equals_direct_bitwise(self):
+        scs = generate_scenarios(families=("birth_death",), random_count=2,
+                                 times=(1.0, 5.0), eps=1e-8)
+        methods = ("SR", "RSD", "RRL")
+        outs = solve_scenarios(scs, methods=methods)
+        requests = scenario_requests(scs, methods)
+        assert [o.key for o in outs] == [r.key for r in requests]
+        for out, req in zip(outs, requests):
+            assert out.ok
+            assert_bit_identical(out.value, direct_solve(req))
 
     def test_scenario_requests_through_service(self):
         scs = generate_scenarios(families=("birth_death",), random_count=2,

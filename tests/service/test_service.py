@@ -102,6 +102,16 @@ class TestConfigurationPlumbing:
         assert service.runner is runner
         assert service.backend is runner.backend
 
+    @pytest.mark.parametrize("knob", ["fuse", "memoize"])
+    def test_policy_knobs_are_gone(self, knob):
+        # Batch work has one execution path; there is nothing to switch.
+        from repro.analysis.experiments import ExperimentConfig
+
+        with pytest.raises(TypeError):
+            SolveService(**{knob: False})
+        with pytest.raises(TypeError):
+            ExperimentConfig.quick(**{knob: False})
+
     def test_ready_backend_owns_pool_shape(self):
         backend = ProcessBackend(max_workers=2)
         service = SolveService(backend=backend)
