@@ -3,16 +3,15 @@
 
 Default: the paper's exact grid (G ∈ {20, 40}, t up to 10⁵ h) compiled by
 the fusion planner (duplicate solves coalesce, unfused cells share one
-kernel per worker) and fanned over an execution backend (``--backend``:
-process pool by default, or inline serial). ``--quick`` switches to a
-seconds-scale smoke grid for CI. ``--verify`` asserts that neither the
-planner nor the execution backend ever changes a number: every solve
-cell of the grid, solved through the configured service, must equal its
-direct registry solve (values, steps and abscissa counts, bit for bit);
-pooled runs are re-run on both backends and their grids compared; and
-the grid's solve cells are pushed through an on-disk ``JobQueue`` —
-killed halfway and resumed from the journal — whose collected outcomes
-must equal the direct solves too.
+kernel per worker) and fanned over a process pool (``--workers``), or run
+inline with ``--serial``. ``--quick`` switches to a seconds-scale smoke
+grid for CI. ``--verify`` asserts that neither the planner nor the pool
+ever changes a number: every solve cell of the grid, solved through the
+configured service, must equal its direct registry solve (values, steps
+and abscissa counts, bit for bit); pooled runs are re-run inline and
+their grids compared; and the grid's solve cells are pushed through an
+on-disk ``JobQueue`` — killed halfway and resumed from the journal —
+whose collected outcomes must equal the direct solves too.
 
 Native BLAS/OpenMP thread pools are pinned to one thread before numpy
 loads. Pool workers inherit the pin, so N workers use N cores instead of
@@ -53,7 +52,6 @@ from repro.analysis.experiments import (  # noqa: E402
     run_grid,
 )
 from repro.analysis.runner import solve  # noqa: E402
-from repro.batch.backends import BACKEND_NAMES  # noqa: E402
 from repro.batch.runner import available_cpus  # noqa: E402
 from repro.models import build_raid5_availability  # noqa: E402
 from repro.service import JobQueue  # noqa: E402
@@ -68,12 +66,9 @@ def _default_workers() -> int:
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
     workers = 1 if args.serial else args.workers
-    # Normalize the backend to a concrete name so the verify axis can
-    # skip the backend this run already used.
-    backend = args.backend or "processes"
     if args.quick:
-        return ExperimentConfig.quick(workers=workers, backend=backend)
-    return ExperimentConfig.paper(workers=workers, backend=backend)
+        return ExperimentConfig.quick(workers=workers)
+    return ExperimentConfig.paper(workers=workers)
 
 
 def _assert_grids_equal(reference: GridResult, other: GridResult,
@@ -176,37 +171,33 @@ def verify_service_queue(config: ExperimentConfig, requests,
 
 
 def verify_executions(config: ExperimentConfig, result: GridResult) -> None:
-    """Assert planned == direct, serial == processes and queue == direct,
+    """Assert planned == direct, pooled == inline and queue == direct,
     bit for bit.
 
     The reference is each grid solve cell's direct registry solve. The
     main run's tables and UR sweep, and the cells solved again through
     ``config.service()`` (values included), must match it; pooled runs
-    re-run the grid on every backend and compare it with the main run;
-    the queue axis runs the cells through a killed and resumed
+    re-run the grid inline (``workers=1``) and compare it with the main
+    run; the queue axis runs the cells through a killed and resumed
     :class:`JobQueue`.
     """
     requests = grid_solve_requests(config)
     reference = [_direct_solve(req) for req in requests]
-    pool = "serial" if config.workers == 1 else \
-        f"pooled ({config.backend})"
+    pool = "inline" if config.workers == 1 else \
+        f"pooled ({config.workers} workers)"
     _assert_grid_matches(result, requests, reference)
     _assert_outcomes_equal(config.service().solve(requests), requests,
                            reference, f"planned {pool}")
     print(f"verify: planned {pool} grid and its {len(requests)} solve "
           "cells vs direct solves — bit-identical, OK", flush=True)
     if config.workers > 1:
-        # The backend axis: the same pooled grid on both execution
-        # backends. With workers=1 each backend degrades to the
-        # identical inline loop, so there is nothing to compare.
-        for name in BACKEND_NAMES:
-            if name == config.backend:
-                continue
-            alt = run_grid(dataclasses.replace(config, backend=name),
-                           include_timings=False)
-            label = f"{pool} vs {name} backend"
-            _assert_grids_equal(result, alt, label)
-            print(f"verify: {label} — bit-identical, OK", flush=True)
+        # The pool axis: the same grid inline. An inline main run has
+        # nothing to compare against.
+        inline = run_grid(dataclasses.replace(config, workers=1),
+                          include_timings=False)
+        label = f"{pool} vs inline"
+        _assert_grids_equal(result, inline, label)
+        print(f"verify: {label} — bit-identical, OK", flush=True)
     verify_service_queue(config, requests, reference)
 
 
@@ -219,15 +210,11 @@ def main(argv: list[str] | None = None) -> int:
                              "at least 2)")
     parser.add_argument("--serial", action="store_true",
                         help="force inline execution (workers=1)")
-    parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="execution backend: serial runs inline, "
-                             "processes fans out to isolated workers "
-                             "(default: processes)")
     parser.add_argument("--no-timings", action="store_true",
                         help="skip the Figure 3/4 timing sweeps")
     parser.add_argument("--verify", action="store_true",
-                        help="assert planned == direct solves, both "
-                             "backends and a killed/resumed queue agree "
+                        help="assert planned == direct solves, pooled "
+                             "== inline and a killed/resumed queue agree "
                              "bit for bit")
     parser.add_argument("--json", metavar="PATH",
                         help="dump the full grid result as JSON")
@@ -237,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
 
     config = make_config(args)
     mode = "serial" if config.workers == 1 \
-        else f"{config.workers} workers on {config.backend}"
+        else f"{config.workers} workers"
     print(f"== paper grid ({'quick' if args.quick else 'paper'} scale, "
           f"{mode}) ==", flush=True)
     if not args.no_timings and config.workers > 1:
@@ -266,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
         payload = result.to_dict()
         payload["elapsed_seconds"] = elapsed
         payload["workers"] = config.workers
-        payload["backend"] = config.backend
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}", flush=True)

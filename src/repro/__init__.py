@@ -32,10 +32,11 @@ Public API
 * Experiments: :mod:`repro.analysis` (the table/figure harness).
 * Batch substrate: :mod:`repro.batch` (shared uniformization kernel,
   parametric scenario generator, model-fused execution planner,
-  parallel :class:`BatchRunner`).
+  inline or pooled task execution).
 * **Service (canonical batch API)**: :mod:`repro.service` —
-  :class:`SolveService` (the one entry point wrapping planner → runner →
-  scatter), a versioned JSON wire protocol for
+  :class:`SolveService` (the one entry point wrapping planner → pool →
+  scatter, and the one holder of the pool shape), a versioned JSON wire
+  protocol for
   :class:`SolveRequest`/:class:`BatchOutcome`/:class:`TransientSolution`
   (:mod:`repro.service.protocol`, ``schema_version``-checked,
   bit-exact), and :class:`JobQueue`, a resumable on-disk job queue whose
@@ -63,12 +64,9 @@ _EXPORTS = {
         ("BoundedSolution", "RegenerativeRandomizationSolver",
          "RRLBoundsSolver", "RRLSolver", "ScheduleCache"), "repro.core"),
     "SolverSpec": "repro.solvers.registry",
-    **dict.fromkeys(("Backend", "ProcessBackend", "SerialBackend"),
-                    "repro.batch.backends"),
     "UniformizationKernel": "repro.batch.kernel",
     "SolveRequest": "repro.batch.planner",
-    **dict.fromkeys(("BatchOutcome", "BatchRunner", "BatchTask"),
-                    "repro.batch.runner"),
+    **dict.fromkeys(("BatchOutcome", "BatchTask"), "repro.batch.runner"),
     **dict.fromkeys(("Scenario", "generate_scenarios"),
                     "repro.batch.scenarios"),
     **dict.fromkeys(("JobQueue", "ServiceResult", "SolveService"),
@@ -100,6 +98,22 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 9.0.0: one pool shape. Breaking: ``BatchRunner`` and the execution
+# backends (``repro.batch.backends``: ``Backend``, ``SerialBackend``,
+# ``ProcessBackend``, ``resolve_backend``, ``BACKEND_NAMES``) are gone,
+# as are ``SolveService(runner=)`` and its ``runner``/``backend``
+# properties, ``--backend`` on ``repro batch run`` and
+# ``scripts/run_paper_grid.py`` and the latter's JSON ``backend`` key,
+# the plan-time schedule prediction (``ExecutionPlan.schedule_builds``,
+# ``SolverSpec.schedule_fingerprint``,
+# ``regenerative_schedule_fingerprint``) and the registry helpers
+# ``methods_with``, ``stack_fusable_methods``, ``kernel_aware_methods``
+# and ``schedule_memoizable_methods``. ``SolveService(workers=,
+# task_timeout=)`` holds the pool shape and runs
+# ``repro.batch.runner.run_tasks``; ``backend`` stays as a name
+# (``"serial"`` forces inline). Kernels built by ``from_model`` no
+# longer keep ``Qᵀ``. Every number is bit-identical.
+#
 # 8.0.0: one batch execution path. Breaking: the planner's ``fuse`` and
 # ``memoize`` switches are gone from ``plan_requests``, ``run_request``,
 # ``ExecutionPlan``, ``SolveService``, ``ExperimentConfig``,
@@ -161,7 +175,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "__version__",
@@ -178,8 +192,7 @@ __all__ = [
     "OdeSolver", "MultistepRandomizationSolver", "RRLBoundsSolver",
     "BoundedSolution", "SolverSpec", "ScheduleCache",
     # batch subsystem
-    "UniformizationKernel", "BatchRunner", "BatchTask", "BatchOutcome",
-    "Backend", "SerialBackend", "ProcessBackend",
+    "UniformizationKernel", "BatchTask", "BatchOutcome",
     "Scenario", "generate_scenarios", "SolveRequest",
     # service layer (canonical batch API)
     "SolveService", "ServiceResult", "JobQueue",

@@ -121,10 +121,10 @@ class ExperimentConfig:
     workers: int = 1
     """Pool size for the grid; 1 = inline (identical results)."""
     backend: str | None = None
-    """Execution backend for the grid: ``"serial"``, ``"processes"``
-    (isolated workers, per-worker caches) or ``None`` for processes.
-    Both produce bit-identical numbers — this is an execution knob (see
-    :mod:`repro.batch.backends`)."""
+    """``"serial"`` forces the grid inline whatever ``workers`` says;
+    ``"processes"`` or ``None`` means a pool of ``workers``. Both give
+    bit-identical numbers (see
+    :class:`~repro.service.service.SolveService`)."""
 
     @classmethod
     def paper(cls, *, sr_step_budget: int = 10_000_000,

@@ -13,15 +13,14 @@ Four layers, each usable on its own:
   declarative :class:`~repro.batch.planner.SolveRequest` cells into
   coalesced, model-grouped, stack-fused batch tasks with a per-worker
   kernel cache;
-* :mod:`repro.batch.runner` — a :class:`~repro.batch.runner.BatchRunner`
-  running tasks inline or on a process pool
-  (:mod:`repro.batch.backends`) with per-task timeouts, structured
-  failure capture and deterministic result ordering.
+* :mod:`repro.batch.runner` — :func:`~repro.batch.runner.run_tasks`,
+  running tasks inline or on a process pool with per-task timeouts,
+  structured failure capture and deterministic result ordering.
 
 These are the substrate layers; application code should normally enter
 through :class:`repro.service.service.SolveService` (the canonical
-facade wrapping planner → runner → scatter) rather than wiring the
-planner and runner together by hand.
+facade wrapping planner → pool → scatter, and the one holder of the
+pool shape) rather than wiring the planner and runner together by hand.
 
 The package ``__init__`` resolves attributes lazily: the kernel is imported
 *by* the solver modules (``repro.markov.standard`` etc.), so eagerly
@@ -50,12 +49,7 @@ __all__ = [
     "poisson_tail_cache_info",
     "poisson_tail_cache_clear",
     "kernel_build_count",
-    "Backend",
-    "SerialBackend",
-    "ProcessBackend",
-    "BACKEND_NAMES",
-    "resolve_backend",
-    "BatchRunner",
+    "run_tasks",
     "BatchTask",
     "BatchOutcome",
     "Scenario",
@@ -78,12 +72,7 @@ _EXPORTS = {
     "poisson_tail_cache_info": "repro.batch.kernel",
     "poisson_tail_cache_clear": "repro.batch.kernel",
     "kernel_build_count": "repro.batch.kernel",
-    "Backend": "repro.batch.backends",
-    "SerialBackend": "repro.batch.backends",
-    "ProcessBackend": "repro.batch.backends",
-    "BACKEND_NAMES": "repro.batch.backends",
-    "resolve_backend": "repro.batch.backends",
-    "BatchRunner": "repro.batch.runner",
+    "run_tasks": "repro.batch.runner",
     "BatchTask": "repro.batch.runner",
     "BatchOutcome": "repro.batch.runner",
     "Scenario": "repro.batch.scenarios",

@@ -207,10 +207,12 @@ class UniformizationKernel:
         stepping-only use, required for :meth:`window`.
     generator:
         The CTMC generator ``Q``; optional, required only for
-        :meth:`step_rate`. No solver steps at a varying rate since
-        adaptive uniformization was removed (6.0.0); this path stays only
-        because ``perfbench/layers.py`` hooks ``step_rate`` by name, and
-        goes once the benchmark drops that hook.
+        :meth:`step_rate`, and passed only by :meth:`from_generator`
+        (:meth:`from_model` keeps no ``Qᵀ``). No solver steps at a
+        varying rate since adaptive uniformization was removed (6.0.0);
+        this path stays only because ``perfbench/layers.py`` hooks
+        ``step_rate`` by name, and goes once the benchmark drops that
+        hook.
 
     Notes
     -----
@@ -268,11 +270,11 @@ class UniformizationKernel:
         randomized chain's initial distribution and the realized rate.
         The kernel keeps a reference to the randomized chain (see
         :attr:`dtmc`), so a cached kernel can be handed to any solver
-        without re-uniformizing the model.
+        without re-uniformizing the model. It keeps no generator, so its
+        :meth:`step_rate` raises.
         """
         dtmc, lam = model.uniformize(rate, slack)
-        kernel = cls(dtmc.transition_matrix, rate=lam,
-                     generator=model.generator)
+        kernel = cls(dtmc.transition_matrix, rate=lam)
         kernel._dtmc = dtmc
         return kernel, dtmc, lam
 

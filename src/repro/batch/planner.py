@@ -30,7 +30,7 @@ cells into model-grouped work:
    cache of :mod:`repro.cache`, keyed on the model fingerprint.
 
 The planner emits ordinary :class:`~repro.batch.runner.BatchTask` objects,
-so fusion composes with :class:`~repro.batch.runner.BatchRunner` pool
+so fusion composes with :func:`~repro.batch.runner.run_tasks` pool
 fan-out unchanged: a fused window is simply one (bigger) task. Requests are
 picklable — scenario-backed requests ship only the scenario description;
 model-backed requests ship the CSR once per task.
@@ -388,29 +388,6 @@ class ExecutionPlan:
         return sum(len(slots) for slots, f in zip(self.assignments,
                                                   self.fused) if f)
 
-    def schedule_builds(self) -> int:
-        """Upper bound on the schedule transformations a memoizing worker
-        builds for this plan.
-
-        Schedule-memoizable requests (RR/RRL) are grouped by ``(model,
-        rewards, spec.schedule_fingerprint(solver_kwargs))`` — the specs'
-        fingerprint hooks declare which constructor kwargs the ``K + L``
-        phase depends on, so cells differing only in solution-phase knobs
-        (``t_factor``, ``inner_max_steps``) count as one build, and RR
-        and RRL cells on one model share a group. An upper bound because
-        the hook sees raw kwargs: a cell spelling out a default
-        (``rate=Λ_max``) fingerprints apart from one relying on it, yet
-        lands on the same cache entry at run time.
-        """
-        groups = set()
-        for req in self.requests:
-            spec = registry.get_spec(req.method)
-            if not spec.schedule_memoizable:
-                continue
-            groups.add((model_fingerprint(req), _rewards_fingerprint(req),
-                        spec.schedule_fingerprint(req.solver_kwargs)))
-        return len(groups)
-
     def summary(self) -> str:
         """One-line human description (scripts print this)."""
         return (f"{self.n_requests} requests -> {self.n_tasks} tasks "
@@ -495,7 +472,7 @@ def plan_requests(requests: Iterable[SolveRequest]) -> ExecutionPlan:
         for slots in lanes.values():
             reps = tuple(requests[slot[0]] for slot in slots)
             # weight: the window does N cells' worth of work in one
-            # task, so BatchRunner timeout budgets must scale accordingly.
+            # task, so pooled timeout budgets must scale accordingly.
             tasks.append(BatchTask(fn=run_fused_group, args=(reps,),
                                    key=("fused",
                                         tuple(r.key for r in reps)),

@@ -14,11 +14,11 @@ this module programmatically produces grid cells over
 
 A :class:`Scenario` is deliberately *descriptive*: a registry key plus a
 plain parameter dict, never a live model. That keeps scenarios tiny and
-picklable, so a :class:`~repro.batch.runner.BatchRunner` worker rebuilds
-the model on its side of the process boundary instead of shipping CSR
-matrices through pickles for every cell. Building is cheap relative to
-solving; rebuilt models are bit-identical because every family is either
-deterministic or seeded.
+picklable, so a pool worker of :func:`~repro.batch.runner.run_tasks`
+rebuilds the model on its side of the process boundary instead of
+shipping CSR matrices through pickles for every cell. Building is cheap
+relative to solving; rebuilt models are bit-identical because every
+family is either deterministic or seeded.
 """
 
 from __future__ import annotations

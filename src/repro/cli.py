@@ -36,7 +36,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.analysis.convergence import compare_regenerative_states
-from repro.batch.backends import BACKEND_NAMES
 from repro.analysis.experiments import (
     ExperimentConfig,
     grid_solve_requests,
@@ -185,7 +184,7 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
     from repro.service import JobQueue, SolveService
 
     queue = JobQueue.resume(args.queue)
-    service = SolveService(workers=args.workers, backend=args.backend)
+    service = SolveService(workers=args.workers)
     processed = queue.run(service, limit=args.limit,
                           checkpoint=args.checkpoint)
     failed = sum(1 for _, o in processed if not o.ok)
@@ -298,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--queue", required=True, metavar="DIR")
     pb.add_argument("--workers", type=_positive_int, default=1,
                     help="pool size (default: 1, inline)")
-    pb.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                    help="execution backend: serial runs inline, "
-                         "processes fans out to isolated workers "
-                         "(default: processes)")
     pb.add_argument("--limit", type=int, default=None,
                     help="process at most this many pending jobs")
     pb.add_argument("--checkpoint", type=_positive_int, default=8,

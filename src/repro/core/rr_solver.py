@@ -19,10 +19,7 @@ import numpy as np
 
 from repro.batch.kernel import UniformizationKernel
 from repro.core._setup import prepare
-from repro.core.schedule_cache import (
-    ScheduleCache,
-    regenerative_schedule_fingerprint,
-)
+from repro.core.schedule_cache import ScheduleCache
 from repro.core.truncation import select_truncation
 from repro.core.vkl import build_vkl
 from repro.markov.base import TransientSolution, as_time_array
@@ -165,7 +162,6 @@ register(SolverSpec(
             "V_KL by inner SR)",
     kernel_aware=True,
     schedule_memoizable=True,
-    schedule_fingerprint=regenerative_schedule_fingerprint,
     step_budget_kwarg="inner_max_steps",
     table_label="RR/RRL",
 ))

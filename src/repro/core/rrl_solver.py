@@ -25,10 +25,7 @@ import numpy as np
 
 from repro.batch.kernel import UniformizationKernel
 from repro.core._setup import prepare
-from repro.core.schedule_cache import (
-    ScheduleCache,
-    regenerative_schedule_fingerprint,
-)
+from repro.core.schedule_cache import ScheduleCache
 from repro.core.transforms import VklTransform
 from repro.core.truncation import select_truncation
 from repro.laplace.inversion import invert_bounded, invert_cumulative
@@ -188,6 +185,5 @@ register(SolverSpec(
             "(the paper's method)",
     kernel_aware=True,
     schedule_memoizable=True,
-    schedule_fingerprint=regenerative_schedule_fingerprint,
     table_label="RR/RRL",
 ))

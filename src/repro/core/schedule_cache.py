@@ -33,8 +33,7 @@ whose :class:`~repro.solvers.registry.SolverSpec` declares
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.cache import BoundedCache, shared_cache
 from repro.core._setup import (
@@ -50,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ScheduleCache",
-    "regenerative_schedule_fingerprint",
     "process_schedule_cache",
     "process_schedule_cache_clear",
     "process_schedule_cache_info",
@@ -60,21 +58,6 @@ __all__ = [
 #: models; RR and RRL share entries (the key has no method), so 16 covers
 #: every in-tree sweep while bounding a long-lived worker's memory.
 _DEFAULT_MAX_ENTRIES = 16
-
-
-def regenerative_schedule_fingerprint(
-        solver_kwargs: Mapping[str, Any]) -> tuple:
-    """The subset of RR/RRL constructor kwargs the transformation depends
-    on (the :class:`~repro.solvers.registry.SolverSpec` fingerprint hook,
-    consumed by
-    :meth:`repro.batch.planner.ExecutionPlan.schedule_builds`).
-
-    Everything else (``t_factor``, ``max_terms``, ``inner_max_steps``)
-    tunes only the per-``t`` solution phase, so cells differing in those
-    still share one schedule.
-    """
-    return (("regenerative", solver_kwargs.get("regenerative")),
-            ("rate", solver_kwargs.get("rate")))
 
 
 class ScheduleCache(BoundedCache):

@@ -72,7 +72,7 @@ Events (rates; ``→ FAILED`` marks system failure)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,7 +23,7 @@ The three layers:
 Data flow::
 
     SolveRequest ──protocol──▶ journal ──JobQueue──▶ SolveService
-        ──planner──▶ BatchRunner shard ──▶ BatchOutcome ──▶ journal
+        ──planner──▶ run_tasks shard ──▶ BatchOutcome ──▶ journal
 
 which makes sharding the grid across machines a transport problem: any
 worker holding the journal line can replay the cell.

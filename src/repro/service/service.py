@@ -2,9 +2,10 @@
 
 Per-solver ``solve(...)`` and :func:`repro.analysis.runner.solve` serve
 one ad-hoc solve of a live model. Everything batch-shaped goes through
-``SolveService``: it owns the planner (coalescing + fusion), the
-:class:`~repro.batch.runner.BatchRunner` pool it executes on (and with it
-the per-worker kernel-cache behaviour), and the scatter bookkeeping that
+``SolveService``: it owns the planner (coalescing + fusion), the pool
+shape its tasks run on (:func:`~repro.batch.runner.run_tasks`: inline,
+or ``workers`` processes with per-task deadlines, and with it the
+per-worker kernel-cache behaviour), and the scatter bookkeeping that
 maps task results back onto requests — so ``analysis``,
 ``batch.scenarios``, the CLI and the scripts never touch planner or
 runner internals.
@@ -20,9 +21,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.batch.backends import Backend
 from repro.batch.planner import ExecutionPlan, plan_requests, SolveRequest
-from repro.batch.runner import BatchOutcome, BatchRunner, BatchTask
+from repro.batch.runner import BatchOutcome, BatchTask, run_tasks
 from repro.markov.base import TransientSolution
 
 __all__ = ["SolveService", "ServiceResult"]
@@ -53,48 +53,43 @@ class ServiceResult:
 
 
 class SolveService:
-    """Facade wrapping planner → runner → scatter behind one call.
+    """Facade wrapping planner → pool → scatter behind one call.
 
     Parameters
     ----------
     workers:
-        Pool size, forwarded to the internally-built
-        :class:`~repro.batch.runner.BatchRunner` (ignored when ``runner``
-        is given). The default ``workers=1`` runs everything inline with
-        identical numbers. Other pool settings (deadlines) go in
-        through ``backend=ProcessBackend(...)`` or ``runner``.
+        Pool size. The default ``workers=1`` runs everything inline in
+        the calling process; larger values fan the tasks over that many
+        worker processes. Both give bit-identical numbers.
+    task_timeout:
+        Soft per-task seconds budget for pooled runs, anchored at
+        submission and scaled by each task's ``weight`` (see
+        :func:`~repro.batch.runner.run_tasks`); ``None`` disables
+        deadlines. Inline runs are never interrupted.
     backend:
-        Execution strategy (``"serial"`` / ``"processes"``, a
-        :class:`~repro.batch.backends.Backend` instance, which then owns
-        its pool shape, or ``None`` for processes), forwarded to the
-        runner. Both backends produce bit-identical outcomes — see
-        :mod:`repro.batch.backends`.
-    runner:
-        A pre-built runner to execute on instead (e.g. one shared across
-        several services).
+        ``"serial"`` forces inline execution whatever ``workers`` says;
+        ``"processes"`` or ``None`` means a pool of ``workers``.
     """
 
     def __init__(self,
                  *,
                  workers: int = 1,
-                 backend: "Backend | str | None" = None,
-                 runner: BatchRunner | None = None) -> None:
-        if runner is None:
-            # A ready backend owns its pool shape unless workers is set.
-            shaped = isinstance(backend, Backend) and workers == 1
-            runner = BatchRunner(max_workers=None if shaped else workers,
-                                 backend=backend)
-        self._runner = runner
+                 task_timeout: float | None = None,
+                 backend: str | None = None) -> None:
+        if backend not in (None, "serial", "processes"):
+            raise ValueError(f"unknown backend {backend!r} "
+                             "(known: serial, processes)")
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if task_timeout is not None and task_timeout <= 0.0:
+            raise ValueError("task_timeout must be positive")
+        self._workers = 1 if backend == "serial" else workers
+        self._task_timeout = task_timeout
 
     @property
-    def runner(self) -> BatchRunner:
-        """The runner this service executes on."""
-        return self._runner
-
-    @property
-    def backend(self) -> Backend:
-        """The execution backend the underlying runner fans out on."""
-        return self._runner.backend
+    def workers(self) -> int:
+        """Effective pool size (1 = inline)."""
+        return self._workers
 
     def plan(self, requests: Iterable[SolveRequest]) -> ExecutionPlan:
         """Compile requests through the planner (without executing —
@@ -108,13 +103,14 @@ class SolveService:
 
         ``requests`` are compiled by the planner; ``tasks`` are opaque
         passthroughs (analytic columns, timing cells) appended to the
-        same :meth:`~repro.batch.runner.BatchRunner.run` call so the
-        whole workload shares the worker pool.
+        same :func:`~repro.batch.runner.run_tasks` call so the whole
+        workload shares the worker pool.
         """
         requests = list(requests)
         tasks = list(tasks)
         plan = plan_requests(requests)
-        outcomes = self._runner.run(plan.tasks + tasks)
+        outcomes = run_tasks(plan.tasks + tasks, workers=self._workers,
+                             task_timeout=self._task_timeout)
         return ServiceResult(
             outcomes=plan.scatter(outcomes[:plan.n_tasks]),
             task_outcomes=outcomes[plan.n_tasks:],

@@ -11,13 +11,9 @@ from repro.solvers.registry import (
     get_solver,
     get_spec,
     is_registered,
-    kernel_aware_methods,
     known_methods,
-    methods_with,
     register,
-    schedule_memoizable_methods,
     specs,
-    stack_fusable_methods,
     unregister,
 )
 
@@ -29,9 +25,5 @@ __all__ = [
     "get_solver",
     "known_methods",
     "specs",
-    "methods_with",
-    "stack_fusable_methods",
-    "kernel_aware_methods",
-    "schedule_memoizable_methods",
     "is_registered",
 ]

@@ -35,9 +35,9 @@ registration.
 from __future__ import annotations
 
 import importlib
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.exceptions import (
     RegistryError,
@@ -56,10 +56,6 @@ __all__ = [
     "get_solver",
     "known_methods",
     "specs",
-    "methods_with",
-    "stack_fusable_methods",
-    "kernel_aware_methods",
-    "schedule_memoizable_methods",
     "is_registered",
 ]
 
@@ -71,12 +67,6 @@ CAPABILITY_FLAGS = ("kernel_aware", "stack_fusable", "schedule_memoizable")
 #: :class:`repro.markov.rewards.Measure` member names (this module does
 #: not import the numerics).
 MEASURES = ("TRR", "MRR")
-
-
-def _default_schedule_fingerprint(solver_kwargs: Mapping[str, Any]) -> tuple:
-    """Fallback fingerprint: every constructor kwarg is assumed to affect
-    the schedule transformation (maximally conservative)."""
-    return tuple(sorted((str(k), v) for k, v in solver_kwargs.items()))
 
 
 @dataclass(frozen=True)
@@ -109,12 +99,6 @@ class SolverSpec:
         across solves through a
         :class:`~repro.core.schedule_cache.ScheduleCache`
         (``solve(..., schedule_cache=...)``).
-    schedule_fingerprint:
-        Fingerprint hook: maps ``solver_kwargs`` to the subset that the
-        schedule transformation actually depends on (e.g. RRL's
-        ``t_factor`` tunes only the inversion, so two cells differing in
-        it still share one transformation). The default conservatively
-        fingerprints every kwarg.
     predict_steps:
         Analytic step-count hook ``(Λt, eps_rel, measure) -> int`` for
         solvers whose cost is known without running them (SR's Poisson
@@ -145,8 +129,6 @@ class SolverSpec:
     kernel_aware: bool = False
     stack_fusable: bool = False
     schedule_memoizable: bool = False
-    schedule_fingerprint: Callable[[Mapping[str, Any]], tuple] = \
-        field(default=_default_schedule_fingerprint)
     predict_steps: Callable[..., int] | None = None
     step_budget_kwarg: str | None = None
     requires_irreducible: bool = False
@@ -284,30 +266,3 @@ def specs() -> tuple[SolverSpec, ...]:
     """Every registered spec, sorted by name."""
     _ensure_builtin()
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
-
-
-def methods_with(capability: str) -> frozenset[str]:
-    """Method tags whose spec declares ``capability`` (one of
-    :data:`CAPABILITY_FLAGS`)."""
-    if capability not in CAPABILITY_FLAGS:
-        raise RegistryError(
-            f"unknown capability {capability!r}; "
-            f"choose from {', '.join(CAPABILITY_FLAGS)}")
-    _ensure_builtin()
-    return frozenset(name for name, spec in _REGISTRY.items()
-                     if getattr(spec, capability))
-
-
-def stack_fusable_methods() -> frozenset[str]:
-    """Methods implementing ``solve_fused`` (planner stack fusion)."""
-    return methods_with("stack_fusable")
-
-
-def kernel_aware_methods() -> frozenset[str]:
-    """Methods accepting an injected pre-built kernel."""
-    return methods_with("kernel_aware")
-
-
-def schedule_memoizable_methods() -> frozenset[str]:
-    """Methods whose schedule transformation may be shared across cells."""
-    return methods_with("schedule_memoizable")

@@ -32,6 +32,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch", "run", "--queue", "q", flag])
 
+    def test_batch_run_backend_flag_is_gone(self):
+        # The pool shape is --workers alone: 1 runs inline.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["batch", "run", "--queue", "q", "--backend", "serial"])
+
 
 class TestCommands:
     def test_solve_trr(self, capsys):

@@ -159,6 +159,12 @@ class TestDirectProduct:
     def kernel(self, kernel_and_model):
         return kernel_and_model[0]
 
+    @pytest.fixture
+    def q_kernel(self, kernel_and_model):
+        """Generator kernel of the same model, with its rate."""
+        _, _, rate, model = kernel_and_model
+        return UniformizationKernel.from_generator(model), rate
+
     @staticmethod
     def operands(n):
         rng = np.random.default_rng(5)
@@ -186,36 +192,39 @@ class TestDirectProduct:
 
     @pytest.mark.parametrize("name", ["vector", "c_stack", "f_stack",
                                       "strided_column"])
-    def test_step_rate_is_bitwise_formula(self, kernel, name):
+    def test_step_rate_is_bitwise_formula(self, q_kernel, name):
+        kernel, lam = q_kernel
         x = self.operands(kernel.n_states)[name]
-        rate = 1.5 * kernel.rate
+        rate = 1.5 * lam
         expected = x + (kernel._qt @ x) / rate
         assert np.array_equal(kernel.step_rate(x, rate), expected)
 
     @pytest.mark.parametrize("name", ["vector", "c_stack", "f_stack",
                                       "strided_column"])
-    def test_every_call_returns_a_new_array(self, kernel, name):
+    def test_every_call_returns_a_new_array(self, kernel, q_kernel, name):
         x = self.operands(kernel.n_states)[name]
-        for out in (kernel.step(x), kernel.step_rate(x, kernel.rate)):
+        q, lam = q_kernel
+        for out in (kernel.step(x), q.step_rate(x, lam)):
             assert out is not x
             assert not np.shares_memory(out, x)
         first, second = kernel.step(x), kernel.step(x)
         assert first is not second
 
-    def test_wrong_length_raises(self, kernel):
+    def test_wrong_length_raises(self, kernel, q_kernel):
         n = kernel.n_states
+        q, lam = q_kernel
         for bad in (np.ones(n + 1), np.ones(n - 1), np.ones((n + 1, 2)),
                     np.ones((n, 2, 2)), np.float64(1.0)):
             with pytest.raises(ValueError):
                 kernel.step(bad)
             with pytest.raises(ValueError):
-                kernel.step_rate(bad, kernel.rate)
+                q.step_rate(bad, lam)
 
 
 class TestStepRate:
     def test_matches_explicit_generator_step(self):
         model, _ = two_state_availability()
-        kernel, _, _ = UniformizationKernel.from_model(model)
+        kernel = UniformizationKernel.from_generator(model)
         v = model.initial.copy()
         lam = model.max_output_rate
         expected = v + (model.generator.T @ v) / lam
@@ -229,11 +238,20 @@ class TestStepRate:
         with pytest.raises(ModelError):
             kernel.step_rate(dtmc.initial, 1.0)
 
+    def test_from_model_kernel_has_no_generator(self):
+        # Solvers never step at a varying rate, so the kernel they build
+        # keeps no Qᵀ.
+        model, _ = two_state_availability()
+        kernel, dtmc, rate = UniformizationKernel.from_model(model)
+        assert not kernel.has_generator
+        with pytest.raises(ModelError):
+            kernel.step_rate(dtmc.initial, rate)
+
     def test_rejects_nonpositive_rate(self):
         model, _ = two_state_availability()
-        kernel, dtmc, _ = UniformizationKernel.from_model(model)
+        kernel = UniformizationKernel.from_generator(model)
         with pytest.raises(ValueError):
-            kernel.step_rate(dtmc.initial, 0.0)
+            kernel.step_rate(model.initial, 0.0)
 
     def test_generator_only_kernel(self):
         # No P is built, step_rate still works and fixed-rate stepping

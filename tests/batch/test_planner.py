@@ -15,7 +15,7 @@ from repro.batch.planner import (
     run_request,
     worker_cache_info,
 )
-from repro.batch.runner import BatchRunner
+from repro.batch.runner import run_tasks
 from repro.batch.scenarios import (
     Scenario,
     generate_scenarios,
@@ -175,7 +175,7 @@ class TestPlanShape:
         assert plan.n_tasks == 1
         assert plan.coalesced == 2
         # One solve fans out to all three keys.
-        outs = plan.scatter(BatchRunner(max_workers=1).run(plan.tasks))
+        outs = plan.scatter(run_tasks(plan.tasks))
         assert [o.key for o in outs] == ["x", "y", "z"]
         assert np.array_equal(outs[0].value.values, outs[1].value.values)
 

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.runner import get_solver
 from repro.batch.planner import SolveRequest, worker_cache_clear
 from repro.batch.scenarios import Scenario
-from repro.cache import clear_caches
+from repro.cache import cache_stats, clear_caches
 from repro.core.schedule_cache import (
     ScheduleCache,
     process_schedule_cache,
@@ -124,7 +124,15 @@ class TestScheduleCache:
         sol = get_solver("RRL", t_factor=4.0).solve(
             model, rewards, Measure.TRR, [5.0], EPS, schedule_cache=cache)
         assert sol.stats["schedule_cache_hit"] is True
+        sol = get_solver("RR", inner_max_steps=10**7).solve(
+            model, rewards, Measure.TRR, [5.0], EPS, schedule_cache=cache)
+        assert sol.stats["schedule_cache_hit"] is True
         assert len(cache) == 1
+        # The randomization rate is part of the transformation.
+        sol = get_solver("RRL", rate=2.0 * model.max_output_rate).solve(
+            model, rewards, Measure.TRR, [5.0], EPS, schedule_cache=cache)
+        assert sol.stats["schedule_cache_hit"] is False
+        assert len(cache) == 2
 
 
 class TestPlannerIntegration:
@@ -145,20 +153,21 @@ class TestPlannerIntegration:
         ]
         return cells
 
-    def test_plan_predicts_schedule_builds_via_fingerprint_hook(self):
-        from repro.batch.planner import plan_requests
-
+    def test_cold_service_counts_schedule_builds(self):
         # All four cells (RRL × horizons/eps/t_factor + RR) share one
-        # transformation group: the spec fingerprint hooks exclude
-        # solution-phase knobs and carry no method.
-        assert plan_requests(self._grid()).schedule_builds() == 1
+        # transformation: the cache key carries no method and no
+        # solution-phase knob.
+        clear_caches()
+        SolveService(backend="serial").solve(self._grid())
+        assert cache_stats()["schedules"]["misses"] == 1
         # A distinct regenerative state is a genuine second build.
         s = _scenario()
         extra = SolveRequest(scenario=s, measure=Measure.TRR,
                              times=(5.0,), eps=EPS, method="RRL",
                              solver_kwargs={"regenerative": 1}, key=9)
-        assert plan_requests(self._grid()
-                             + [extra]).schedule_builds() == 2
+        clear_caches()
+        SolveService(backend="serial").solve(self._grid() + [extra])
+        assert cache_stats()["schedules"]["misses"] == 2
 
     def test_grid_builds_transformation_exactly_once(self):
         clear_caches()

@@ -1,14 +1,13 @@
 """``SolveService`` facade: planned == direct solves, correct
-scatter/ordering for mixed workloads, and pool plumbing (custom
-runners, ready backends)."""
+scatter/ordering for mixed workloads, and pool plumbing."""
 
 import numpy as np
 import pytest
 
-from repro.batch.backends import ProcessBackend, SerialBackend
 from repro.batch.planner import SolveRequest
-from repro.batch.runner import BatchExecutionError, BatchRunner, BatchTask
+from repro.batch.runner import BatchExecutionError, BatchTask
 from repro.batch.scenarios import Scenario
+from repro.cache import cache_stats, clear_caches
 from repro.markov.base import TransientSolution
 from repro.markov.rewards import Measure
 from repro.service import ServiceResult, SolveService
@@ -45,8 +44,9 @@ class TestFacadeEquivalence:
         service = SolveService()
         plan = service.plan(requests)
         assert plan.fused_cells == 3
-        assert plan.schedule_builds() == 1
+        clear_caches()
         via_service = service.solve(requests)
+        assert cache_stats()["schedules"]["misses"] == 1
         assert [o.key for o in via_service] == [r.key for r in requests]
         for out, req in zip(via_service, requests):
             assert out.ok
@@ -96,12 +96,6 @@ class TestConfigurationPlumbing:
         assert plan.summary() == ("5 requests -> 3 tasks (1 fused "
                                   "covering 3 cells, 0 coalesced)")
 
-    def test_properties_and_custom_runner(self):
-        runner = BatchRunner(max_workers=1)
-        service = SolveService(runner=runner)
-        assert service.runner is runner
-        assert service.backend is runner.backend
-
     @pytest.mark.parametrize("knob", ["fuse", "memoize"])
     def test_policy_knobs_are_gone(self, knob):
         # Batch work has one execution path; there is nothing to switch.
@@ -111,18 +105,6 @@ class TestConfigurationPlumbing:
             SolveService(**{knob: False})
         with pytest.raises(TypeError):
             ExperimentConfig.quick(**{knob: False})
-
-    def test_ready_backend_owns_pool_shape(self):
-        backend = ProcessBackend(max_workers=2)
-        service = SolveService(backend=backend)
-        assert service.backend is backend
-        with pytest.raises(ValueError, match="max_workers=2"):
-            SolveService(workers=2, backend=SerialBackend())
-        requests = _requests()
-        for a, b in zip(SolveService(workers=1).solve(requests),
-                        service.solve(requests)):
-            assert a.ok and b.ok
-            assert np.array_equal(a.value.values, b.value.values)
 
     def test_pooled_matches_inline(self):
         requests = _requests()
@@ -151,9 +133,7 @@ class TestExperimentsIntegration:
 
         cfg = ExperimentConfig(groups=(2,), times=(1.0,), workers=2,
                                backend="processes")
-        service = cfg.service()
-        assert service.backend.name == "processes"
-        assert service.runner.max_workers == 2
+        assert cfg.service().workers == 2
 
     def test_quick_preset(self):
         from repro.analysis.experiments import ExperimentConfig

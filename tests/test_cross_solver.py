@@ -107,9 +107,8 @@ def _fusable_methods_for(model):
     (RSD declares requires_irreducible)."""
     from repro.solvers import registry
 
-    return [m for m in sorted(registry.stack_fusable_methods())
-            if model.is_irreducible()
-            or not registry.get_spec(m).requires_irreducible]
+    return [s.name for s in registry.specs() if s.stack_fusable
+            and (model.is_irreducible() or not s.requires_irreducible)]
 
 
 @pytest.mark.parametrize("scenario", TRR_SCENARIOS + MRR_SCENARIOS,

@@ -1,6 +1,7 @@
 """Command-line scripts under ``scripts/``: start-up behaviour that the
 library's own tests cannot see."""
 
+import argparse
 import dataclasses
 import importlib.util
 import json
@@ -106,3 +107,14 @@ def test_verify_compares_ur_abscissae(monkeypatch):
     drifted = dataclasses.replace(grid, ur_abscissae={2: [33, 63]})
     with pytest.raises(AssertionError, match="abscissa"):
         script._assert_grids_equal(grid, drifted, "drifted")
+
+
+def test_paper_grid_pool_shape_is_workers_alone(monkeypatch):
+    # --serial forces workers=1 (inline); there is no backend to pick.
+    script = _load_paper_grid_script(monkeypatch)
+    with pytest.raises(SystemExit):
+        script.main(["--quick", "--backend", "serial"])
+    args = argparse.Namespace(quick=True, serial=True, workers=4)
+    assert script.make_config(args).service().workers == 1
+    args.serial = False
+    assert script.make_config(args).service().workers == 4
