@@ -98,6 +98,11 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 9.1.0: the paper's RAID-5 chains are built from array rules instead
+# of a per-state Python generator, bit-identical to it; the private
+# ``repro.models.raid5._transitions`` is gone (its successor is the test
+# oracle ``tests/models/raid5_oracle.py``).
+#
 # 9.0.0: one pool shape. Breaking: ``BatchRunner`` and the execution
 # backends (``repro.batch.backends``: ``Backend``, ``SerialBackend``,
 # ``ProcessBackend``, ``resolve_backend``, ``BACKEND_NAMES``) are gone,
@@ -175,7 +180,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "9.0.0"
+__version__ = "9.1.0"
 
 __all__ = [
     "__version__",

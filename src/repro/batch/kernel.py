@@ -36,7 +36,8 @@ directly on the matrix's own arrays. That is what ``Pᵀ @ stack`` runs
 after its operand dispatch, so results are bit-identical to the operator.
 The dispatch it skips costs 2–3 µs per call: about half of each product
 on the small chains of a scenario sweep (5–253 states), under a tenth
-from a few thousand states up.
+from a few thousand states up. Those routines live in scipy's private
+``scipy.sparse._sparsetools``; a scipy without it gets ``@`` itself.
 
 :func:`shared_fox_glynn` centralizes (2) behind the process-wide
 ``"fox_glynn"`` cache of :mod:`repro.cache`, keyed on ``(Λt, ε)``, and
@@ -55,7 +56,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
+
+try:  # private to scipy: where it is missing, products go through ``@``
+    from scipy.sparse import _sparsetools
+except ImportError:  # pragma: no cover - tested in a fresh interpreter
+    _sparsetools = None
 
 from repro.cache import BoundedCache, shared_cache
 from repro.exceptions import ModelError
@@ -170,7 +175,9 @@ def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,
     order, so the result is bit-for-bit ``a @ stack``. ``out``, when
     given, is zeroed and used as that output instead of a fresh array;
     it must share no memory with the operand, which zeroing it would
-    wipe before the product reads it.
+    wipe before the product reads it. Without scipy's private
+    ``_sparsetools`` module the product is ``a @ stack`` itself, copied
+    into ``out`` when one is given.
     """
     n = a.shape[0]
     x = np.asarray(stack, dtype=np.float64)
@@ -187,7 +194,9 @@ def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,
             "no memory with the operand")
     else:
         out.fill(0.0)
-    if x.ndim == 1:
+    if _sparsetools is None:
+        np.copyto(out, a @ x, casting="no")
+    elif x.ndim == 1:
         _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
     else:
         _sparsetools.csr_matvecs(n, n, x.shape[1], a.indptr, a.indices,

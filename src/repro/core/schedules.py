@@ -123,12 +123,19 @@ class ScheduleBuilder:
             raise ModelError("u0 must carry no mass on absorbing states")
 
         self._a: list[float] = [float(self._u.sum())]
+        # c, qmass and vmass entries not yet copied into the snapshot
+        # buffers below.
         self._c: list[float] = [float(self._reward @ self._u)]
         self._qmass: list[float] = []
         self._vmass: list[np.ndarray] = []
         self._exhausted = self._a[0] <= _EXHAUSTED
         self._steps_done = 0
         self._snapshot: RegenerativeSchedule | None = None
+        # Snapshot buffers (a, c, qmass, vmass) and their filled lengths;
+        # snapshots are read-only views of their prefixes.
+        self._buffers = (np.empty(0), np.empty(0), np.empty(0),
+                         np.empty((0, self.n_absorbing)))
+        self._filled = (0, 0)
 
     @classmethod
     def for_model(cls, model: CTMC, rewards: RewardStructure,
@@ -235,20 +242,42 @@ class ScheduleBuilder:
 
         While no step has been taken since the last call, that snapshot
         is returned again; its arrays are read-only so consumers sharing
-        it cannot see each other's writes.
+        it cannot see each other's writes. A new snapshot copies only
+        the steps taken since the last one: its arrays are views of
+        buffers that grow by doubling, and the entries an earlier
+        snapshot shows are never written again.
         """
         snap = self._snapshot
         if snap is not None and snap.n == len(self._a) \
                 and snap.exhausted == self._exhausted:
             return snap
-        if self._vmass:
-            v_arr = np.vstack(self._vmass)
-        else:
-            v_arr = np.zeros((0, self.n_absorbing))
-        arrays = (np.array(self._a), np.array(self._c),
-                  np.array(self._qmass), v_arr)
+        buf_a, buf_c, buf_q, buf_v = self._buffers
+        n_old, m_old = self._filled
+        n, m = len(self._a), m_old + len(self._qmass)
+        buf_a = _append(buf_a, n_old, self._a[n_old:])
+        buf_c = _append(buf_c, n_old, self._c)
+        buf_q = _append(buf_q, m_old, self._qmass)
+        buf_v = _append(buf_v, m_old, self._vmass)
+        self._c, self._qmass, self._vmass = [], [], []
+        self._buffers = (buf_a, buf_c, buf_q, buf_v)
+        self._filled = (n, m)
+        arrays = (buf_a[:n], buf_c[:n], buf_q[:m], buf_v[:m])
         for arr in arrays:
             arr.flags.writeable = False
         snap = RegenerativeSchedule(*arrays, exhausted=self._exhausted)
         self._snapshot = snap
         return snap
+
+
+def _append(buf: np.ndarray, filled: int, rows) -> np.ndarray:
+    """Write ``rows`` after the first ``filled`` entries of ``buf``; when
+    they do not fit, into a copy of that prefix twice as long instead."""
+    if not len(rows):
+        return buf
+    end = filled + len(rows)
+    if end > len(buf):
+        grown = np.empty((max(end, 2 * len(buf)),) + buf.shape[1:])
+        grown[:filled] = buf[:filled]
+        buf = grown
+    buf[filled:end] = rows
+    return buf

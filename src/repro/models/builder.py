@@ -1,17 +1,20 @@
 """Generic symbolic state-space exploration engine.
 
-High-level model generators (like the RAID-5 model of the paper's Section
-3) describe a CTMC implicitly: a hashable initial state plus a function
-mapping a state to its outgoing ``(successor, rate)`` pairs. The
-:class:`StateSpaceBuilder` explores the reachable state space breadth-
-first, interns states as dense integer indices, accumulates duplicate
-arcs, and hands back a :class:`repro.markov.ctmc.CTMC` with the symbolic
-states preserved as labels.
+High-level model generators describe a CTMC implicitly: a hashable
+initial state plus a function mapping a state to its outgoing
+``(successor, rate)`` pairs. The :class:`StateSpaceBuilder` explores the
+reachable state space breadth-first, interns states as dense integer
+indices, accumulates duplicate arcs, and hands back a
+:class:`repro.markov.ctmc.CTMC` with the symbolic states preserved as
+labels.
 
 This is the standard construction used by dependability tools (SAN/SPN
-front-ends such as the one used by [13] do exactly this); keeping it
-generic lets the test-suite build small bespoke models the same way the
-RAID generator builds its 10⁴-state chains.
+front-ends such as the one used by [13] do exactly this). The
+multiprocessor model, ``examples/custom_model.py`` and the test-suite's
+bespoke models are built through it. The paper's RAID-5 model is not:
+:mod:`repro.models.raid5` builds its 10⁴-state chains from array rules,
+in this builder's state order and arc order, and its tests explore the
+per-state RAID-5 generator here as the oracle for that build.
 """
 
 from __future__ import annotations

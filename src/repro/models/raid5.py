@@ -34,52 +34,71 @@ Invariants of operational states
     groups in any operational state);
   * ``AL = True`` whenever ``U <= 1`` or ``NFC = 1``.
 
-Events (rates; ``→ FAILED`` marks system failure)
-  * disk failure in a *fresh* group (``G − U`` of them):
+Events (rates; ``→ FAILED`` marks system failure; the tags E1–E9 name
+the rows of the rule table ``_rules``)
+  * E1, disk failure in a *fresh* group (``G − U`` of them):
     - ``NFC=0``: rate ``(G−U)·N·λ_D``; lands on the aligned string with
       probability ``1/N`` (keeps ``AL``), else unaligns;
     - ``NFC=1``: the string-c disk (1 per fresh group) fails at ``λ_D``
       keeping the system up (still aligned); the other ``N−1`` disks
       → FAILED.
-  * disk failure in an occupied group: the ``N−1`` available disks of a
+  * E2, disk failure in an occupied group: the ``N−1`` available disks of a
     group holding a failed/waiting disk fail at ``λ_D`` → FAILED; in a
     reconstructing group the ``N−1`` (overloaded) source disks fail at
     ``λ_S`` → FAILED, the target disk fails at ``λ_S`` → back to a failed
     disk (``NDR−1, NFD+1``);
-  * waiting disks (``NFC=1``) fail at ``λ_D`` → ``NWD−1, NFD+1``;
-  * controller failure: with ``U = 0`` → ``NFC=1`` (rate ``N·λ_C``);
+  * E3, waiting disks (``NFC=1``) fail at ``λ_D`` → ``NWD−1, NFD+1``;
+  * E4, controller failure: with ``U = 0`` → ``NFC=1`` (rate ``N·λ_C``);
     with ``U >= 1`` and ``AL``: rate ``λ_C`` hits the aligned string
     (reconstructions stall: ``NWD += NDR``), rate ``(N−1)·λ_C`` → FAILED;
     with ``¬AL`` → FAILED (rate ``N·λ_C``); with ``NFC=1`` the remaining
     ``N−1`` controllers → FAILED;
-  * reconstruction completion: per group ``μ_DRC``; success (``P_R``)
+  * E5, reconstruction completion: per group ``μ_DRC``; success (``P_R``)
     frees the disk (un-aligns per the paper's pessimistic rule:
     ``AL`` stays ``False`` while ``U >= 2``), failure (``1−P_R``)
     → FAILED;
-  * repairman (single, controllers first): controller swap ``μ_CRP``
+  * E6, repairman (single, controllers first): controller swap ``μ_CRP``
     (needs ``NSC>=1``; on completion all waiting disks start
     reconstruction: ``NDR = NWD, NWD = 0``); disk swap ``μ_DRP`` (needs
     ``NFD>=1, NSD>=1`` and no controller swap in progress; the replaced
     disk starts reconstruction when ``NFC=0``, else waits);
-  * out-of-spare (field) replacement, unlimited repairmen, ``μ_SR`` each:
+  * E7, out-of-spare (field) replacement, unlimited repairmen, ``μ_SR`` each:
     failed disks when ``NSD=0``, the failed controller when ``NSC=0``;
-  * spare replenishment, ``μ_SR`` per missing spare:
+  * E8, spare replenishment, ``μ_SR`` per missing spare:
     ``(D_H−NSD)·μ_SR`` and ``(C_H−NSC)·μ_SR``;
-  * FAILED: global repair ``μ_G`` back to the initial state
+  * E9, FAILED: global repair ``μ_G`` back to the initial state
     (availability variant) or absorbing (reliability variant — the
     paper's "one transition less").
+
+Construction
+  The chain is built from arrays, not state by state. The candidates
+  are every tuple the invariants allow, each with an integer code. Each
+  row of the rule table is evaluated once over all candidates: a
+  condition selects the sources, the changes of their components give
+  the targets, and the rates follow with the per-state generator's
+  float operations in its order. A target whose code is no candidate's
+  raises :class:`~repro.exceptions.ModelError`. A level-synchronous BFS
+  from the initial state numbers the reachable states in order of
+  first occurrence over the arcs in (source, rule) order, and the arcs
+  go to the CTMC in that order. That is the order in which
+  :class:`~repro.models.builder.StateSpaceBuilder` discovers states and
+  sums duplicate FAILED arcs, so the chain is bit-identical to exploring
+  the per-state generator, which ``tests/models/raid5_oracle.py`` keeps
+  as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import RewardStructure
-from repro.models.builder import ExploredModel, StateSpaceBuilder
+from repro.models.builder import ExploredModel
 
 __all__ = [
     "Raid5Params",
@@ -173,116 +192,345 @@ class Raid5Params:
         return (0, 0, 0, self.spare_disks, True, 0, self.spare_controllers)
 
 
-def _transitions(p: Raid5Params, state, *, absorbing: bool):
-    """Outgoing ``(state, rate)`` arcs of one state (see module docstring)."""
-    if state == FAILED:
-        if not absorbing and p.global_repair > 0.0:
-            yield p.initial_state, p.global_repair
-        return
+class _Columns(NamedTuple):
+    """Components of a set of candidate states: the rows of one
+    ``(10, states)`` integer array.
 
-    nfd, ndr, nwd, nsd, al, nfc, nsc = state
-    g, n = p.groups, p.disks_per_group
-    u = nfd + ndr + nwd
-    fresh = g - u
+    The first seven fields are the state tuple (``AL`` as 0/1); ``u``
+    and ``fresh`` are the derived ``U = NFD + NDR + NWD`` and ``G − U``,
+    and ``code`` is the state's code (:func:`_place_values`).
+    """
 
-    # --- disk failures -----------------------------------------------------
-    if nfc == 0:
-        if fresh > 0 and p.disk_fail > 0.0:
-            if u == 0:
-                yield (nfd + 1, ndr, nwd, nsd, True, 0, nsc), \
-                    fresh * n * p.disk_fail
-            elif al:
-                # 1 of the N disks of each fresh group lies on the aligned
-                # string; hitting it keeps the set aligned.
-                yield (nfd + 1, ndr, nwd, nsd, True, 0, nsc), \
-                    fresh * p.disk_fail
-                yield (nfd + 1, ndr, nwd, nsd, False, 0, nsc), \
-                    fresh * (n - 1) * p.disk_fail
-            else:
-                yield (nfd + 1, ndr, nwd, nsd, False, 0, nsc), \
-                    fresh * n * p.disk_fail
-        # Available disks of groups holding a failed disk.
-        if nfd > 0 and p.disk_fail > 0.0:
-            yield FAILED, nfd * (n - 1) * p.disk_fail
-        # Reconstructing groups: overloaded sources and target.
-        if ndr > 0 and p.disk_fail_overloaded > 0.0:
-            yield FAILED, ndr * (n - 1) * p.disk_fail_overloaded
-            yield (nfd + 1, ndr - 1, nwd, nsd, al, 0, nsc), \
-                ndr * p.disk_fail_overloaded
-    else:  # nfc == 1 — every group already misses its string-c disk
-        if fresh > 0 and p.disk_fail > 0.0:
-            # The fresh groups' string-c disks keep the system up (still
-            # aligned); their other N-1 disks collide with the string.
-            yield (nfd + 1, 0, nwd, nsd, True, 1, nsc), fresh * p.disk_fail
-            yield FAILED, fresh * (n - 1) * p.disk_fail
-        if (nfd + nwd) > 0 and p.disk_fail > 0.0:
-            yield FAILED, (nfd + nwd) * (n - 1) * p.disk_fail
-        if nwd > 0 and p.disk_fail > 0.0:
-            yield (nfd + 1, 0, nwd - 1, nsd, True, 1, nsc), nwd * p.disk_fail
+    nfd: np.ndarray
+    ndr: np.ndarray
+    nwd: np.ndarray
+    nsd: np.ndarray
+    al: np.ndarray
+    nfc: np.ndarray
+    nsc: np.ndarray
+    u: np.ndarray
+    fresh: np.ndarray
+    code: np.ndarray
 
-    # --- controller failures ------------------------------------------------
-    if p.controller_fail > 0.0:
-        if nfc == 0:
-            if u == 0:
-                yield (0, 0, 0, nsd, True, 1, nsc), n * p.controller_fail
-            elif al:
-                # Hitting the aligned string stalls reconstructions.
-                yield (nfd, 0, nwd + ndr, nsd, True, 1, nsc), p.controller_fail
-                yield FAILED, (n - 1) * p.controller_fail
-            else:
-                yield FAILED, n * p.controller_fail
-        else:
-            yield FAILED, (n - 1) * p.controller_fail
 
-    # --- reconstruction completions ------------------------------------------
-    if ndr > 0 and p.reconstruction > 0.0:
-        pr = p.reconstruction_success
-        if pr > 0.0:
-            # Paper's pessimistic rule: an unaligned set stays unaligned
-            # while >= 2 disks remain unavailable.
-            new_u = u - 1
-            new_al = True if new_u <= 1 else al
-            yield (nfd, ndr - 1, nwd, nsd, new_al, 0, nsc), \
-                ndr * p.reconstruction * pr
-        if pr < 1.0:
-            yield FAILED, ndr * p.reconstruction * (1.0 - pr)
+def _place_values(p: Raid5Params) -> tuple[dict[str, int], int]:
+    """Place values of a state's code, by component in state-tuple order,
+    and the first code past every state's.
 
-    # --- repairman (controllers first) ---------------------------------------
-    controller_swap = nfc == 1 and nsc >= 1
-    if controller_swap and p.controller_repair > 0.0:
-        yield (nfd, nwd, 0, nsd, True, 0, nsc - 1), p.controller_repair
-    if (not controller_swap and nfd >= 1 and nsd >= 1
-            and p.disk_repair > 0.0):
-        if nfc == 0:
-            yield (nfd - 1, ndr + 1, 0, nsd - 1, al, 0, nsc), p.disk_repair
-        else:
-            yield (nfd - 1, 0, nwd + 1, nsd - 1, True, 1, nsc), p.disk_repair
+    The digits run NFD, NFC, NDR, NWD, NSD, AL, NSC from the top. Each
+    has room for one value below and one above its range, so a rule that
+    steps a component out of range (a missing guard) lands on a code
+    that no candidate has.
+    """
+    g = p.groups + 1
+    sizes = {"nfd": g, "nfc": 2, "ndr": g, "nwd": g,
+             "nsd": p.spare_disks + 1, "al": 2,
+             "nsc": p.spare_controllers + 1}
+    place, total = {}, 1
+    for name in reversed(sizes):
+        place[name] = total
+        total *= sizes[name] + 2
+    return {name: place[name] for name in _Columns._fields[:7]}, total
 
-    # --- out-of-spare field replacements (unlimited repairmen) ---------------
-    if p.spare_repair > 0.0:
-        if nfd >= 1 and nsd == 0:
-            if nfc == 0:
-                yield (nfd - 1, ndr + 1, 0, nsd, al, 0, nsc), \
-                    nfd * p.spare_repair
-            else:
-                yield (nfd - 1, 0, nwd + 1, nsd, True, 1, nsc), \
-                    nfd * p.spare_repair
-        if nfc == 1 and nsc == 0:
-            yield (nfd, nwd, 0, nsd, True, 0, nsc), p.spare_repair
 
-        # --- spare replenishment ---------------------------------------------
-        if nsd < p.spare_disks:
-            yield (nfd, ndr, nwd, nsd + 1, al, nfc, nsc), \
-                (p.spare_disks - nsd) * p.spare_repair
-        if nsc < p.spare_controllers:
-            yield (nfd, ndr, nwd, nsd, al, nfc, nsc + 1), \
-                (p.spare_controllers - nsc) * p.spare_repair
+def _encode(state, place: dict[str, int]):
+    """Codes of states given as their seven components: scalars, or the
+    rows of a table. Every digit is stored one up."""
+    return np.dot(tuple(place.values()), state) + sum(place.values())
+
+
+def _candidates(p: Raid5Params) -> tuple[np.ndarray, np.ndarray]:
+    """Every tuple the module invariants allow: ``NFC ∈ {0,1}``;
+    ``NFC = 0 ⇒ NWD = 0``; ``NFC = 1 ⇒ NDR = 0``; ``U <= G``; ``AL``
+    whenever ``U <= 1`` or ``NFC = 1``.
+
+    Returns the ``(10, candidates)`` table of :class:`_Columns` and the
+    codes, ascending, followed by two codes past every tuple's: those of
+    FAILED and of "no arc", whose ids are the candidate count and one
+    more.
+    """
+    g = p.groups
+    # NDR or NWD, whichever NFC allows, is one digit X; enumerating in
+    # digit order yields ascending codes.
+    nfd, nfc, x, nsd, al, nsc = np.indices(
+        (g + 1, 2, g + 1, p.spare_disks + 1, 2, p.spare_controllers + 1),
+        dtype=np.int32).reshape(6, -1)
+    u = nfd + x
+    keep = (u <= g) & ((al == 1) | ((nfc == 0) & (u >= 2)))
+    nfd, nfc, x, nsd, al, nsc, u = (col[keep] for col in
+                                    (nfd, nfc, x, nsd, al, nsc, u))
+    table = np.empty((10, u.size), dtype=np.int64)
+    table[:9] = (nfd, x * (1 - nfc), x * nfc, nsd, al, nfc, nsc, u, g - u)
+    place, past = _place_values(p)
+    table[9] = _encode(table[:7], place)
+    return table, np.append(table[9], (past, past + 1))
+
+
+def _rules(p: Raid5Params):
+    """The event table of the module docstring as array rules.
+
+    One row ``(guard, condition, target, rate)`` per arc of the per-state
+    generator (``tests/models/raid5_oracle.py``), in its yield order:
+    ``guard`` is the parameter test and ``condition`` selects the source
+    states. ``target`` is ``None`` for FAILED, else the changes that
+    lead to the successor, by component: an int, or a function of the
+    sources. A component not named keeps its value, as it does in the
+    generator's successor given the condition and the invariants (so
+    ``AL`` stays 1 where the generator sets it while ``NFC = 1``).
+    ``rate`` gives the arc rates with the generator's float operations
+    in its order (e.g. ``(fresh·N)·λ_D``). Rows whose conditions exclude
+    each other may sit in any order; the others keep the generator's,
+    because duplicate FAILED arcs out of one state are summed in that
+    order. Adjacent rows that share a condition share its function,
+    which is evaluated once for both.
+    """
+    n = p.disks_per_group
+    lam_d, lam_s, lam_c = (p.disk_fail, p.disk_fail_overloaded,
+                           p.controller_fail)
+    mu, pr, mu_sr = (p.reconstruction, p.reconstruction_success,
+                     p.spare_repair)
+    d_h, c_h = p.spare_disks, p.spare_controllers
+
+    def aligned_hit(c):  # NFC = 0, U >= 1 and AL, a fresh group left
+        return (c.nfc == 0) & (c.fresh > 0) & (c.u > 0) & (c.al == 1)
+
+    def reconstructing(c):  # NDR > 0 implies NFC = 0
+        return c.ndr > 0
+
+    def string_down(c):  # NFC = 1, a fresh group left
+        return (c.nfc == 1) & (c.fresh > 0)
+
+    def aligned(c):  # NFC = 0, U >= 1 and AL
+        return (c.nfc == 0) & (c.u > 0) & (c.al == 1)
+
+    return (
+        # E1, NFC = 0, U = 0 or ¬AL: any fresh disk (AL stays).
+        (lam_d > 0.0,
+         lambda c: (c.nfc == 0) & (c.fresh > 0) & ((c.u == 0) | (c.al == 0)),
+         dict(nfd=1),
+         lambda c: c.fresh * n * lam_d),
+        # E1, NFC = 0, U >= 1 and AL: the aligned string's disk keeps AL;
+        (lam_d > 0.0, aligned_hit,
+         dict(nfd=1),
+         lambda c: c.fresh * lam_d),
+        # E1, NFC = 0, U >= 1 and AL: a disk of the other N−1 strings
+        # unaligns.
+        (lam_d > 0.0, aligned_hit,
+         dict(nfd=1, al=-1),
+         lambda c: c.fresh * (n - 1) * lam_d),
+        # E2: the available disks of a failed disk's group.
+        (lam_d > 0.0,
+         lambda c: (c.nfc == 0) & (c.nfd > 0),
+         None,
+         lambda c: c.nfd * (n - 1) * lam_d),
+        # E2: the overloaded sources of a reconstructing group;
+        (lam_s > 0.0, reconstructing,
+         None,
+         lambda c: c.ndr * (n - 1) * lam_s),
+        # E2: the target disk of a reconstructing group.
+        (lam_s > 0.0, reconstructing,
+         dict(nfd=1, ndr=-1),
+         lambda c: c.ndr * lam_s),
+        # E1, NFC = 1: a fresh group's string-c disk;
+        (lam_d > 0.0, string_down,
+         dict(nfd=1),
+         lambda c: c.fresh * lam_d),
+        # E1, NFC = 1: one of a fresh group's other N−1 disks.
+        (lam_d > 0.0, string_down,
+         None,
+         lambda c: c.fresh * (n - 1) * lam_d),
+        # E2, NFC = 1: groups holding a failed or waiting disk.
+        (lam_d > 0.0,
+         lambda c: (c.nfc == 1) & (c.nfd + c.nwd > 0),
+         None,
+         lambda c: (c.nfd + c.nwd) * (n - 1) * lam_d),
+        # E3: a waiting disk fails (NWD > 0 implies NFC = 1).
+        (lam_d > 0.0,
+         lambda c: c.nwd > 0,
+         dict(nfd=1, nwd=-1),
+         lambda c: c.nwd * lam_d),
+        # E4, NFC = 0, U = 0: any controller.
+        (lam_c > 0.0,
+         lambda c: (c.nfc == 0) & (c.u == 0),
+         dict(nfc=1),
+         lambda c: n * lam_c),
+        # E4, NFC = 0, U >= 1 and AL: the aligned string's controller,
+        # whose reconstructions stall (NWD += NDR, NDR = 0);
+        (lam_c > 0.0, aligned,
+         dict(nfc=1, ndr=lambda c: -c.ndr, nwd=lambda c: c.ndr),
+         lambda c: lam_c),
+        # E4, NFC = 0, U >= 1 and AL: one of the other N−1.
+        (lam_c > 0.0, aligned,
+         None,
+         lambda c: (n - 1) * lam_c),
+        # E4, NFC = 0, ¬AL: any controller.
+        (lam_c > 0.0,
+         lambda c: (c.nfc == 0) & (c.u > 0) & (c.al == 0),
+         None,
+         lambda c: n * lam_c),
+        # E4, NFC = 1: one of the remaining N−1 controllers.
+        (lam_c > 0.0,
+         lambda c: c.nfc == 1,
+         None,
+         lambda c: (n - 1) * lam_c),
+        # E5: a successful reconstruction (AL again once U − 1 <= 1);
+        (mu > 0.0 and pr > 0.0, reconstructing,
+         dict(ndr=-1, al=lambda c: (c.u <= 2) & (c.al == 0)),
+         lambda c: c.ndr * mu * pr),
+        # E5: a failed reconstruction.
+        (mu > 0.0 and pr < 1.0, reconstructing,
+         None,
+         lambda c: c.ndr * mu * (1.0 - pr)),
+        # E6: the repairman's controller swap (NDR = NWD, NWD = 0);
+        (p.controller_repair > 0.0,
+         lambda c: (c.nfc == 1) & (c.nsc >= 1),
+         dict(nfc=-1, nsc=-1, ndr=lambda c: c.nwd, nwd=lambda c: -c.nwd),
+         lambda c: p.controller_repair),
+        # E6: else the disk swap, the disk reconstructing (NFC = 0)
+        (p.disk_repair > 0.0,
+         lambda c: (c.nfc == 0) & (c.nfd >= 1) & (c.nsd >= 1),
+         dict(nfd=-1, ndr=1, nsd=-1),
+         lambda c: p.disk_repair),
+        # E6: or waiting (NFC = 1 and no spare controller to swap in).
+        (p.disk_repair > 0.0,
+         lambda c: (c.nfc == 1) & (c.nsc == 0) & (c.nfd >= 1) & (c.nsd >= 1),
+         dict(nfd=-1, nwd=1, nsd=-1),
+         lambda c: p.disk_repair),
+        # E7: field replacement of a failed disk (NSD = 0), which then
+        # reconstructs (NFC = 0) or waits (NFC = 1);
+        (mu_sr > 0.0,
+         lambda c: (c.nfc == 0) & (c.nfd >= 1) & (c.nsd == 0),
+         dict(nfd=-1, ndr=1),
+         lambda c: c.nfd * mu_sr),
+        (mu_sr > 0.0,
+         lambda c: (c.nfc == 1) & (c.nfd >= 1) & (c.nsd == 0),
+         dict(nfd=-1, nwd=1),
+         lambda c: c.nfd * mu_sr),
+        # E7: field replacement of the failed controller (NSC = 0).
+        (mu_sr > 0.0,
+         lambda c: (c.nfc == 1) & (c.nsc == 0),
+         dict(nfc=-1, ndr=lambda c: c.nwd, nwd=lambda c: -c.nwd),
+         lambda c: mu_sr),
+        # E8: spare disk replenishment;
+        (mu_sr > 0.0,
+         lambda c: c.nsd < d_h,
+         dict(nsd=1),
+         lambda c: (d_h - c.nsd) * mu_sr),
+        # E8: spare controller replenishment.
+        (mu_sr > 0.0,
+         lambda c: c.nsc < c_h,
+         dict(nsc=1),
+         lambda c: (c_h - c.nsc) * mu_sr),
+    )
+
+
+def _successors(c: _Columns, changes: dict, place: dict[str, int]):
+    """Codes of the states the sources ``c`` reach by ``changes``."""
+    step = 0
+    for name, change in changes.items():
+        if callable(change):
+            change = change(c)
+        step = step + place[name] * change
+    return c.code + step
+
+
+def _explore(p: Raid5Params, absorbing: bool):
+    """Reachable states and arcs of the RAID-5 chain.
+
+    Returns ``(cols, order, failed, rows, targets, rates)``: the
+    candidate columns, the reachable candidate ids in state-index order
+    (FAILED is id ``failed``) and the COO arcs in (source, rule) order,
+    the order :class:`~repro.models.builder.StateSpaceBuilder` emits.
+    """
+    table, codes = _candidates(p)
+    cols = _Columns(*table)
+    place, _ = _place_values(p)
+    failed = cols.nfd.size
+    pad = failed + 1  # the id of "no arc"
+    initial = codes.searchsorted(_encode(p.initial_state, place))
+
+    # Every arc, rule by rule: its target and rate, and its number in
+    # `arc_tab`, one row per rule and one column per candidate (FAILED
+    # last). Arc 0 leads to "no arc"; candidates a rule skips hold it.
+    # The candidates are closed under the rules, and every rule changes
+    # a component, so no arc is a self-loop. Every array here stays
+    # within about 2 MB at G = 40, like the chain's own arrays: releasing
+    # one of several MB makes glibc's malloc keep a larger heap, and a
+    # higher peak RSS, for the rest of the process.
+    rules = [rule[1:] for rule in _rules(p) if rule[0]]
+    arc_tab = np.zeros((max(len(rules), 1), failed + 1), dtype=np.int32)
+    target_codes, rates = [codes[pad:]], [[0.0]]
+    n_arcs = 1
+    last = None
+    for arcs, (condition, target, rate) in zip(arc_tab, rules):
+        if condition is not last:
+            last = condition
+            src = condition(cols).nonzero()[0]
+            sub = _Columns(*table[:, src])
+        arcs[src] = np.arange(n_arcs, n_arcs + src.size)
+        n_arcs += src.size
+        target_codes.append(np.full(src.size, codes[failed])
+                            if target is None
+                            else _successors(sub, target, place))
+        val = rate(sub)
+        rates.append(val if np.ndim(val) else np.full(src.size, val))
+    if not absorbing and p.global_repair > 0.0:  # E9, FAILED's one arc
+        arc_tab[0, failed] = n_arcs
+        target_codes.append(codes[initial:initial + 1])
+        rates.append([p.global_repair])
+    target_codes = np.concatenate(target_codes)
+    targets = codes.searchsorted(target_codes).astype(np.int32)
+    if (codes[targets] != target_codes).any():
+        raise ModelError("a RAID-5 rule leads outside the states the "
+                         "model invariants allow")
+    rates = np.concatenate(rates)
+    targets[rates == 0.0] = pad  # StateSpaceBuilder drops these
+
+    # Level-synchronous BFS: a level's new states, in order of first
+    # occurrence over its arcs in (source, rule) order, get the next
+    # indices, exactly as StateSpaceBuilder interns them. An unreached
+    # state's entry sits above every index; a level lowers it to the
+    # stamp of the first arc that reaches it.
+    unreached = np.iinfo(np.int64).max
+    index_of = np.full(pad + 1, unreached)
+    index_of[pad] = -1
+    frontier = np.array([initial])
+    index_of[frontier] = 0
+    levels = [frontier]
+    n = 1
+    while frontier.size:
+        seen = targets[arc_tab.T[frontier].ravel()]
+        stamp = np.arange(unreached - seen.size, unreached)
+        np.minimum.at(index_of, seen, stamp)
+        frontier = seen[index_of[seen] == stamp]
+        index_of[frontier] = np.arange(n, n + frontier.size)
+        n += frontier.size
+        levels.append(frontier)
+    order = np.concatenate(levels)
+
+    arcs = arc_tab.T[order].ravel()
+    reached = targets[arcs]
+    live = reached != pad
+    rows = np.repeat(np.arange(n, dtype=np.int32),
+                     live.reshape(n, -1).sum(axis=1))
+    return cols, order, failed, rows, index_of[reached[live]], \
+        rates[arcs[live]]
 
 
 def _build(p: Raid5Params, absorbing: bool) -> ExploredModel:
-    builder = StateSpaceBuilder(
-        lambda s: _transitions(p, s, absorbing=absorbing))
-    return builder.explore(p.initial_state)
+    cols, order, failed, rows, targets, rates = _explore(p, absorbing)
+    n = order.size
+    ops = order[order != failed]
+    fields = [col[ops] for col in cols[:7]]
+    fields[4] = fields[4] == 1  # AL labels are bools
+    labels: list = list(zip(*(field.tolist() for field in fields)))
+    for pos in np.flatnonzero(order == failed):
+        labels.insert(int(pos), FAILED)
+    initial = np.zeros(n)
+    initial[0] = 1.0
+    q = sparse.coo_matrix((rates, (rows, targets)), shape=(n, n))
+    model = CTMC(q, initial=initial, labels=labels)
+    return ExploredModel(model=model, index=dict(zip(labels, range(n))))
 
 
 def build_raid5_availability(params: Raid5Params | None = None

@@ -368,3 +368,51 @@ class TestEnsureModelKernel:
         shifted_kernel, _, _ = UniformizationKernel.from_model(shifted)
         with pytest.raises(ModelError, match="initial"):
             ensure_model_kernel(slow, shifted_kernel)
+
+
+_NO_SPARSETOOLS = r"""
+import sys
+
+import numpy as np
+import scipy.sparse
+
+# The import of repro.batch.kernel below now fails to find the module.
+del scipy.sparse._sparsetools
+sys.modules["scipy.sparse._sparsetools"] = None
+
+from repro.batch import kernel
+from repro.batch.kernel import UniformizationKernel
+from repro.models.library import random_ctmc
+
+assert kernel._sparsetools is None
+step, _, _ = UniformizationKernel.from_model(
+    random_ctmc(40, density=0.2, seed=7))
+rng = np.random.default_rng(5)
+for x in (rng.random(40), rng.random((40, 3))):
+    expected = step._pt @ x
+    assert step.step(x).tobytes() == expected.tobytes()
+    out = np.full(x.shape, 7.0)
+    assert step.step(x, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+print("ok")
+"""
+
+
+def test_products_fall_back_to_matmul_without_private_sparsetools():
+    # A scipy without ``scipy.sparse._sparsetools``, simulated in a fresh
+    # interpreter: the kernel imports, and its products on a vector and
+    # on a column stack stay bit-for-bit ``Pᵀ @ x``.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_SPARSETOOLS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

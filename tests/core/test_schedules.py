@@ -146,6 +146,37 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             snap.a[:2] += 1.0
 
+    @pytest.mark.parametrize("chain", ["random_absorbing",
+                                       "random_irreducible"])
+    def test_incremental_snapshots_equal_one_snapshot(self, chain, request):
+        # Snapshots taken along the way copy only the new steps; each must
+        # still equal, bit for bit, the prefix of one snapshot taken at
+        # the end by a second builder, and stay read-only and unchanged.
+        model = request.getfixturevalue(chain)
+        rewards = RewardStructure.constant(model.n_states)
+        main, _, _, _ = make_builders(model, rewards)
+        whole, _, _, _ = make_builders(model, rewards)
+        whole.extend_to(60)
+        ref = whole.snapshot()
+        taken = []
+        for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60):
+            main.extend_to(k)
+            snap = main.snapshot()
+            taken.append((snap, [arr.copy() for arr in (
+                snap.a, snap.c, snap.qmass, snap.vmass)]))
+        for snap, copies in taken:
+            n, m = snap.n, snap.qmass.size
+            arrays = (snap.a, snap.c, snap.qmass, snap.vmass)
+            for arr, copy, full in zip(arrays, copies,
+                                       (ref.a[:n], ref.c[:n],
+                                        ref.qmass[:m], ref.vmass[:m])):
+                assert arr.tobytes() == copy.tobytes() == full.tobytes()
+                assert arr.shape == full.shape and arr.dtype == np.float64
+                assert not arr.flags.writeable
+        last = taken[-1][0]
+        assert last.vmass.shape == ref.vmass.shape
+        assert last.exhausted == ref.exhausted
+
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=3, max_value=12),

@@ -11,7 +11,78 @@ from repro.models import (
     build_raid5_reliability,
     raid5_performability_rewards,
 )
+from repro.batch.scenarios import generate_scenarios
+from repro.models import raid5
 from repro.models.raid5 import FAILED
+from raid5_oracle import oracle_build
+
+
+def _param_sets():
+    """The array build's oracle cases: ``(id, params, absorbing)``."""
+    cases = [(f"paper-G{g}-{kind}", Raid5Params(groups=g), kind == "UR")
+             for g in (20, 40) for kind in ("UA", "UR")]
+    for sc in generate_scenarios(("raid5",)):
+        params = {k: v for k, v in sc.params.items() if k != "kind"}
+        cases.append((sc.name, Raid5Params(**params),
+                      sc.params["kind"] == "reliability"))
+    edges = {"spare_disks=0": {"spare_disks": 0},
+             "spare_controllers=0": {"spare_controllers": 0},
+             "reconstruction_success=1.0": {"reconstruction_success": 1.0},
+             "controller_fail=0.0": {"controller_fail": 0.0},
+             "disks_per_group=3": {"disks_per_group": 3}}
+    for name, kw in edges.items():
+        for kind in ("UA", "UR"):
+            cases.append((f"G6-{name}-{kind}", Raid5Params(groups=6, **kw),
+                          kind == "UR"))
+    return cases
+
+
+_CASES = _param_sets()
+
+
+def _typed(label):
+    if isinstance(label, tuple):
+        return tuple((type(x), x) for x in label)
+    return type(label), label
+
+
+class TestArrayBuildEqualsOracle:
+    @pytest.mark.parametrize("params, absorbing",
+                             [case[1:] for case in _CASES],
+                             ids=[case[0] for case in _CASES])
+    def test_bit_identical_to_symbolic_generator(self, params, absorbing):
+        build = (build_raid5_reliability if absorbing
+                 else build_raid5_availability)
+        _, _, got = build(params)
+        want = oracle_build(params, absorbing=absorbing)
+        g, w = got.model.generator, want.model.generator
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.model.initial.tobytes() == want.model.initial.tobytes()
+        assert ([_typed(x) for x in got.model.labels]
+                == [_typed(x) for x in want.model.labels])
+        assert ([(_typed(k), i) for k, i in got.index.items()]
+                == [(_typed(k), i) for k, i in want.index.items()])
+
+    def test_cases_cover_the_sweep_and_paper_models(self):
+        assert len(_CASES) == 4 + 8 + 10
+
+    @pytest.mark.parametrize("target", [
+        {"nsd": 1},  # a spare disk past D_H: out of the digit's range
+        {"nwd": 1},  # a waiting disk with every controller up
+    ], ids=["out-of-range", "invariant"])
+    def test_rule_leaving_candidates_raises(self, monkeypatch, target):
+        rules = raid5._rules
+
+        def broken(p):
+            return (*rules(p),
+                    (True, lambda c: (c.nfc == 0) & (c.nsd == p.spare_disks),
+                     target, lambda c: 1.0))
+
+        monkeypatch.setattr(raid5, "_rules", broken)
+        with pytest.raises(ModelError, match="outside the states"):
+            build_raid5_availability(Raid5Params(groups=3))
 
 
 @pytest.fixture(scope="module")
