@@ -24,9 +24,7 @@ Public API
   :class:`RRLSolver` (the paper's method),
   :class:`RegenerativeRandomizationSolver` (original RR),
   :class:`StandardRandomizationSolver` (SR),
-  :class:`SteadyStateDetectionSolver` (RSD),
-  :class:`MultistepRandomizationSolver` (MS, TRR only),
-  :class:`OdeSolver` (cross-check).
+  :class:`SteadyStateDetectionSolver` (RSD).
 * Models: :mod:`repro.models` (parametric RAID-5 generator and a library
   of small analytical chains).
 * Experiments: :mod:`repro.analysis` (the table/figure harness).
@@ -52,11 +50,9 @@ _EXPORTS = {
     **dict.fromkeys(
         ("ConvergenceError", "InversionError", "MeasureError", "ModelError",
          "ProtocolError", "QueueError", "RegistryError", "ReproError",
-         "TruncationError", "UnknownMethodError",
-         "UnsupportedMeasureError"), "repro.exceptions"),
+         "TruncationError", "UnknownMethodError"), "repro.exceptions"),
     **dict.fromkeys(
         ("CTMC", "DTMC", "MRR", "TRR", "Measure",
-         "MultistepRandomizationSolver", "OdeSolver",
          "RewardStructure", "StandardRandomizationSolver",
          "SteadyStateDetectionSolver"), "repro.markov"),
     "TransientSolution": "repro.markov.base",
@@ -98,6 +94,18 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 10.0.0: four solvers, each within its ε. Breaking: multistep
+# randomization (``MultistepRandomizationSolver``, the ``MS`` tag) and
+# the ODE baseline (``OdeSolver``, the ``ODE`` tag, which carried no ε
+# guarantee) are gone, and with them ``SolverSpec.kernel_aware`` and
+# ``SolverSpec.measures``, the registry's ``MEASURES`` and
+# ``SolverSpec.require_measure``, ``UnsupportedMeasureError``,
+# ``cross_validate``'s ``ode_slack``, the "measures" column of
+# ``repro solvers list``, ``damping_for_cumulative_taylor`` in
+# ``repro.laplace`` and ``UniformizationKernel.from_dtmc`` /
+# ``UniformizationKernel.propagate``. Every solver computes TRR and MRR
+# and accepts an injected kernel. Every number is bit-identical.
+#
 # 9.1.0: the paper's RAID-5 chains are built from array rules instead
 # of a per-state Python generator, bit-identical to it; the private
 # ``repro.models.raid5._transitions`` is gone (its successor is the test
@@ -180,22 +188,21 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "9.1.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "__version__",
     # errors
     "ReproError", "ModelError", "MeasureError", "ConvergenceError",
     "TruncationError", "InversionError", "ProtocolError", "QueueError",
-    "UnknownMethodError", "RegistryError", "UnsupportedMeasureError",
+    "UnknownMethodError", "RegistryError",
     # substrate
     "CTMC", "DTMC", "RewardStructure", "Measure", "TRR", "MRR",
     "TransientSolution",
     # solvers + registry
     "RRLSolver", "RegenerativeRandomizationSolver",
     "StandardRandomizationSolver", "SteadyStateDetectionSolver",
-    "OdeSolver", "MultistepRandomizationSolver", "RRLBoundsSolver",
-    "BoundedSolution", "SolverSpec", "ScheduleCache",
+    "RRLBoundsSolver", "BoundedSolution", "SolverSpec", "ScheduleCache",
     # batch subsystem
     "UniformizationKernel", "BatchTask", "BatchOutcome",
     "Scenario", "generate_scenarios", "SolveRequest",

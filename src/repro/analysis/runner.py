@@ -1,6 +1,6 @@
 """One-call front door: ``solve(model, rewards, measure, times, method=...)``.
 
-Method tags (``"RRL"``, ``"RR"``, ``"SR"``, ``"RSD"``, ``"MS"``, ``"ODE"``)
+Method tags (``"RRL"``, ``"RR"``, ``"SR"``, ``"RSD"``)
 resolve through the capability-declaring solver registry
 (:mod:`repro.solvers.registry`) — the solvers self-register, so this
 module carries no import ladder and new solvers need no edit here.
@@ -53,9 +53,6 @@ def solve(model: CTMC,
         the paper's ``"RRL"``).
     solver_kwargs:
         Forwarded to the solver constructor (e.g. ``regenerative=...``).
-
-    Raises :class:`~repro.exceptions.UnsupportedMeasureError` before any
-    solving when the method does not declare ``measure`` (MS is TRR only).
     """
     # np.ndim handles every scalar spelling uniformly — python floats,
     # np.float64 *and* 0-d arrays (np.isscalar(np.array(1.0)) is False,
@@ -64,7 +61,5 @@ def solve(model: CTMC,
         times = [float(times)]  # type: ignore[arg-type]
     elif len(times) == 0:
         raise ValueError("times must contain at least one time point")
-    spec = registry.get_spec(method)
-    spec.require_measure(measure.name)
-    return spec.build(**solver_kwargs).solve(model, rewards, measure,
-                                             times, eps)
+    return get_solver(method, **solver_kwargs).solve(model, rewards, measure,
+                                                     times, eps)

@@ -6,7 +6,7 @@ two things:
 1. step one or more row vectors through the randomized DTMC,
    ``π ↦ π P`` with ``P = I + Q/Λ`` (the one ``π_n`` sweep that SR and RSD
    share, :mod:`repro.markov.sweep`; the regenerative schedule recursions
-   of RR/RRL; multistep's window summation);
+   of RR/RRL);
 2. weight the results with Poisson probabilities from a Fox–Glynn window
    for some ``(Λt, ε)`` pair.
 
@@ -230,11 +230,10 @@ class UniformizationKernel:
     1-D vectors work everywhere a stack does.
 
     A kernel is safe to share between solves: stepping only reads the
-    CSR matrices, and every stepping method — :meth:`step`,
-    :meth:`step_rate` and :meth:`propagate`, even for zero steps —
-    returns a fresh array (or the ``out`` buffer the caller passed to
-    :meth:`step`), never the caller's input (or the cached chain's)
-    vector.
+    CSR matrices, and both stepping methods — :meth:`step` and
+    :meth:`step_rate` — return a fresh array (or the ``out`` buffer the
+    caller passed to :meth:`step`), never the caller's input (or the
+    cached chain's) vector.
     """
 
     def __init__(self,
@@ -286,12 +285,6 @@ class UniformizationKernel:
         kernel = cls(dtmc.transition_matrix, rate=lam)
         kernel._dtmc = dtmc
         return kernel, dtmc, lam
-
-    @classmethod
-    def from_dtmc(cls, dtmc: "DTMC",
-                  rate: float | None = None) -> "UniformizationKernel":
-        """Wrap an already-randomized chain."""
-        return cls(dtmc.transition_matrix, rate=rate)
 
     @classmethod
     def from_generator(cls, model: "CTMC") -> "UniformizationKernel":
@@ -368,7 +361,7 @@ class UniformizationKernel:
 
         Set by :meth:`from_model`; ``None`` for kernels wrapped around a
         bare matrix. Solvers accepting an injected kernel need the chain
-        for its initial distribution (and MS for its row-form ``P``).
+        for its initial distribution.
         """
         return self._dtmc
 
@@ -388,15 +381,6 @@ class UniformizationKernel:
                 "fixed-rate stepping needs P")
         self._steps += 1
         return _csr_product(self._pt, stack, out)
-
-    def propagate(self, stack: np.ndarray, n_steps: int) -> np.ndarray:
-        """Apply ``n_steps >= 0`` uniformized steps to a copy of the stack."""
-        if n_steps < 0:
-            raise ValueError("n_steps must be non-negative")
-        out = np.array(stack, dtype=np.float64)
-        for _ in range(n_steps):
-            out = self.step(out)
-        return out
 
     def step_rate(self, stack: np.ndarray, rate: float) -> np.ndarray:
         """One step of ``I + Q/rate``.

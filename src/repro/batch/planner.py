@@ -125,8 +125,8 @@ class SolveRequest:
         object.__setattr__(self, "method", str(self.method).upper())
         # Fail at construction, not deep inside a worker: the registry is
         # the one authority on method tags (raises UnknownMethodError
-        # with the known-method list) and on the measures each computes.
-        registry.get_spec(self.method).require_measure(self.measure.name)
+        # with the known-method list).
+        registry.get_spec(self.method)
         object.__setattr__(self, "solver_kwargs", dict(self.solver_kwargs))
 
     def __hash__(self) -> int:
@@ -242,9 +242,7 @@ def _resolve_cached(request: SolveRequest, *, with_kernel: bool = True
     if rewards is None:
         raise ModelError("request resolves to no reward structure")
     kernel: UniformizationKernel | None = None
-    if (with_kernel
-            and registry.get_spec(request.method).kernel_aware
-            and "rate" not in request.solver_kwargs):
+    if with_kernel and "rate" not in request.solver_kwargs:
         if entry[2] is None:
             entry[2] = UniformizationKernel.from_model(model)[0]
         kernel = entry[2]

@@ -13,7 +13,7 @@ Rank regenerative-state candidates for the availability model::
 
     python -m repro diagnose --groups 10
 
-List the registered solvers, their measures and capabilities::
+List the registered solvers and their capabilities::
 
     python -m repro solvers list
 
@@ -118,12 +118,11 @@ def _cmd_solvers_list(args: argparse.Namespace) -> int:
     for spec in registry.specs():
         caps = ", ".join(flag.replace("_", "-")
                          for flag in spec.capabilities()) or "-"
-        rows.append([spec.name, ", ".join(spec.measures), caps,
-                     spec.summary])
+        rows.append([spec.name, caps, spec.summary])
     print(format_table(
         f"{len(rows)} registered solvers "
         "(capabilities drive planner fusion/caching/memoization)",
-        ["method", "measures", "capabilities", "summary"], rows))
+        ["method", "capabilities", "summary"], rows))
     return 0
 
 
@@ -322,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     solvers_sub = p.add_subparsers(dest="solvers_command", required=True)
     ps = solvers_sub.add_parser(
         "list",
-        help="list registered solvers, their measures, capabilities and "
-        "summaries")
+        help="list registered solvers, their capabilities and summaries")
     ps.set_defaults(func=_cmd_solvers_list)
 
     p = sub.add_parser("validate",
@@ -339,23 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point (``python -m repro ...``)."""
-    from repro.exceptions import (
-        ProtocolError,
-        QueueError,
-        UnknownMethodError,
-        UnsupportedMeasureError,
-    )
+    from repro.exceptions import ProtocolError, QueueError, UnknownMethodError
 
     parser = build_parser()
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
     try:
         return args.func(args)
-    except (ProtocolError, QueueError, UnknownMethodError,
-            UnsupportedMeasureError) as exc:
+    except (ProtocolError, QueueError, UnknownMethodError) as exc:
         # Operational errors of the queue-backed commands (missing
         # journal, incomplete queue, bad wire payload, a method tag the
-        # registry does not know, a measure the method does not compute)
-        # are runtime failures, not usage
+        # registry does not know) are runtime failures, not usage
         # mistakes: report them plainly on stderr with an ordinary
         # failure code — no usage banner, no traceback, and
         # distinguishable from argparse's exit status 2.

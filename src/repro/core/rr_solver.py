@@ -160,7 +160,6 @@ register(SolverSpec(
     constructor=RegenerativeRandomizationSolver,
     summary="Original regenerative randomization (transform model, solve "
             "V_KL by inner SR)",
-    kernel_aware=True,
     schedule_memoizable=True,
     step_budget_kwarg="inner_max_steps",
     table_label="RR/RRL",

@@ -183,7 +183,6 @@ register(SolverSpec(
     constructor=RRLSolver,
     summary="Regenerative randomization with Laplace transform inversion "
             "(the paper's method)",
-    kernel_aware=True,
     schedule_memoizable=True,
     table_label="RR/RRL",
 ))

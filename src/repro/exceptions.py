@@ -75,22 +75,6 @@ class RegistryError(ReproError):
     different spec) or is otherwise malformed."""
 
 
-class UnsupportedMeasureError(RegistryError):
-    """A request asks a method for a measure its
-    :class:`~repro.solvers.registry.SolverSpec` does not declare (MS
-    computes TRR only). ``method``, ``measure`` and ``supported`` carry
-    the tag, the measure name and the declared measure names."""
-
-    def __init__(self, method: str, measure: str,
-                 supported: tuple[str, ...]) -> None:
-        super().__init__(
-            f"method {method!r} does not support {measure}; it supports "
-            + ", ".join(supported))
-        self.method = method
-        self.measure = measure
-        self.supported = supported
-
-
 class ProtocolError(ReproError):
     """A wire-protocol payload is malformed, of an unsupported schema
     version, or contains values that cannot be serialized."""

@@ -12,7 +12,6 @@ from repro.laplace.epsilon import EpsilonAccelerator, wynn_epsilon
 from repro.laplace.error_control import (
     damping_for_bounded,
     damping_for_cumulative,
-    damping_for_cumulative_taylor,
 )
 from repro.laplace.durbin import durbin_terms
 from repro.laplace.inversion import (
@@ -27,7 +26,6 @@ __all__ = [
     "wynn_epsilon",
     "damping_for_bounded",
     "damping_for_cumulative",
-    "damping_for_cumulative_taylor",
     "durbin_terms",
     "InversionResult",
     "invert_bounded",

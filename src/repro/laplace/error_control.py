@@ -18,8 +18,7 @@ The paper evaluates the quadratic with the textbook root formula and
 patches its catastrophic cancellation with a Taylor expansion when
 ``y = sqrt((eps/4 + t r)/(eps/2 + (t+2T) r)) < 1e-3``. We implement the
 algebraically equivalent *stable* root form ``x = 2c / (b + sqrt(b²−4ac))``
-(no cancellation for any parameter values) as the primary routine and keep
-the paper's Taylor fallback as a cross-checked secondary implementation.
+instead: it cancels for no parameter values, so it needs no fallback.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import math
 __all__ = [
     "damping_for_bounded",
     "damping_for_cumulative",
-    "damping_for_cumulative_taylor",
     "aliasing_error_bounded",
     "aliasing_error_cumulative",
 ]
@@ -95,32 +93,6 @@ def damping_for_cumulative(eps_quarter: float, r_max: float, t: float,
                                                    t_period)
     disc = b_coef * b_coef - 4.0 * a_coef * c_coef
     x = 2.0 * c_coef / (b_coef + math.sqrt(disc))
-    return -math.log(x) / (2.0 * t_period)
-
-
-def damping_for_cumulative_taylor(eps_quarter: float, r_max: float, t: float,
-                                  t_period: float,
-                                  y_switch: float = 1e-3) -> float:
-    """Paper-faithful variant: textbook root with Taylor fallback.
-
-    Follows Section 2.2 / eq. (2): uses the explicit-subtraction root
-    unless ``y = sqrt(4AC/B²)``-style ratio is below ``y_switch``, in which
-    case the first-order Taylor approximation ``x ≈ C/B`` (expansion of
-    the stable form in ``y``) is used. Provided for fidelity and tested to
-    agree with :func:`damping_for_cumulative` to high relative accuracy.
-    """
-    if r_max == 0.0:
-        return 0.0
-    a_coef, b_coef, c_coef = _cumulative_quadratic(eps_quarter, r_max, t,
-                                                   t_period)
-    y = math.sqrt(4.0 * a_coef * c_coef) / b_coef
-    if y < y_switch:
-        # Taylor series of (1 − sqrt(1−y²))/y² · (2C/B·...) to first order:
-        # x ≈ C/B (1 + AC/B² + ...). Keep two terms.
-        x = (c_coef / b_coef) * (1.0 + a_coef * c_coef / (b_coef * b_coef))
-    else:
-        disc = b_coef * b_coef - 4.0 * a_coef * c_coef
-        x = (b_coef - math.sqrt(disc)) / (2.0 * a_coef)
     return -math.log(x) / (2.0 * t_period)
 
 

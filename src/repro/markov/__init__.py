@@ -20,8 +20,6 @@ from repro.markov.poisson import (
 from repro.markov.standard import StandardRandomizationSolver
 from repro.markov.rsd import SteadyStateDetectionSolver
 from repro.markov.steady_state import stationary_distribution
-from repro.markov.ode import OdeSolver
-from repro.markov.multistep import MultistepRandomizationSolver
 from repro.markov.mttf import AbsorptionTime, mean_time_to_absorption
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "StandardRandomizationSolver",
     "SteadyStateDetectionSolver",
     "stationary_distribution",
-    "OdeSolver",
-    "MultistepRandomizationSolver",
     "AbsorptionTime",
     "mean_time_to_absorption",
 ]

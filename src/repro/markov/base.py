@@ -1,11 +1,14 @@
 """Common result container and interface for transient solvers.
 
-Every solver in this package — SR, RSD, multistep randomization, the ODE
-baseline, and the paper's RR/RRL — exposes::
+Every registered solver — SR, RSD and the paper's RR/RRL — exposes::
 
-    solve(model, rewards, measure, times, eps) -> TransientSolution
+    solve(model, rewards, measure, times, eps, *, kernel=None)
+        -> TransientSolution
 
-so the experiment harness can swap methods freely. Work statistics (step
+computes both measures (TRR and MRR) within the total error ``eps``, and
+accepts an injected pre-built
+:class:`~repro.batch.kernel.UniformizationKernel` through ``kernel=``,
+so the experiment harness and the planner can swap methods freely. Work statistics (step
 counts, abscissa counts, wall time) ride along in the solution, because the
 paper's evaluation compares exactly those.
 """
@@ -67,9 +70,7 @@ class TransientSolution:
         solvers:
 
         * ``rate`` — **every** solver reports the randomization rate ``Λ``
-          it worked with (for the ODE baseline, which has no fixed
-          ``Λ``, this is the model's maximum output rate — the minimal
-          valid uniformization rate the other methods would use);
+          it worked with;
         * ``shared_steps`` — **SR only**: the steps of the ``π_n`` sweep
           actually walked, shared across the solve's time points and
           therefore possibly above any single entry of ``steps``. In a

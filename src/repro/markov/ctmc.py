@@ -32,6 +32,32 @@ __all__ = ["CTMC"]
 _VALIDATION_RTOL = 1e-9
 
 
+def _with_diagonal(q: sparse.csr_matrix, off_diag_mask: np.ndarray
+                   ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """``q``'s off-diagonal entries with the negated row sums on the
+    diagonal (one canonical CSR, explicit zeros dropped), and the sums.
+
+    The off-diagonal part is ``q`` itself when ``q`` is canonical and
+    has no diagonal entries, as model builders emit it. The diagonal
+    goes in by one sparse subtraction of a CSR built directly, not
+    through a ``dia`` matrix.
+    """
+    n = q.shape[0]
+    off = q
+    if not (off_diag_mask.all() and q.has_canonical_format):
+        kept = np.concatenate(([0], np.cumsum(off_diag_mask)))
+        off = sparse.csr_matrix((q.data[off_diag_mask],
+                                 q.indices[off_diag_mask], kept[q.indptr]),
+                                shape=(n, n))
+        off.sum_duplicates()
+    out_rates = np.asarray(off.sum(axis=1)).ravel()
+    on = np.flatnonzero(out_rates)
+    diag = sparse.csr_matrix(
+        (out_rates[on], on, np.searchsorted(on, np.arange(n + 1))),
+        shape=(n, n))
+    return off - diag, out_rates
+
+
 class CTMC:
     """Finite homogeneous continuous-time Markov chain.
 
@@ -65,18 +91,14 @@ class CTMC:
         if n == 0:
             raise ModelError("empty state space")
 
-        coo = q.tocoo()
-        off_diag_mask = coo.row != coo.col
-        if np.any(coo.data[off_diag_mask] < 0.0):
+        rows = np.repeat(np.arange(n, dtype=q.indices.dtype),
+                         np.diff(q.indptr))
+        off_diag_mask = q.indices != rows
+        if np.any(q.data[off_diag_mask] < 0.0):
             raise ModelError("negative off-diagonal rate in generator")
 
         if fix_diagonal:
-            off = sparse.coo_matrix(
-                (coo.data[off_diag_mask],
-                 (coo.row[off_diag_mask], coo.col[off_diag_mask])),
-                shape=(n, n)).tocsr()
-            out_rates = np.asarray(off.sum(axis=1)).ravel()
-            q = (off - sparse.diags(out_rates)).tocsr()
+            q, out_rates = _with_diagonal(q, off_diag_mask)
         else:
             row_sums = np.asarray(q.sum(axis=1)).ravel()
             scale = np.maximum(np.asarray(abs(q).sum(axis=1)).ravel(), 1.0)
@@ -85,9 +107,8 @@ class CTMC:
             out_rates = -q.diagonal()
             if np.any(out_rates < -_VALIDATION_RTOL):
                 raise ModelError("positive diagonal entry in generator")
-
-        q.eliminate_zeros()
-        q.sum_duplicates()
+            q.eliminate_zeros()
+            q.sum_duplicates()
         self._q = q
         self._out_rates = np.maximum(out_rates, 0.0)
         self._n = n

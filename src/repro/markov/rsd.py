@@ -193,7 +193,6 @@ register(SolverSpec(
     constructor=SteadyStateDetectionSolver,
     summary="Randomization with steady-state detection (irreducible "
             "models only)",
-    kernel_aware=True,
     stack_fusable=True,
     requires_irreducible=True,
 ))

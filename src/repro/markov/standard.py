@@ -212,7 +212,6 @@ register(SolverSpec(
     constructor=StandardRandomizationSolver,
     summary="Standard randomization (uniformization) — the classic "
             "O(Λt) comparator",
-    kernel_aware=True,
     stack_fusable=True,
     predict_steps=sr_required_steps,
     step_budget_kwarg="max_steps",

@@ -42,11 +42,7 @@ from scipy import sparse
 from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchOutcome
 from repro.batch.scenarios import Scenario
-from repro.exceptions import (
-    ProtocolError,
-    UnknownMethodError,
-    UnsupportedMeasureError,
-)
+from repro.exceptions import ProtocolError, UnknownMethodError
 from repro.markov.base import TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -295,10 +291,10 @@ def request_from_dict(data: Mapping) -> SolveRequest:
     model = _field(d, "model", "solve_request")
     rewards = _field(d, "rewards", "solve_request")
     method = _field(d, "method", "solve_request")
-    # SolveRequest checks the method and measure against the solver
-    # registry; a journal written by a newer/older deployment then fails
-    # as a protocol problem (with the known-method list, or the measures
-    # the method computes), not as a deep worker-side exception.
+    # SolveRequest checks the method against the solver registry; a
+    # journal written by a newer/older deployment then fails as a
+    # protocol problem (with the known-method list), not as a deep
+    # worker-side exception.
     try:
         return SolveRequest(
             measure=_measure_from(_field(d, "measure", "solve_request")),
@@ -312,7 +308,7 @@ def request_from_dict(data: Mapping) -> SolveRequest:
             solver_kwargs=_decode_plain(
                 _field(d, "solver_kwargs", "solve_request")),
             key=_decode_plain(_field(d, "key", "solve_request")))
-    except (UnknownMethodError, UnsupportedMeasureError) as exc:
+    except UnknownMethodError as exc:
         raise ProtocolError(f"solve_request: {exc}") from None
 
 

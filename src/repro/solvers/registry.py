@@ -1,6 +1,6 @@
 """Capability-declaring solver registry — the one dispatch authority.
 
-Before this module existed the six transient solvers were dispatched by
+Before this module existed the transient solvers were dispatched by
 parallel, drifting mechanisms: a hardcoded import ladder in
 :mod:`repro.analysis.runner`, ``method == "SR"``-style string branches in
 :mod:`repro.analysis.experiments`, and hand-maintained method sets in
@@ -12,8 +12,8 @@ declaring what the solver can do, and every dispatch site asks the
 registry:
 
 * ``analysis.runner.get_solver`` instantiates by tag;
-* ``batch.planner`` derives its fusable / kernel-aware / memoizable sets
-  from the capability flags;
+* ``batch.planner`` derives its fusable / memoizable sets from the
+  capability flags;
 * ``service.protocol`` validates wire payloads against
   :func:`known_methods`;
 * ``cli.py`` generates its ``--method`` choices and the
@@ -39,11 +39,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.exceptions import (
-    RegistryError,
-    UnknownMethodError,
-    UnsupportedMeasureError,
-)
+from repro.exceptions import RegistryError, UnknownMethodError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.markov.base import TransientSolver
@@ -61,17 +57,19 @@ __all__ = [
 
 #: Capability flag names a :class:`SolverSpec` may declare (the order is
 #: the display order of ``repro solvers list``).
-CAPABILITY_FLAGS = ("kernel_aware", "stack_fusable", "schedule_memoizable")
-
-#: Names of the measures a :class:`SolverSpec` may declare, as
-#: :class:`repro.markov.rewards.Measure` member names (this module does
-#: not import the numerics).
-MEASURES = ("TRR", "MRR")
+CAPABILITY_FLAGS = ("stack_fusable", "schedule_memoizable")
 
 
 @dataclass(frozen=True)
 class SolverSpec:
     """Everything the execution layers need to know about one solver.
+
+    Every registered solver computes both measures (TRR and MRR) and
+    accepts an injected pre-built
+    :class:`~repro.batch.kernel.UniformizationKernel`
+    (``solve(..., kernel=...)``), so the planner's per-worker kernel
+    cache applies to every method; the flags below declare only what
+    sets solvers apart.
 
     Parameters
     ----------
@@ -82,11 +80,6 @@ class SolverSpec:
         Zero-config factory; keyword arguments are forwarded verbatim.
     summary:
         One-line human description (``repro solvers list``, docs).
-    kernel_aware:
-        ``solve`` accepts an injected pre-built
-        :class:`~repro.batch.kernel.UniformizationKernel`
-        (``solve(..., kernel=...)``), so the planner's per-worker kernel
-        cache applies.
     stack_fusable:
         The solver implements ``solve_fused(model, cells, kernel=...)``
         and ``join_sweep(sweep, model, cell)``: the cells of *all*
@@ -116,24 +109,17 @@ class SolverSpec:
         Display label for the paper's step tables (``"RR/RRL"`` — RR and
         RRL share the transformation phase, so the paper prints one
         column); defaults to ``name``.
-    measures:
-        Names of the measures the solver computes (a subset of
-        :data:`MEASURES`); a :class:`~repro.batch.planner.SolveRequest`
-        for any other is rejected at construction with
-        :class:`~repro.exceptions.UnsupportedMeasureError`.
     """
 
     name: str
     constructor: Callable[..., "TransientSolver"]
     summary: str
-    kernel_aware: bool = False
     stack_fusable: bool = False
     schedule_memoizable: bool = False
     predict_steps: Callable[..., int] | None = None
     step_budget_kwarg: str | None = None
     requires_irreducible: bool = False
     table_label: str | None = None
-    measures: tuple[str, ...] = MEASURES
 
     def __post_init__(self) -> None:
         if not self.name or self.name != self.name.upper():
@@ -143,10 +129,6 @@ class SolverSpec:
         if not callable(self.constructor):
             raise RegistryError(
                 f"solver {self.name!r}: constructor must be callable")
-        if not self.measures or not set(self.measures) <= set(MEASURES):
-            raise RegistryError(
-                f"solver {self.name!r}: measures must be a non-empty "
-                f"subset of {', '.join(MEASURES)}, got {self.measures!r}")
         if self.table_label is None:
             object.__setattr__(self, "table_label", self.name)
 
@@ -154,12 +136,6 @@ class SolverSpec:
         """The capability flags this spec declares, in display order."""
         return tuple(flag for flag in CAPABILITY_FLAGS
                      if getattr(self, flag))
-
-    def require_measure(self, measure: str) -> None:
-        """Raise :class:`~repro.exceptions.UnsupportedMeasureError` unless
-        this solver declares ``measure`` (a ``Measure`` member name)."""
-        if measure not in self.measures:
-            raise UnsupportedMeasureError(self.name, measure, self.measures)
 
     def build(self, **kwargs) -> "TransientSolver":
         """Instantiate the solver (kwargs forwarded to the constructor)."""
@@ -175,8 +151,6 @@ _REGISTRY: dict[str, SolverSpec] = {}
 _BUILTIN_MODULES = (
     "repro.markov.standard",      # SR
     "repro.markov.rsd",           # RSD
-    "repro.markov.multistep",     # MS
-    "repro.markov.ode",           # ODE
     "repro.core.rr_solver",       # RR
     "repro.core.rrl_solver",      # RRL
 )

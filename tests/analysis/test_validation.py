@@ -30,13 +30,13 @@ class TestCrossValidate:
                                 eps=1e-9, methods=("RRL", "SR"))
         assert report.passed
 
-    def test_ode_gets_slack(self, two_state):
+    def test_every_pair_gets_twice_eps(self, two_state):
+        # Every registered method meets ε, so no pair gets slack.
         model, rewards, *_ = two_state
         report = cross_validate(model, rewards, TRR, [1.0], eps=1e-10,
-                                methods=("RRL", "ODE"))
-        pair = ("ODE", "RRL")
-        assert report.tolerance[pair] > 10 * report.tolerance.get(
-            ("RR", "RRL"), 2e-10)
+                                methods=("RRL", "RR", "SR", "RSD"))
+        assert len(report.tolerance) == 6
+        assert set(report.tolerance.values()) == {2e-10}
         assert report.passed
 
     def test_worst_pair_and_render(self, random_irreducible):

@@ -21,6 +21,14 @@ from repro.markov.poisson import fox_glynn
 from repro.models.library import random_ctmc, two_state_availability
 
 
+def _steps(kernel, stack, n):
+    """``n`` uniformized steps of a copy of ``stack``."""
+    out = np.array(stack, dtype=np.float64)
+    for _ in range(n):
+        out = kernel.step(out)
+    return out
+
+
 @pytest.fixture
 def kernel_and_model():
     model = random_ctmc(40, density=0.2, seed=7)
@@ -33,9 +41,9 @@ class TestStackedPropagation:
         kernel, dtmc, _, model = kernel_and_model
         rng = np.random.default_rng(3)
         stack = rng.dirichlet(np.ones(model.n_states), size=5).T  # (n, 5)
-        out_stack = kernel.propagate(stack.copy(), 17)
+        out_stack = _steps(kernel, stack, 17)
         for j in range(stack.shape[1]):
-            out_one = kernel.propagate(stack[:, j].copy(), 17)
+            out_one = _steps(kernel, stack[:, j], 17)
             assert np.array_equal(out_stack[:, j], out_one)
 
     def test_step_matches_dtmc_step_bitwise(self, kernel_and_model):
@@ -87,21 +95,20 @@ class TestStackedPropagation:
         assert np.shares_memory(got, rows[1])
         assert np.array_equal(rows[1], kernel.step(dtmc.initial))
 
-    def test_propagate_zero_steps_is_identity(self, kernel_and_model):
+    def test_step_returns_a_fresh_array(self, kernel_and_model):
         kernel, dtmc, _, _ = kernel_and_model
-        out = kernel.propagate(dtmc.initial, 0)
-        assert np.array_equal(out, dtmc.initial)
-        # A fresh copy, never the cached chain's own initial vector:
-        # writing to it must leave the shared kernel's chain untouched.
-        assert out is not dtmc.initial
         before = dtmc.initial.copy()
+        out = kernel.step(dtmc.initial)
+        # Never the cached chain's own initial vector: writing to it
+        # must leave the shared kernel's chain untouched.
+        assert not np.shares_memory(out, dtmc.initial)
         out[:] = -1.0
         assert np.array_equal(kernel.dtmc.initial, before)
 
     def test_step_counter(self, kernel_and_model):
         kernel, dtmc, _, _ = kernel_and_model
         assert kernel.steps_done == 0
-        kernel.propagate(dtmc.initial, 4)
+        _steps(kernel, dtmc.initial, 4)
         assert kernel.steps_done == 4
 
 
@@ -234,7 +241,7 @@ class TestStepRate:
     def test_requires_generator(self):
         model, _ = two_state_availability()
         dtmc, rate = model.uniformize()
-        kernel = UniformizationKernel.from_dtmc(dtmc, rate)
+        kernel = UniformizationKernel(dtmc.transition_matrix, rate=rate)
         with pytest.raises(ModelError):
             kernel.step_rate(dtmc.initial, 1.0)
 
@@ -301,7 +308,7 @@ class TestFoxGlynnCache:
     def test_window_requires_rate(self):
         model, _ = two_state_availability()
         dtmc, _ = model.uniformize()
-        kernel = UniformizationKernel.from_dtmc(dtmc)
+        kernel = UniformizationKernel(dtmc.transition_matrix)
         with pytest.raises(ModelError):
             kernel.window(1.0, 1e-10)
 
@@ -310,12 +317,6 @@ class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(ModelError):
             UniformizationKernel(np.ones((2, 3)))
-
-    def test_rejects_negative_steps(self):
-        model, _ = two_state_availability()
-        kernel, dtmc, _ = UniformizationKernel.from_model(model)
-        with pytest.raises(ValueError):
-            kernel.propagate(dtmc.initial, -1)
 
 
 class TestEnsureModelKernel:
@@ -337,7 +338,7 @@ class TestEnsureModelKernel:
     def test_rejects_kernel_without_dtmc(self):
         model, _ = two_state_availability()
         dtmc, rate = model.uniformize()
-        bare = UniformizationKernel.from_dtmc(dtmc, rate)
+        bare = UniformizationKernel(dtmc.transition_matrix, rate=rate)
         with pytest.raises(ModelError, match="from_model"):
             ensure_model_kernel(model, bare)
 

@@ -333,7 +333,7 @@ class TestWorkerCache:
         clear_caches()
         # Methods that do not stack, so every cell runs unfused.
         reqs = [_request(method=m, eps=e, key=(m, e))
-                for m in ("RRL", "RR", "ODE") for e in (1e-6, 1e-8)]
+                for m in ("RRL", "RR") for e in (1e-6, 1e-7, 1e-8)]
         assert plan_requests(reqs).fused_tasks == 0
         built = []
         from_model = UniformizationKernel.from_model

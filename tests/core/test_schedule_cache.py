@@ -204,7 +204,7 @@ class TestPlannerIntegration:
             SolveRequest(scenario=s, measure=Measure.TRR, times=(5.0,),
                          eps=EPS, method="SR", key=0),
             SolveRequest(scenario=s, measure=Measure.TRR, times=(5.0,),
-                         eps=EPS, method="ODE", key=1),
+                         eps=EPS, method="RSD", key=1),
         ])
         assert all(o.ok for o in outs)
         info = process_schedule_cache_info()

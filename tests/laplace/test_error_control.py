@@ -1,5 +1,4 @@
-"""Damping selection: the chosen `a` must achieve the aliasing budget,
-and the paper-faithful Taylor variant must agree with the stable form."""
+"""Damping selection: the chosen `a` must achieve the aliasing budget."""
 
 import math
 
@@ -12,7 +11,6 @@ from repro.laplace.error_control import (
     aliasing_error_cumulative,
     damping_for_bounded,
     damping_for_cumulative,
-    damping_for_cumulative_taylor,
 )
 
 
@@ -50,22 +48,6 @@ class TestCumulative:
         a = damping_for_cumulative(eps4, r_max, t, T)
         assert aliasing_error_cumulative(a, r_max, t, T) == pytest.approx(
             eps4, rel=1e-6)
-
-    def test_taylor_variant_agrees(self):
-        # The regime the paper patches: eps tiny vs t·r_max (y << 1e-3).
-        for t in (1.0, 1e3, 1e5):
-            eps4 = t * 1e-12 / 4.0
-            T = 8.0 * t
-            a_stable = damping_for_cumulative(eps4, 1.0, t, T)
-            a_taylor = damping_for_cumulative_taylor(eps4, 1.0, t, T)
-            assert a_taylor == pytest.approx(a_stable, rel=1e-6)
-
-    def test_taylor_explicit_branch(self):
-        # Force the non-Taylor branch too (moderate y) and compare.
-        a_stable = damping_for_cumulative(0.1, 1.0, 1.0, 8.0)
-        a_taylor = damping_for_cumulative_taylor(0.1, 1.0, 1.0, 8.0,
-                                                 y_switch=1e-12)
-        assert a_taylor == pytest.approx(a_stable, rel=1e-9)
 
     def test_zero_reward(self):
         assert damping_for_cumulative(1e-12, 0.0, 1.0, 8.0) == 0.0

@@ -70,6 +70,72 @@ class TestConstruction:
             CTMC(simple_q(), labels=["a"])
 
 
+def _reference_generator(generator):
+    """The diagonal-fixing construction by scipy's own conversions:
+    COO of the off-diagonal entries, CSR, minus ``diags`` of the row
+    sums. ``CTMC`` builds the same CSR in fewer steps."""
+    coo = sparse.csr_matrix(generator, dtype=np.float64).tocoo()
+    off_diag = coo.row != coo.col
+    off = sparse.coo_matrix(
+        (coo.data[off_diag], (coo.row[off_diag], coo.col[off_diag])),
+        shape=coo.shape).tocsr()
+    out_rates = np.asarray(off.sum(axis=1)).ravel()
+    q = (off - sparse.diags(out_rates)).tocsr()
+    q.eliminate_zeros()
+    q.sum_duplicates()
+    return q, out_rates
+
+
+def _generator_inputs():
+    rng = np.random.default_rng(4)
+    n = 9
+    dense = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    dense[2] = 0.0  # an absorbing row
+    rows, cols = rng.integers(0, n, 60), rng.integers(0, n, 60)
+    vals = rng.random(60)
+    vals[::5] = 0.0  # explicit zeros
+    order = np.argsort(rows, kind="stable")
+    unsorted_csr = sparse.csr_matrix(
+        (vals[order], cols[order],
+         np.searchsorted(rows[order], np.arange(n + 1))), shape=(n, n))
+    from repro.models import Raid5Params, build_raid5_availability
+
+    raid = build_raid5_availability(Raid5Params(groups=3))[0].generator
+    raid_off = sparse.triu(raid, 1) + sparse.tril(raid, -1)
+    return {
+        "dense": dense,
+        "coo-duplicates": sparse.coo_matrix((vals, (rows, cols)),
+                                            shape=(n, n)),
+        "csr-unsorted-duplicates": unsorted_csr,
+        "raid5-G3-off-diagonal": raid_off.tocoo(),
+    }
+
+
+class TestCanonicalGenerator:
+    @pytest.mark.parametrize("name", sorted(_generator_inputs()))
+    def test_equals_scipy_conversions_bitwise(self, name):
+        generator = _generator_inputs()[name]
+        before = sparse.csr_matrix(generator, copy=True)
+        want, out_rates = _reference_generator(generator)
+        model = CTMC(generator)
+        got = model.generator
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        assert model.output_rates.tobytes() == \
+            np.maximum(out_rates, 0.0).tobytes()
+        # The caller's matrix is left as it was.
+        after = sparse.csr_matrix(generator)
+        assert (abs(after - before)).nnz == 0
+
+    def test_negative_rate_in_unsorted_csr_rejected(self):
+        # Row 0 holds its diagonal after a negative off-diagonal rate.
+        q = sparse.csr_matrix(([-1.0, 1.0, 2.0], [1, 0, 0], [0, 2, 3]),
+                              shape=(2, 2))
+        with pytest.raises(ModelError, match="negative off-diagonal"):
+            CTMC(q)
+
+
 class TestFromTransitions:
     def test_basic(self):
         m = CTMC.from_transitions(2, [(0, 1, 2.0), (1, 0, 3.0)], initial=1)

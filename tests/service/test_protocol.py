@@ -56,7 +56,7 @@ FAMILY_SCENARIOS = {
                       times=(0.5, 2.0), eps=1e-8),
 }
 
-METHODS = ("SR", "RSD", "MS", "RR", "RRL")
+METHODS = ("SR", "RSD", "RR", "RRL")
 
 
 def _wire_trip(obj):

@@ -1,19 +1,14 @@
 """The capability-declaring solver registry: registration semantics,
-capability-derived dispatch sets, declared measures, and unknown-method
-errors across every entry point (runner, planner, protocol, CLI)."""
+capability-derived dispatch sets, and unknown-method errors across every
+entry point (runner, planner, protocol, CLI)."""
 
 import pytest
 
-from repro.exceptions import (
-    ProtocolError,
-    RegistryError,
-    UnknownMethodError,
-    UnsupportedMeasureError,
-)
+from repro.exceptions import ProtocolError, RegistryError, UnknownMethodError
 from repro.solvers import registry
 from repro.solvers.registry import SolverSpec
 
-EXPECTED_METHODS = {"MS", "ODE", "RR", "RRL", "RSD", "SR"}
+EXPECTED_METHODS = {"RR", "RRL", "RSD", "SR"}
 
 
 def _request(method, measure="trr"):
@@ -104,12 +99,13 @@ class TestCapabilities:
 
         assert flagged("stack_fusable") == {"SR", "RSD"}
         assert flagged("schedule_memoizable") == {"RR", "RRL"}
-        assert flagged("kernel_aware") == EXPECTED_METHODS - {"ODE"}
 
     def test_capabilities_listing(self):
         assert registry.get_spec("RRL").capabilities() == \
-            ("kernel_aware", "schedule_memoizable")
-        assert registry.get_spec("ODE").capabilities() == ()
+            ("schedule_memoizable",)
+        assert registry.get_spec("SR").capabilities() == ("stack_fusable",)
+        bare = SolverSpec(name="X", constructor=dict, summary="x")
+        assert bare.capabilities() == ()
 
     def test_step_budget_metadata(self):
         assert registry.get_spec("SR").step_budget_kwarg == "max_steps"
@@ -166,22 +162,24 @@ class TestUnknownMethodEntryPoints:
         with pytest.raises(ProtocolError, match="known methods"):
             request_from_dict(wire)
 
-    def test_removed_au_tag_request_construction(self):
-        # AU is the tag removed in 6.0.0.
+    @pytest.mark.parametrize("tag", ["AU", "MS", "ODE"])
+    def test_removed_tag_request_construction(self, tag):
+        # AU is the tag removed in 6.0.0; MS and ODE went in 10.0.0.
         with pytest.raises(UnknownMethodError,
-                           match="'AU'; known methods"):
-            _request("AU")
+                           match=f"'{tag}'; known methods"):
+            _request(tag)
 
-    def test_removed_au_tag_in_journal_record(self):
-        # A schema_version=1 record as a 5.x journal may still hold it.
+    @pytest.mark.parametrize("tag", ["AU", "MS", "ODE"])
+    def test_removed_tag_in_journal_record(self, tag):
+        # A schema_version=1 record as an older journal may still hold it.
         from repro.service.protocol import request_from_dict, \
             request_to_dict
 
         wire = request_to_dict(_request("RRL"))
         assert wire["schema_version"] == 1
-        wire["method"] = "AU"
+        wire["method"] = tag
         with pytest.raises(ProtocolError,
-                           match="known methods: MS, ODE, RR, RRL, RSD, SR"):
+                           match="known methods: RR, RRL, RSD, SR"):
             request_from_dict(wire)
 
     def test_cli_solve_choices_generated_from_registry(self, capsys):
@@ -208,61 +206,31 @@ class TestUnknownMethodEntryPoints:
         assert main(["solvers", "list"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"{len(EXPECTED_METHODS)} registered solvers")
-        rows = {line.split()[0]: line for line in out.splitlines()[3:]}
+        header, _, *body = out.splitlines()[1:]
+        assert header.split() == ["method", "capabilities", "summary"]
+        rows = {line.split()[0]: line for line in body}
         assert set(rows) == EXPECTED_METHODS
-        assert rows["MS"].split()[1] == "TRR" and "TRR, MRR" in rows["SR"]
-        assert "schedule-memoizable" in out
-        assert "stack-fusable" in out
+        assert rows["SR"].split()[1] == "stack-fusable"
+        assert rows["RRL"].split()[1] == "schedule-memoizable"
+        assert "TRR" not in out
 
 
-class TestDeclaredMeasures:
-    """A request for a measure its method does not declare (MS computes
-    TRR only) fails at construction, never inside a task."""
+class TestBothMeasures:
+    """Every registered method computes TRR and MRR, so a request for
+    either measure constructs, decodes and solves."""
 
-    def test_only_ms_declares_trr_only(self):
-        assert registry.get_spec("MS").measures == ("TRR",)
-        assert {spec.name for spec in registry.specs()
-                if spec.measures != ("TRR", "MRR")} == {"MS"}
-
-    @pytest.mark.parametrize("bad", [(), ("TRR", "PDF")],
-                             ids=["empty", "unknown"])
-    def test_spec_rejects_bad_measures(self, bad):
-        with pytest.raises(RegistryError, match="measures"):
-            SolverSpec(name="X", constructor=dict, summary="x",
-                       measures=bad)
-
-    def test_request_rejects_unsupported_measure(self):
-        with pytest.raises(UnsupportedMeasureError,
-                           match="'MS' does not support MRR") as exc:
-            _request("ms", "mrr")
-        assert isinstance(exc.value, RegistryError)
-        assert exc.value.supported == ("TRR",)
-
-    def test_wire_rejects_unsupported_measure(self):
-        from repro.service.protocol import request_from_dict, \
-            request_to_dict
-
-        wire = request_to_dict(_request("MS"))
-        wire["measure"] = "mrr"
-        with pytest.raises(ProtocolError, match="does not support MRR"):
-            request_from_dict(wire)
-
-    def test_runner_solve_rejects_unsupported_measure(self):
+    @pytest.mark.parametrize("method", sorted(EXPECTED_METHODS))
+    def test_every_method_takes_both_measures(self, method):
         from repro.analysis.runner import solve
         from repro.markov.rewards import Measure
         from repro.models.library import two_state_availability
+        from repro.service.protocol import request_from_dict, \
+            request_to_dict
 
+        for measure in ("trr", "mrr"):
+            request = _request(method, measure)
+            assert request_from_dict(request_to_dict(request)) == request
         model, rewards = two_state_availability()
-        with pytest.raises(UnsupportedMeasureError,
-                           match="'MS' does not support MRR"):
-            solve(model, rewards, Measure.MRR, [1.0], method="ms")
-
-    def test_cli_solve_reports_unsupported_measure(self, capsys):
-        from repro.cli import main
-
-        code = main(["solve", "--method", "MS", "--measure", "mrr",
-                     "--groups", "1", "--times", "1.0"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "'MS' does not support MRR" in err
-        assert "Traceback" not in err
+        for measure in Measure:
+            sol = solve(model, rewards, measure, [1.0], method=method)
+            assert sol.measure is measure

@@ -54,6 +54,17 @@ class TestImports:
                              "repro.CTMC; assert len(repro.cache_stats()) == 4")
         assert proc.returncode == 0, proc.stderr
 
+    def test_registry_query_loads_no_ode_integrator(self):
+        # The registry holds the four randomization solvers only, so
+        # querying it never imports scipy's ODE integrators.
+        proc = _fresh_python(
+            "import sys\n"
+            "from repro.solvers import registry\n"
+            "methods = registry.known_methods()\n"
+            "assert methods == ('RR', 'RRL', 'RSD', 'SR'), methods\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("module", ["repro.batch.kernel",
                                         "repro.batch.planner", "repro.core",
                                         "repro.service"])

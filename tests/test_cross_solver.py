@@ -1,11 +1,10 @@
-"""Cross-solver consistency: every registered transient solver must agree
-on every generated scenario.
+"""Cross-solver consistency: every registered transient solver must meet
+its ε on every generated scenario.
 
-For each scenario from the parametric generator, RR, RRL, SR, RSD (on
-irreducible models) and ODE are run on the same ``(measure, t, ε)``
-grid. Methods with guaranteed error bounds (SR, RR, RRL, RSD) must agree
-pairwise within their *combined* ε budgets; the unguaranteed ODE
-comparator gets a looser numerical tolerance. A disagreement here means a
+For each scenario from the parametric generator, RR, RRL, SR and RSD (on
+irreducible models) are run on the same ``(measure, t, ε)`` grid and
+checked against a dense ``scipy.linalg.expm`` reference: every value
+within ``ε·max(1, r_max)``, with no headroom. A miss here means a
 solver's truncation analysis — not just its speed — is broken, which is
 exactly the class of bug a refactor of the shared stepping kernel could
 introduce.
@@ -13,6 +12,7 @@ introduce.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from repro.analysis.runner import get_solver
 from repro.batch.scenarios import generate_scenarios
@@ -21,13 +21,6 @@ from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.sweep import solve_shared
 
 EPS = 1e-8
-
-#: Tolerance for methods with rigorous total-error guarantees: two methods
-#: each eps-accurate can differ by 2·eps; a small float fuzz rides along.
-GUARANTEED_TOL = 4.0 * EPS
-
-#: ODE (heuristic local error control; no ε guarantee).
-NUMERIC_TOL = 5e-6
 
 TRR_SCENARIOS = (
     generate_scenarios(families=("raid5",), times=(1.0, 50.0), eps=EPS)[:2]
@@ -51,55 +44,55 @@ MRR_SCENARIOS = [
 
 
 def _methods_for(model):
-    """(guaranteed methods, numeric-tolerance methods) for a scenario."""
-    guaranteed = ["SR", "RR", "RRL"]
-    numeric = ["ODE"]
+    """The registered methods that apply to a scenario's model."""
+    methods = ["SR", "RR", "RRL"]
     if model.is_irreducible():
-        guaranteed.append("RSD")
-    return guaranteed, numeric
+        methods.append("RSD")
+    return methods
 
 
-def _solve_all(scenario):
+def _dense_reference(model, rewards, measure, times):
+    """TRR ``π₀·exp(Qt)·r``, or MRR from the top-right block of
+    ``exp([[Q, r], [0, 0]] t)``, which is the integral of
+    ``exp(Qs)·r`` over ``[0, t]``."""
+    q = model.generator.toarray()
+    if measure is Measure.TRR:
+        return np.array([model.initial @ expm(q * t) @ rewards.rates
+                         for t in times])
+    n = model.n_states
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = q
+    aug[:n, n] = rewards.rates
+    return np.array([model.initial @ expm(aug * t)[:n, n] / t
+                     for t in times])
+
+
+def _assert_every_method_meets_eps(scenario):
     model, rewards = scenario.build()
-    guaranteed, numeric = _methods_for(model)
-    values = {}
-    for method in guaranteed + numeric:
+    reference = _dense_reference(model, rewards, scenario.measure,
+                                 scenario.times)
+    bound = scenario.eps * max(1.0, rewards.max_rate)
+    for method in _methods_for(model):
         sol = get_solver(method).solve(model, rewards, scenario.measure,
                                        list(scenario.times), scenario.eps)
         # Unified stats schema: every solver reports its rate.
         assert "rate" in sol.stats, f"{method} solution lacks stats['rate']"
-        values[method] = np.asarray(sol.values)
-    return guaranteed, numeric, values
+        err = np.abs(np.asarray(sol.values) - reference)
+        assert np.all(err <= bound), (
+            f"{method} misses ε on {scenario.name}: worst error "
+            f"{err.max() / bound:.2f} ε")
 
 
 @pytest.mark.parametrize("scenario", TRR_SCENARIOS,
                          ids=lambda s: s.name)
 def test_trr_consistency(scenario):
-    guaranteed, numeric, values = _solve_all(scenario)
-    reference = values["RRL"]
-    for method in guaranteed:
-        assert values[method] == pytest.approx(reference,
-                                               abs=GUARANTEED_TOL), \
-            f"{method} disagrees with RRL on {scenario.name}"
-    for method in numeric:
-        assert values[method] == pytest.approx(reference,
-                                               abs=NUMERIC_TOL), \
-            f"{method} disagrees with RRL on {scenario.name}"
+    _assert_every_method_meets_eps(scenario)
 
 
 @pytest.mark.parametrize("scenario", MRR_SCENARIOS,
                          ids=lambda s: s.name)
 def test_mrr_consistency(scenario):
-    guaranteed, numeric, values = _solve_all(scenario)
-    reference = values["RRL"]
-    for method in guaranteed:
-        assert values[method] == pytest.approx(reference,
-                                               abs=GUARANTEED_TOL), \
-            f"{method} disagrees with RRL on {scenario.name}"
-    for method in numeric:
-        assert values[method] == pytest.approx(reference,
-                                               abs=NUMERIC_TOL), \
-            f"{method} disagrees with RRL on {scenario.name}"
+    _assert_every_method_meets_eps(scenario)
 
 
 def _fusable_methods_for(model):
@@ -166,26 +159,9 @@ def test_matrix_covers_every_registered_solver():
     covered = set()
     for scenario in TRR_SCENARIOS + MRR_SCENARIOS:
         model, _ = scenario.build()
-        guaranteed, numeric = _methods_for(model)
-        covered.update(guaranteed)
-        covered.update(numeric)
-    covered.add("MS")  # exercised by test_multistep_agrees_on_trr
+        covered.update(_methods_for(model))
     missing = set(registry.known_methods()) - covered
     assert not missing, (
         f"registered solver(s) {sorted(missing)} are not exercised by "
-        "the cross-solver matrix; add them to _methods_for (or a "
-        "dedicated test) so every registered method stays consistency-"
-        "checked")
-
-
-def test_multistep_agrees_on_trr():
-    """MS (TRR-only) rides the same kernel; check it against SR."""
-    scenario = generate_scenarios(families=("birth_death",), seed=13,
-                                  random_count=1, times=(0.5, 5.0),
-                                  eps=EPS)[0]
-    model, rewards = scenario.build()
-    ms = get_solver("MS").solve(model, rewards, Measure.TRR,
-                                list(scenario.times), scenario.eps)
-    sr = get_solver("SR").solve(model, rewards, Measure.TRR,
-                                list(scenario.times), scenario.eps)
-    assert ms.values == pytest.approx(sr.values, abs=GUARANTEED_TOL)
+        "the cross-solver matrix; add them to _methods_for so every "
+        "registered method stays checked against the dense reference")

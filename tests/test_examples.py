@@ -26,11 +26,12 @@ def test_quickstart(monkeypatch, capsys):
     out = run_example("quickstart.py", monkeypatch, capsys, g=None)
     assert "UA(t)" in out and "MRR(t)" in out
     assert "np.int64(" not in out
-    # Every reported error line must show an error below 1e-7.
-    for line in out.splitlines():
-        if "max|err|" in line:
-            err = float(line.split("=")[1].split()[0])
-            assert err < 1e-7
+    # Every method reports both measures, each within the script's ε.
+    eps = runpy.run_path(str(EXAMPLES / "quickstart.py"))["EPS"]
+    errors = [float(line.split("=")[1].split()[0])
+              for line in out.splitlines() if "max|err|" in line]
+    assert len(errors) == 2 * 4
+    assert all(err <= eps for err in errors)
 
 
 def test_raid5_unreliability(monkeypatch, capsys):

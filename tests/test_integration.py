@@ -3,9 +3,10 @@ shared workloads, within the sum of their budgets.
 
 This is the package's strongest guarantee: SR's error is rigorous, RR and
 RRL take entirely different routes (explicit truncated chain vs closed-
-form transform + numerical inversion), RSD adds detection, the ODE solver
-shares no code with randomization at all. Agreement across all of them on
-dependability-shaped models is very unlikely to be coincidental.
+form transform + numerical inversion), RSD adds detection, and a dense
+``expm`` reference shares no code with randomization at all. Agreement
+across all of them on dependability-shaped models is very unlikely to be
+coincidental.
 """
 
 import numpy as np
@@ -40,10 +41,17 @@ def agreement_matrix(model, rewards, measure, methods, times=TIMES,
 
 class TestSmallModels:
     def test_irreducible_all_methods(self, random_irreducible):
+        from scipy.linalg import expm
+
         rewards = RewardStructure.indicator(15, [2, 9])
-        worst, _ = agreement_matrix(random_irreducible, rewards, TRR,
-                                    ["RRL", "RR", "SR", "RSD", "ODE"])
-        assert worst < 5e-8  # ODE is the loose one
+        _, sols = agreement_matrix(random_irreducible, rewards, TRR,
+                                   ["RRL", "RR", "SR", "RSD"])
+        q = random_irreducible.generator.toarray()
+        ref = np.array([random_irreducible.initial @ expm(q * t)
+                        @ rewards.rates for t in TIMES])
+        for method, sol in sols.items():
+            err = np.abs(sol.values - ref)
+            assert np.all(err <= EPS), (method, err.max() / EPS)
 
     def test_irreducible_randomization_family_tight(self,
                                                     random_irreducible):
