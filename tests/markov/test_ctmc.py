@@ -111,6 +111,55 @@ def _generator_inputs():
     }
 
 
+def _builders():
+    from repro.models import (
+        MultiprocessorParams,
+        Raid5Params,
+        birth_death,
+        block_structured_ctmc,
+        build_multiprocessor_availability,
+        build_multiprocessor_reliability,
+        build_raid5_availability,
+        build_raid5_reliability,
+        cyclic_chain,
+        erlang_chain,
+        mm1k_queue,
+        random_ctmc,
+        tandem_repair,
+        two_state_availability,
+    )
+
+    def raid5(build, groups):
+        return lambda: build(Raid5Params(groups=groups))
+
+    def multiprocessor(build):
+        return lambda: build(MultiprocessorParams())
+
+    return {
+        # The paper's four models.
+        "raid5-availability-G20": raid5(build_raid5_availability, 20),
+        "raid5-availability-G40": raid5(build_raid5_availability, 40),
+        "raid5-reliability-G20": raid5(build_raid5_reliability, 20),
+        "raid5-reliability-G40": raid5(build_raid5_reliability, 40),
+        "multiprocessor-availability":
+            multiprocessor(build_multiprocessor_availability),
+        "multiprocessor-reliability":
+            multiprocessor(build_multiprocessor_reliability),
+        # Every chain of the model library.
+        "two-state-availability": lambda: two_state_availability(),
+        "birth-death": lambda: birth_death(12, 2.0, 3.0),
+        "erlang-chain": lambda: erlang_chain(6, 1.5),
+        "mm1k-queue": lambda: mm1k_queue(9, 1.0, 1.3),
+        "cyclic-chain": lambda: cyclic_chain(7, 2.0),
+        "tandem-repair": lambda: tandem_repair(4, 0.1, 1.0, coverage=0.9),
+        "random-ctmc": lambda: random_ctmc(25, density=0.3, seed=3),
+        "block-structured-ctmc": lambda: block_structured_ctmc(3, 6),
+    }
+
+
+_BUILDERS = _builders()
+
+
 class TestCanonicalGenerator:
     @pytest.mark.parametrize("name", sorted(_generator_inputs()))
     def test_equals_scipy_conversions_bitwise(self, name):
@@ -134,6 +183,56 @@ class TestCanonicalGenerator:
                               shape=(2, 2))
         with pytest.raises(ModelError, match="negative off-diagonal"):
             CTMC(q)
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_builder_input_equals_scipy_conversions_bitwise(
+            self, monkeypatch, name):
+        # What each model builder hands the constructor, captured before
+        # the constructor runs, against the reference construction.
+        seen = []
+        init = CTMC.__init__
+
+        def spy(self, generator, *args, **kwargs):
+            assert kwargs.get("fix_diagonal", True)
+            seen.append(sparse.csr_matrix(generator, dtype=np.float64,
+                                          copy=True))
+            init(self, generator, *args, **kwargs)
+            seen.append(self)
+
+        monkeypatch.setattr(CTMC, "__init__", spy)
+        _BUILDERS[name]()
+        assert seen
+        for generator, model in zip(seen[::2], seen[1::2]):
+            want, out_rates = _reference_generator(generator)
+            got = model.generator
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    attr
+            assert model.output_rates.tobytes() == \
+                np.maximum(out_rates, 0.0).tobytes()
+
+    def test_strict_mode_keeps_a_valid_generator_bitwise(self):
+        q = CTMC(_generator_inputs()["raid5-G3-off-diagonal"]).generator
+        model = CTMC(q, fix_diagonal=False)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(model.generator, attr).tobytes() == \
+                getattr(q, attr).tobytes(), attr
+        assert model.output_rates.tobytes() == (-q.diagonal()).tobytes()
+
+    def test_strict_mode_canonicalises_duplicates_and_zeros(self):
+        # A valid generator given as an unsorted CSR with a split rate,
+        # an explicit zero and the diagonal stored first.
+        q = sparse.csr_matrix(
+            ([-3.0, 0.0, 1.0, 2.0, -4.0, 4.0, 0.0],
+             [0, 2, 1, 1, 1, 0, 2],
+             [0, 4, 6, 7]), shape=(3, 3))
+        model = CTMC(q, fix_diagonal=False)
+        got = model.generator
+        assert got.has_canonical_format
+        assert np.all(got.data != 0.0)
+        assert np.array_equal(got.toarray(), q.toarray())
+        assert np.array_equal(model.output_rates, [3.0, 4.0, 0.0])
 
 
 class TestFromTransitions:

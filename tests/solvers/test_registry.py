@@ -191,6 +191,15 @@ class TestUnknownMethodEntryPoints:
         assert exc.value.code == 2
         assert "FFT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag", ["MS", "ODE"])
+    def test_removed_tag_cli_solve_choice(self, tag, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["solve", "--method", tag])
+        assert exc.value.code == 2
+        assert f"'{tag}'" in capsys.readouterr().err
+
     def test_cli_batch_submit_unknown_method(self, tmp_path, capsys):
         from repro.cli import main
 
