@@ -34,7 +34,7 @@ Public API
 * **Service (canonical batch API)**: :mod:`repro.service` —
   :class:`SolveService` (the one entry point wrapping planner → pool →
   scatter, and the one holder of the pool shape), a versioned JSON wire
-  protocol for
+  protocol for scenario-backed
   :class:`SolveRequest`/:class:`BatchOutcome`/:class:`TransientSolution`
   (:mod:`repro.service.protocol`, ``schema_version``-checked,
   bit-exact), and :class:`JobQueue`, a resumable on-disk job queue whose
@@ -94,6 +94,25 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 11.0.0: one wire form, one CTMC construction path, one front door.
+# Breaking: model-backed requests have no wire form (``ctmc_to_dict``,
+# ``ctmc_from_dict`` and the ``"model"`` record field are gone;
+# ``request_to_dict`` of a live-model request and ``request_from_dict``
+# of a record with a ``"model"`` payload raise ``ProtocolError``, so
+# journal a ``Scenario``); so are the generic ``to_dict``/``from_dict``/
+# ``dumps``/``loads`` of ``repro.service`` and its protocol module,
+# ``CTMC(fix_diagonal=)`` and its validate-only mode (the diagonal is
+# always the negated off-diagonal row sums), the ``solve``, ``mttf``,
+# ``validate`` and ``diagnose`` commands of ``python -m repro`` (call
+# ``repro.analysis.runner.solve``, ``mean_time_to_absorption``,
+# ``cross_validate`` and ``compare_regenerative_states``), column-stack
+# products in ``UniformizationKernel.step``/``step_rate`` (and the
+# ``csr_matvecs`` call behind them), ``repro.laplace.invert`` (name
+# ``invert_bounded`` or ``invert_cumulative``) and
+# ``repro.batch.solve_scenarios`` (it was
+# ``SolveService().solve(scenario_requests(...))``). Model-backed
+# requests still solve in process. Every number is bit-identical.
+#
 # 10.0.0: four solvers, each within its ε. Breaking: multistep
 # randomization (``MultistepRandomizationSolver``, the ``MS`` tag) and
 # the ODE baseline (``OdeSolver``, the ``ODE`` tag, which carried no ε
@@ -188,7 +207,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "__version__",

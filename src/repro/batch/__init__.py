@@ -56,7 +56,6 @@ __all__ = [
     "generate_scenarios",
     "scenario_families",
     "scenario_requests",
-    "solve_scenarios",
     "SolveRequest",
     "ExecutionPlan",
     "plan_requests",
@@ -79,7 +78,6 @@ _EXPORTS = {
     "generate_scenarios": "repro.batch.scenarios",
     "scenario_families": "repro.batch.scenarios",
     "scenario_requests": "repro.batch.scenarios",
-    "solve_scenarios": "repro.batch.scenarios",
     "SolveRequest": "repro.batch.planner",
     "ExecutionPlan": "repro.batch.planner",
     "plan_requests": "repro.batch.planner",

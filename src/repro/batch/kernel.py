@@ -3,7 +3,7 @@
 Every randomization-based solver in this package ultimately does the same
 two things:
 
-1. step one or more row vectors through the randomized DTMC,
+1. step row vectors through the randomized DTMC,
    ``π ↦ π P`` with ``P = I + Q/Λ`` (the one ``π_n`` sweep that SR and RSD
    share, :mod:`repro.markov.sweep`; the regenerative schedule recursions
    of RR/RRL);
@@ -12,17 +12,9 @@ two things:
 
 The :class:`UniformizationKernel` centralizes (1). It stores ``P`` once as
 the CSR form of ``Pᵀ`` — the layout scipy's matvec walks sequentially for
-the left product ``π P = (Pᵀ πᵀ)ᵀ`` — and propagates a whole *stack* of
-vectors per step with a single CSR × dense-matrix product. Column ``j`` of
-a stacked product is bit-for-bit identical to propagating vector ``j``
-alone (scipy's CSR multi-vector product accumulates each column in the
-same order as its matvec), so batching never changes any solver's
-numerics — a property the unit tests pin down. Column stacks buy that
-bit-identity, not speed on large chains: on the G=40 paper model (20,641
-states, 157k nonzeros) one 2-column ``csr_matvecs`` took 552 µs against
-2 × 173 µs for two separate matvecs (2-CPU Xeon host).
+the left product ``π P = (Pᵀ πᵀ)ᵀ`` — and steps one vector per product.
 
-:meth:`UniformizationKernel.stack` stacks *chains* instead: one
+:meth:`UniformizationKernel.stack` steps several *chains* at once: one
 block-diagonal ``Pᵀ`` over several models, each row with its own
 kernel's entries in its own order, so one matvec steps every chain bit
 for bit as its own kernel would. That does buy speed on small chains,
@@ -31,9 +23,9 @@ where the per-call overhead below dwarfs the flops: the ``π_n`` walks of
 states each) per call, and ``scenario_sweep`` takes 23,349 products
 instead of 113,474 (``kernel.step_s`` 0.48 → 0.14 s, 2-CPU Xeon host).
 
-Every product calls scipy's CSR routines (``csr_matvec``/``csr_matvecs``)
-directly on the matrix's own arrays. That is what ``Pᵀ @ stack`` runs
-after its operand dispatch, so results are bit-identical to the operator.
+Every product calls scipy's CSR matvec routine (``csr_matvec``) directly
+on the matrix's own arrays. That is what ``Pᵀ @ x`` runs after its
+operand dispatch, so results are bit-identical to the operator.
 The dispatch it skips costs 2–3 µs per call: about half of each product
 on the small chains of a scenario sweep (5–253 states), under a tenth
 from a few thousand states up. Those routines live in scipy's private
@@ -163,44 +155,39 @@ poisson_tail_cache_info = _POISSON_TAIL.info
 poisson_tail_cache_clear = _POISSON_TAIL.clear
 
 
-def _csr_product(a: sparse.csr_matrix, stack: np.ndarray,
+def _csr_product(a: sparse.csr_matrix, x: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ stack`` for a square ``a`` and a dense vector or column stack.
+    """``a @ x`` for a square ``a`` and a dense vector ``x``.
 
-    The steps scipy's ``_matmul_vector``/``_matmul_multivector`` take once
-    ``@`` has classified the operand: a float64 view or cast of it, a
-    zeroed float64 output and one call of ``csr_matvec`` (1-D) or
-    ``csr_matvecs`` (2-D, raveled in C order) over ``a``'s own
+    The steps scipy's ``_matmul_vector`` takes once ``@`` has classified
+    the operand: a float64 view or cast of it, a zeroed float64 output
+    and one call of ``csr_matvec`` over ``a``'s own
     ``indptr/indices/data``. Same routine, same arrays, same accumulation
-    order, so the result is bit-for-bit ``a @ stack``. ``out``, when
-    given, is zeroed and used as that output instead of a fresh array;
-    it must share no memory with the operand, which zeroing it would
-    wipe before the product reads it. Without scipy's private
-    ``_sparsetools`` module the product is ``a @ stack`` itself, copied
-    into ``out`` when one is given.
+    order, so the result is bit-for-bit ``a @ x``. ``out``, when given,
+    is zeroed and used as that output instead of a fresh array; it must
+    share no memory with the operand, which zeroing it would wipe before
+    the product reads it. Without scipy's private ``_sparsetools``
+    module the product is ``a @ x`` itself, copied into ``out`` when one
+    is given.
     """
     n = a.shape[0]
-    x = np.asarray(stack, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != n:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
         raise ValueError(
             f"dimension mismatch: matrix is {n}×{n}, operand {x.shape}")
     if out is None:
-        out = np.zeros(x.shape)
-    elif (out.shape != x.shape or np.may_share_memory(out, x)
-          or (x.ndim == 2 and not out.flags.c_contiguous)):
+        out = np.zeros(n)
+    elif out.shape != x.shape or np.may_share_memory(out, x):
         # A float64 dtype is checked by the csr routine itself.
         raise ValueError(
-            f"out must be a C-contiguous float64 {x.shape} array sharing "
-            "no memory with the operand")
+            f"out must be a float64 {x.shape} array sharing no memory "
+            "with the operand")
     else:
         out.fill(0.0)
     if _sparsetools is None:
         np.copyto(out, a @ x, casting="no")
-    elif x.ndim == 1:
-        _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
     else:
-        _sparsetools.csr_matvecs(n, n, x.shape[1], a.indptr, a.indices,
-                                 a.data, x.ravel(), out.ravel())
+        _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
     return out
 
 
@@ -225,9 +212,10 @@ class UniformizationKernel:
 
     Notes
     -----
-    Stacks are stored *column-wise*: shape ``(n_states, k)`` holds ``k``
-    distributions, so one ``Pᵀ @ stack`` product advances all of them.
-    1-D vectors work everywhere a stack does.
+    Every product steps one vector of length ``n_states``; several
+    chains step side by side through :meth:`stack`, not through column
+    stacks (one 2-column product was slower than two vector products on
+    the G=40 paper model).
 
     A kernel is safe to share between solves: stepping only reads the
     CSR matrices, and both stepping methods — :meth:`step` and
@@ -367,22 +355,21 @@ class UniformizationKernel:
 
     # -- stepping ----------------------------------------------------------
 
-    def step(self, stack: np.ndarray,
+    def step(self, x: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
-        """One uniformized step of every column: ``stack ↦ Pᵀ stack``.
+        """One uniformized step of a vector: ``x ↦ Pᵀ x``.
 
-        ``out``, a C-contiguous float64 buffer of the result's shape that
-        shares no memory with ``stack``, receives the product instead of
-        a fresh array.
+        ``out``, a float64 buffer of length ``n_states`` that shares no
+        memory with ``x``, receives the product instead of a fresh array.
         """
         if self._pt is None:
             raise ModelError(
                 "kernel was built without a transition matrix; "
                 "fixed-rate stepping needs P")
         self._steps += 1
-        return _csr_product(self._pt, stack, out)
+        return _csr_product(self._pt, x, out)
 
-    def step_rate(self, stack: np.ndarray, rate: float) -> np.ndarray:
+    def step_rate(self, x: np.ndarray, rate: float) -> np.ndarray:
         """One step of ``I + Q/rate``.
 
         ``rate`` must dominate the exit rates of every state carrying
@@ -396,7 +383,7 @@ class UniformizationKernel:
         if rate <= 0.0:
             raise ValueError("rate must be positive")
         self._steps += 1
-        return stack + _csr_product(self._qt, stack) / rate
+        return x + _csr_product(self._qt, x) / rate
 
     def window(self, t: float, eps: float) -> FoxGlynnWindow:
         """Cached Fox–Glynn window for ``(Λ·t, eps)``."""

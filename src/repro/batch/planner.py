@@ -33,11 +33,12 @@ The planner emits ordinary :class:`~repro.batch.runner.BatchTask` objects,
 so fusion composes with :func:`~repro.batch.runner.run_tasks` pool
 fan-out unchanged: a fused window is simply one (bigger) task. Requests are
 picklable — scenario-backed requests ship only the scenario description;
-model-backed requests ship the CSR once per task.
+a request over a live model pickles its CSR into the task, which is how
+it reaches a pool worker (it has no wire form).
 
-``SolveRequest`` is deliberately transport-shaped (plain data + a registry
-method tag): it is the unit of work the service layer puts on the wire
-(:mod:`repro.service.protocol` gives it a versioned JSON form;
+A scenario-backed ``SolveRequest`` is transport-shaped (plain data + a
+registry method tag): it is the unit of work the service layer puts on
+the wire (:mod:`repro.service.protocol` gives it a versioned JSON form;
 :class:`repro.service.queue.JobQueue` journals it). Plans are executed by
 :class:`repro.service.service.SolveService`, which owns the planner
 policy, the pool shape and the scatter bookkeeping.

@@ -44,7 +44,7 @@ from repro.models.raid5 import (
 )
 
 __all__ = ["Scenario", "scenario_families", "generate_scenarios",
-           "scenario_requests", "solve_scenarios"]
+           "scenario_requests"]
 
 #: Default evaluation horizon grid (hours, paper-style log sweep).
 _DEFAULT_TIMES: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
@@ -143,25 +143,6 @@ def scenario_requests(scenarios: Iterable[Scenario],
     return [SolveRequest(scenario=s, measure=s.measure, times=s.times,
                          eps=s.eps, method=m, key=(s.name, m))
             for s in scenarios for m in methods]
-
-
-def solve_scenarios(scenarios: Iterable[Scenario],
-                    methods: Sequence[str] = ("RRL",),
-                    service=None) -> list:
-    """Solve a scenario sweep through the
-    :class:`~repro.service.service.SolveService` facade (a fresh inline
-    one unless ``service`` is given).
-
-    Scenarios sharing a model fuse (SR/RSD) or at least share a
-    per-worker kernel; returns one
-    :class:`~repro.batch.runner.BatchOutcome` per (scenario, method) in
-    order.
-    """
-    from repro.service.service import SolveService
-
-    if service is None:
-        service = SolveService()
-    return service.solve(scenario_requests(scenarios, methods))
 
 
 def _raid5_scenarios(times: tuple[float, ...], eps: float

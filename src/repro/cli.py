@@ -1,18 +1,10 @@
-"""Command-line interface: solve, diagnose and queue RAID workloads from
-a shell. The paper's tables and figures are reproduced by
-``scripts/run_paper_grid.py``.
+"""Command-line interface: queue RAID and scenario workloads from a
+shell, and list the registered solvers. The paper's tables and figures
+are reproduced by ``scripts/run_paper_grid.py``; a one-off solve of a
+live model is ``repro.analysis.runner.solve``.
 
 Examples
 --------
-Solve the RAID unreliability at three horizons with RRL::
-
-    python -m repro solve --model raid-ur --groups 20 \
-        --times 1e3 1e4 1e5 --method RRL --eps 1e-12
-
-Rank regenerative-state candidates for the availability model::
-
-    python -m repro diagnose --groups 10
-
 List the registered solvers and their capabilities::
 
     python -m repro solvers list
@@ -24,6 +16,11 @@ Run the quick grid through the resumable on-disk job queue (a killed
     python -m repro batch run --queue ./q --workers 4
     python -m repro batch status --queue ./q
     python -m repro batch collect --queue ./q --json results.json
+
+Journal a generated scenario sweep instead of the grid::
+
+    python -m repro batch submit --queue ./qs \
+        --scenarios birth_death block --methods SR RSD --seed 1
 """
 
 from __future__ import annotations
@@ -33,82 +30,14 @@ import json
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.analysis.convergence import compare_regenerative_states
 from repro.analysis.experiments import (
     ExperimentConfig,
     grid_solve_requests,
 )
 from repro.analysis.reporting import format_table
-from repro.analysis.runner import solve
 from repro.solvers import registry
-from repro.markov.mttf import mean_time_to_absorption
-from repro.markov.rewards import Measure
-from repro.models import (
-    Raid5Params,
-    build_raid5_availability,
-    build_raid5_reliability,
-)
 
 __all__ = ["main", "build_parser"]
-
-
-def _build_model(kind: str, groups: int):
-    params = Raid5Params(groups=groups)
-    if kind == "raid-ua":
-        model, rewards, _ = build_raid5_availability(params)
-    elif kind == "raid-ur":
-        model, rewards, _ = build_raid5_reliability(params)
-    else:
-        raise SystemExit(f"unknown model {kind!r}")
-    return model, rewards
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    model, rewards = _build_model(args.model, args.groups)
-    measure = Measure.TRR if args.measure == "trr" else Measure.MRR
-    sol = solve(model, rewards, measure, args.times, eps=args.eps,
-                method=args.method)
-    rows = [[f"{t:g}", f"{v:.10e}", int(s)]
-            for t, v, s in zip(sol.times, sol.values, sol.steps)]
-    print(format_table(
-        f"{args.measure.upper()} of {args.model} (G={args.groups}) via "
-        f"{sol.method}, eps={args.eps:g}",
-        ["t (h)", "value", "steps"], rows))
-    return 0
-
-
-def _cmd_mttf(args: argparse.Namespace) -> int:
-    model, _ = _build_model("raid-ur", args.groups)
-    at = mean_time_to_absorption(model)
-    print(f"RAID-5 G={args.groups}: MTTF = {at.mean:.6g} h, "
-          f"std = {np.sqrt(at.variance):.6g} h, cv² = {at.cv2:.4f}")
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.analysis.validation import cross_validate
-    model, rewards = _build_model(args.model, args.groups)
-    report = cross_validate(model, rewards, Measure.TRR, args.times,
-                            eps=args.eps)
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    model, _ = _build_model("raid-ua", args.groups)
-    ranked = compare_regenerative_states(model)
-    rows = []
-    for state, fit in ranked[: args.top]:
-        label = model.labels[state] if model.labels else state
-        rows.append([state, str(label), f"{fit.rate:.6f}",
-                     "yes" if fit.exhausted else "no"])
-    print(format_table(
-        f"Regenerative-state candidates for RAID-5 G={args.groups} "
-        "(smaller decay = smaller K)",
-        ["index", "state", "a(k) decay", "exhausted"], rows))
-    return 0
 
 
 def _cmd_solvers_list(args: argparse.Namespace) -> int:
@@ -236,28 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "inversion — paper reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve a RAID measure directly")
-    p.add_argument("--model", choices=["raid-ua", "raid-ur"],
-                   default="raid-ur")
-    p.add_argument("--groups", type=int, default=10)
-    p.add_argument("--measure", choices=["trr", "mrr"], default="trr")
-    p.add_argument("--method", choices=registry.known_methods(),
-                   default="RRL")
-    p.add_argument("--times", type=float, nargs="+",
-                   default=[1.0, 100.0, 10000.0])
-    p.add_argument("--eps", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("mttf", help="mean time to failure of the RAID model")
-    p.add_argument("--groups", type=int, default=10)
-    p.set_defaults(func=_cmd_mttf)
-
-    p = sub.add_parser("diagnose",
-                       help="rank regenerative-state candidates")
-    p.add_argument("--groups", type=int, default=10)
-    p.add_argument("--top", type=int, default=8)
-    p.set_defaults(func=_cmd_diagnose)
-
     p = sub.add_parser(
         "batch",
         help="queue-backed batch execution through SolveService",
@@ -324,14 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered solvers, their capabilities and summaries")
     ps.set_defaults(func=_cmd_solvers_list)
 
-    p = sub.add_parser("validate",
-                       help="cross-method agreement check on a RAID model")
-    p.add_argument("--model", choices=["raid-ua", "raid-ur"],
-                   default="raid-ur")
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--times", type=float, nargs="+", default=[1.0, 100.0])
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_validate)
     return parser
 
 

@@ -18,7 +18,6 @@ from repro.laplace.inversion import (
     InversionResult,
     invert_bounded,
     invert_cumulative,
-    invert,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "InversionResult",
     "invert_bounded",
     "invert_cumulative",
-    "invert",
 ]

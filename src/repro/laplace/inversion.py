@@ -34,8 +34,7 @@ from repro.laplace.error_control import (
     damping_for_cumulative,
 )
 
-__all__ = ["InversionResult", "invert_bounded", "invert_cumulative",
-           "invert"]
+__all__ = ["InversionResult", "invert_bounded", "invert_cumulative"]
 
 #: Paper: convergence when consecutive accelerated values differ by
 #: ``eps_truncation / 25`` (i.e. total budget eps/4 → tolerance eps/100).
@@ -157,22 +156,3 @@ def invert_cumulative(transform: Callable[[np.ndarray], np.ndarray],
     a = damping_for_cumulative(t * eps / 4.0, r_max, t, t_period)
     tol = t * eps / (4.0 * _SAFETY_FACTOR)
     return _drive(transform, t, a, t_period, tol, max_terms)
-
-
-def invert(transform: Callable[[np.ndarray], np.ndarray],
-           t: float, *, eps: float, bound: float,
-           kind: str = "bounded",
-           t_factor: float = 8.0,
-           max_terms: int = _MAX_TERMS_DEFAULT) -> InversionResult:
-    """Generic entry point: ``kind`` is ``"bounded"`` or ``"cumulative"``.
-
-    For ``"cumulative"``, ``bound`` is interpreted as ``r_max`` (the bound
-    on the *derivative* of the cumulative function).
-    """
-    if kind == "bounded":
-        return invert_bounded(transform, t, eps=eps, bound=bound,
-                              t_factor=t_factor, max_terms=max_terms)
-    if kind == "cumulative":
-        return invert_cumulative(transform, t, eps=eps, r_max=bound,
-                                 t_factor=t_factor, max_terms=max_terms)
-    raise ValueError(f"unknown inversion kind {kind!r}")

@@ -29,8 +29,6 @@ from repro.markov.dtmc import DTMC
 
 __all__ = ["CTMC"]
 
-_VALIDATION_RTOL = 1e-9
-
 
 def _with_diagonal(q: sparse.csr_matrix, off_diag_mask: np.ndarray
                    ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -65,25 +63,21 @@ class CTMC:
     ----------
     generator:
         ``(n, n)`` sparse or dense matrix; off-diagonal entries are the
-        transition rates, the diagonal must make rows sum to zero (it is
-        recomputed and checked, see ``fix_diagonal``).
+        transition rates and must not be negative. Any diagonal given is
+        ignored: the constructor stores the negated off-diagonal row sums
+        there, which is what every model builder relies on (builders emit
+        rates only).
     initial:
         Initial probability row vector of length ``n``. Defaults to mass 1
         on state 0.
     labels:
         Optional per-state descriptions (any hashables).
-    fix_diagonal:
-        When True (default) the diagonal is overwritten with the negated
-        off-diagonal row sums instead of being validated, which is the
-        convenient mode for model generators that only emit rates.
     """
 
     def __init__(self,
                  generator: sparse.spmatrix | np.ndarray,
                  initial: np.ndarray | None = None,
-                 labels: Sequence[Hashable] | None = None,
-                 *,
-                 fix_diagonal: bool = True) -> None:
+                 labels: Sequence[Hashable] | None = None) -> None:
         q = sparse.csr_matrix(generator, dtype=np.float64)
         if q.shape[0] != q.shape[1]:
             raise ModelError(f"generator must be square, got {q.shape}")
@@ -97,18 +91,7 @@ class CTMC:
         if np.any(q.data[off_diag_mask] < 0.0):
             raise ModelError("negative off-diagonal rate in generator")
 
-        if fix_diagonal:
-            q, out_rates = _with_diagonal(q, off_diag_mask)
-        else:
-            row_sums = np.asarray(q.sum(axis=1)).ravel()
-            scale = np.maximum(np.asarray(abs(q).sum(axis=1)).ravel(), 1.0)
-            if np.any(np.abs(row_sums) > _VALIDATION_RTOL * scale):
-                raise ModelError("generator rows do not sum to zero")
-            out_rates = -q.diagonal()
-            if np.any(out_rates < -_VALIDATION_RTOL):
-                raise ModelError("positive diagonal entry in generator")
-            q.eliminate_zeros()
-            q.sum_duplicates()
+        q, out_rates = _with_diagonal(q, off_diag_mask)
         self._q = q
         self._out_rates = np.maximum(out_rates, 0.0)
         self._n = n
@@ -295,7 +278,7 @@ class CTMC:
             if s <= 0:
                 raise ModelError("restriction removes all initial mass")
             initial = initial / s
-        return CTMC(sub, initial=initial, labels=labels, fix_diagonal=True)
+        return CTMC(sub, initial=initial, labels=labels)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CTMC(n_states={self._n}, "

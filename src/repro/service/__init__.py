@@ -4,16 +4,17 @@ This package is the **canonical public API** for running solve workloads.
 The three layers:
 
 * :mod:`repro.service.protocol` — a versioned (``SCHEMA_VERSION``) JSON
-  codec giving :class:`~repro.batch.planner.SolveRequest`,
+  codec, one encoder/decoder pair per type, for scenario-backed
+  :class:`~repro.batch.planner.SolveRequest` cells,
   :class:`~repro.batch.runner.BatchOutcome`,
   :class:`~repro.markov.base.TransientSolution`, scenario specs and
-  structured failures a stable ``to_dict()``/``from_dict()`` wire form —
-  a request that round-trips through JSON solves bit-identically to the
-  in-memory object;
+  structured failures — a request that round-trips through JSON solves
+  bit-identically to the in-memory object. A request over a live model
+  is solved in process only (the pool pickles it); it has no wire form;
 * :mod:`repro.service.service` — :class:`SolveService`, the one entry
   point wrapping planner → runner → scatter (kernel-cache policy
-  included), which ``analysis``, ``batch.scenarios``, the CLI and the
-  scripts all route through;
+  included), which ``analysis``, the CLI and the scripts all route
+  through;
 * :mod:`repro.service.queue` — :class:`JobQueue`, a resumable on-disk
   job queue (append-only JSONL journal of submitted requests and
   completed outcomes) with ``submit``/``poll``/``collect``/``resume``:
@@ -29,14 +30,7 @@ which makes sharding the grid across machines a transport problem: any
 worker holding the journal line can replay the cell.
 """
 
-from repro.service.protocol import (
-    SCHEMA_VERSION,
-    ProtocolError,
-    from_dict,
-    loads,
-    dumps,
-    to_dict,
-)
+from repro.service.protocol import SCHEMA_VERSION, ProtocolError
 from repro.service.queue import JobQueue
 from repro.service.service import ServiceResult, SolveService
 
@@ -46,8 +40,4 @@ __all__ = [
     "SolveService",
     "ServiceResult",
     "JobQueue",
-    "to_dict",
-    "from_dict",
-    "dumps",
-    "loads",
 ]

@@ -1,10 +1,12 @@
 """Versioned wire protocol for solve requests, outcomes and solutions.
 
-Every experiment cell — and everything a cell produces — is expressible
-as a portable, versioned JSON artifact that any worker can replay
-bit-identically:
+Every journaled experiment cell — and everything a cell produces — is
+expressible as a portable, versioned JSON artifact that any worker can
+replay bit-identically:
 
-* :class:`~repro.batch.planner.SolveRequest` (scenario- or model-backed),
+* scenario-backed :class:`~repro.batch.planner.SolveRequest` cells (a
+  request over a live model solves in process only: the planner and the
+  pool pickle it; journal its :class:`~repro.batch.scenarios.Scenario`),
 * :class:`~repro.batch.scenarios.Scenario` specs,
 * :class:`~repro.markov.base.TransientSolution` results,
 * :class:`~repro.batch.runner.BatchOutcome` envelopes, including
@@ -16,7 +18,9 @@ Wire form
 ---------
 Each object maps to a dict carrying ``"schema_version"`` (an integer —
 decoding a different version raises :class:`ProtocolError`, never a
-silent misparse) and a ``"kind"`` tag dispatched by :func:`from_dict`.
+silent misparse) and a ``"kind"`` tag its decoder checks. Each type has
+its own encoder/decoder pair (``request_to_dict``/``request_from_dict``
+and so on), which :class:`~repro.service.queue.JobQueue` calls directly.
 Floats ride through JSON via Python's shortest-roundtrip ``repr`` and are
 therefore **bit-exact**; tuples (request keys, scenario params, solver
 kwargs) are preserved against JSON's list coercion with a ``{"__tuple__":
@@ -32,28 +36,21 @@ reaches a journal.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchOutcome
 from repro.batch.scenarios import Scenario
 from repro.exceptions import ProtocolError, UnknownMethodError
 from repro.markov.base import TransientSolution
-from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 
 __all__ = [
     "SCHEMA_VERSION",
     "ProtocolError",
-    "to_dict",
-    "from_dict",
-    "dumps",
-    "loads",
     "request_to_dict",
     "request_from_dict",
     "outcome_to_dict",
@@ -62,8 +59,6 @@ __all__ = [
     "solution_from_dict",
     "scenario_to_dict",
     "scenario_from_dict",
-    "ctmc_to_dict",
-    "ctmc_from_dict",
     "rewards_to_dict",
     "rewards_from_dict",
 ]
@@ -202,50 +197,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
         eps=float(_field(d, "eps", "scenario")))
 
 
-# -- models and rewards ----------------------------------------------------
-
-def ctmc_to_dict(model: CTMC) -> dict:
-    """Wire form of a live model: CSR generator + initial distribution.
-
-    Labels ride along when they are plain data; a model whose labels are
-    not wire-serializable is rejected (drop the labels first if they do
-    not matter for the remote solve).
-    """
-    q = model.generator
-    labels = None
-    if model.labels is not None:
-        labels = [_encode_plain(lab, where="CTMC labels")
-                  for lab in model.labels]
-    return _envelope("ctmc", {
-        "n_states": int(model.n_states),
-        "indptr": np.asarray(q.indptr).tolist(),
-        "indices": np.asarray(q.indices).tolist(),
-        "data": np.asarray(q.data).tolist(),
-        "initial": np.asarray(model.initial).tolist(),
-        "labels": labels,
-    })
-
-
-def ctmc_from_dict(data: Mapping) -> CTMC:
-    d = _expect(data, "ctmc")
-    n = int(_field(d, "n_states", "ctmc"))
-    q = sparse.csr_matrix(
-        (np.asarray(_field(d, "data", "ctmc"), dtype=np.float64),
-         np.asarray(_field(d, "indices", "ctmc"), dtype=np.int32),
-         np.asarray(_field(d, "indptr", "ctmc"), dtype=np.int32)),
-        shape=(n, n))
-    initial = np.asarray(_field(d, "initial", "ctmc"), dtype=np.float64)
-    labels = d.get("labels")
-    if labels is not None:
-        labels = [_decode_plain(lab) for lab in labels]
-    model = CTMC(q, initial=initial, labels=labels, fix_diagonal=False)
-    # The constructor re-normalizes ``initial`` (a divide that can move
-    # the last bit when the stored sum is 1 ± 1 ulp). The wire payload
-    # *is* an already-validated distribution from a live CTMC, and the
-    # protocol promises bit-exact replay, so restore it verbatim.
-    model._initial = initial
-    return model
-
+# -- rewards ---------------------------------------------------------------
 
 def rewards_to_dict(rewards: RewardStructure) -> dict:
     """Wire form of a reward structure (the rate vector)."""
@@ -262,21 +214,19 @@ def rewards_from_dict(data: Mapping) -> RewardStructure:
 # -- requests --------------------------------------------------------------
 
 def request_to_dict(request: SolveRequest) -> dict:
-    """Wire form of one declarative solve cell.
-
-    Scenario-backed requests ship only the scenario description (the
-    cheap path — the worker rebuilds the model); model-backed requests
-    ship the CSR payload once.
-    """
+    """Wire form of one declarative solve cell: its scenario description
+    (the worker rebuilds the model), never a live model's CSR."""
+    if request.model is not None:
+        raise ProtocolError(
+            "solve_request: a request over a live model has no wire form; "
+            "journal a Scenario instead")
     return _envelope("solve_request", {
         "measure": request.measure.value,
         "times": [float(t) for t in request.times],
         "eps": float(request.eps),
         "method": request.method,
-        "scenario": (scenario_to_dict(request.scenario)
-                     if request.scenario is not None else None),
-        "model": (ctmc_to_dict(request.model)
-                  if request.model is not None else None),
+        "scenario": scenario_to_dict(request.scenario),
+        "model": None,
         "rewards": (rewards_to_dict(request.rewards)
                     if request.rewards is not None else None),
         "solver_kwargs": _encode_plain(dict(request.solver_kwargs),
@@ -288,9 +238,12 @@ def request_to_dict(request: SolveRequest) -> dict:
 def request_from_dict(data: Mapping) -> SolveRequest:
     d = _expect(data, "solve_request")
     scenario = _field(d, "scenario", "solve_request")
-    model = _field(d, "model", "solve_request")
     rewards = _field(d, "rewards", "solve_request")
     method = _field(d, "method", "solve_request")
+    if _field(d, "model", "solve_request") is not None:
+        raise ProtocolError(
+            "solve_request: model-backed records are no longer decoded; "
+            "journal a Scenario instead")
     # SolveRequest checks the method against the solver registry; a
     # journal written by a newer/older deployment then fails as a
     # protocol problem (with the known-method list), not as a deep
@@ -303,7 +256,6 @@ def request_from_dict(data: Mapping) -> SolveRequest:
             eps=float(_field(d, "eps", "solve_request")),
             method=method,
             scenario=scenario_from_dict(scenario) if scenario else None,
-            model=ctmc_from_dict(model) if model else None,
             rewards=rewards_from_dict(rewards) if rewards else None,
             solver_kwargs=_decode_plain(
                 _field(d, "solver_kwargs", "solve_request")),
@@ -399,64 +351,3 @@ def outcome_from_dict(data: Mapping) -> BatchOutcome:
         traceback=d.get("traceback"),
         duration=float(d.get("duration", 0.0)),
         worker_pid=d.get("worker_pid"))
-
-
-# -- generic dispatch ------------------------------------------------------
-
-_ENCODERS = (
-    (SolveRequest, request_to_dict),
-    (BatchOutcome, outcome_to_dict),
-    (TransientSolution, solution_to_dict),
-    (Scenario, scenario_to_dict),
-    (CTMC, ctmc_to_dict),
-    (RewardStructure, rewards_to_dict),
-)
-
-_DECODERS = {
-    "solve_request": request_from_dict,
-    "batch_outcome": outcome_from_dict,
-    "transient_solution": solution_from_dict,
-    "scenario": scenario_from_dict,
-    "ctmc": ctmc_from_dict,
-    "rewards": rewards_from_dict,
-}
-
-
-def to_dict(obj: Any) -> dict:
-    """Wire form of any protocol object (dispatch on type)."""
-    for cls, encoder in _ENCODERS:
-        if isinstance(obj, cls):
-            return encoder(obj)
-    raise ProtocolError(
-        f"{type(obj).__name__} is not a protocol type; expected one of "
-        + ", ".join(cls.__name__ for cls, _ in _ENCODERS))
-
-
-def from_dict(data: Mapping) -> Any:
-    """Decode any protocol dict (dispatch on its ``"kind"`` tag)."""
-    if not isinstance(data, Mapping):
-        raise ProtocolError(
-            f"expected a dict, got {type(data).__name__}")
-    kind = data.get("kind")
-    try:
-        decoder = _DECODERS[kind]
-    except KeyError:
-        raise ProtocolError(
-            f"unknown protocol kind {kind!r}; known: "
-            + ", ".join(sorted(_DECODERS))) from None
-    return decoder(data)
-
-
-def dumps(obj: Any) -> str:
-    """One-line JSON wire string of a protocol object (journal format)."""
-    return json.dumps(to_dict(obj), separators=(",", ":"),
-                      sort_keys=True)
-
-
-def loads(text: str) -> Any:
-    """Decode a JSON wire string produced by :func:`dumps`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"malformed protocol JSON: {exc}") from None
-    return from_dict(data)

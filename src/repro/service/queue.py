@@ -200,15 +200,14 @@ class JobQueue:
     def submit(self, requests: Iterable[SolveRequest]) -> list[int]:
         """Journal new jobs; returns their ids (submission order)."""
         requests = list(requests)
-        records = []
-        ids = []
-        for request in requests:
-            job_id = self._next_id
-            self._next_id += 1
-            records.append({"schema_version": SCHEMA_VERSION,
-                            "kind": "job", "id": job_id,
-                            "request": request_to_dict(request)})
-            ids.append(job_id)
+        # Encode first: a request with no wire form is refused before
+        # any job id is taken.
+        payloads = [request_to_dict(request) for request in requests]
+        ids = list(range(self._next_id, self._next_id + len(payloads)))
+        self._next_id += len(ids)
+        records = [{"schema_version": SCHEMA_VERSION, "kind": "job",
+                    "id": job_id, "request": payload}
+                   for job_id, payload in zip(ids, payloads)]
         self._append(records)
         # Journal first, memory second: a submit that cannot be made
         # durable must not look accepted.

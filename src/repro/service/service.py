@@ -6,9 +6,8 @@ one ad-hoc solve of a live model. Everything batch-shaped goes through
 shape its tasks run on (:func:`~repro.batch.runner.run_tasks`: inline,
 or ``workers`` processes with per-task deadlines, and with it the
 per-worker kernel-cache behaviour), and the scatter bookkeeping that
-maps task results back onto requests — so ``analysis``,
-``batch.scenarios``, the CLI and the scripts never touch planner or
-runner internals.
+maps task results back onto requests — so ``analysis``, the CLI and
+the scripts never touch planner or runner internals.
 
 The facade adds no numerics of its own: every solution is bit-for-bit
 identical to calling the registry's solver directly on the request's

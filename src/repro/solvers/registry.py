@@ -16,8 +16,7 @@ registry:
   capability flags;
 * ``service.protocol`` validates wire payloads against
   :func:`known_methods`;
-* ``cli.py`` generates its ``--method`` choices and the
-  ``repro solvers list`` output from the specs.
+* ``cli.py`` prints ``repro solvers list`` from the specs.
 
 Adding a solver is now one ``register(SolverSpec(...))`` call next to the
 solver class; the planner, protocol, CLI and experiment harness pick it

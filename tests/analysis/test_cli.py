@@ -10,21 +10,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_solve_defaults(self):
-        args = build_parser().parse_args(["solve"])
-        assert args.model == "raid-ur"
-        assert args.method == "RRL"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--method", "FFT"])
-
     @pytest.mark.parametrize("command",
-                             ["table1", "table2", "figure3", "figure4"])
-    def test_table_commands_are_gone(self, command):
-        # scripts/run_paper_grid.py is the one path to the tables.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command])
+                             ["table1", "table2", "figure3", "figure4",
+                              "solve", "mttf", "validate", "diagnose"])
+    def test_table_commands_are_gone(self, command, capsys):
+        # scripts/run_paper_grid.py is the one path to the tables; the
+        # one-off commands were wrappers of library calls that stay
+        # (analysis.runner.solve, mean_time_to_absorption,
+        # cross_validate, compare_regenerative_states).
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--no-fuse", "--no-memoize"])
     def test_batch_run_policy_flags_are_gone(self, flag):
@@ -37,35 +34,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["batch", "run", "--queue", "q", "--backend", "serial"])
-
-
-class TestCommands:
-    def test_solve_trr(self, capsys):
-        rc = main(["solve", "--model", "raid-ur", "--groups", "4",
-                   "--times", "10", "100", "--eps", "1e-9"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "TRR of raid-ur" in out
-        assert "steps" in out
-
-    def test_solve_mrr_with_sr(self, capsys):
-        rc = main(["solve", "--model", "raid-ua", "--groups", "4",
-                   "--measure", "mrr", "--method", "SR",
-                   "--times", "10", "--eps", "1e-9"])
-        assert rc == 0
-        assert "MRR" in capsys.readouterr().out
-
-    def test_mttf(self, capsys):
-        rc = main(["mttf", "--groups", "4"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "MTTF" in out and "cv²" in out
-
-    def test_diagnose(self, capsys):
-        rc = main(["diagnose", "--groups", "4", "--top", "3"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "decay" in out
 
 
 class TestBatchCommands:

@@ -48,10 +48,11 @@ class TestCrossValidate:
         out = report.render()
         assert "PASSED" in out and "RRL vs SR" in out
 
-    def test_cli_validate(self, capsys):
-        from repro.cli import main
-        rc = main(["validate", "--groups", "4", "--times", "1", "10",
-                   "--eps", "1e-9"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "PASSED" in out
+    def test_raid_reliability_agrees(self):
+        # The RAID-5 UR check the removed ``repro validate`` command ran.
+        from repro.models import Raid5Params, build_raid5_reliability
+
+        model, rewards, _ = build_raid5_reliability(Raid5Params(groups=4))
+        report = cross_validate(model, rewards, TRR, [1.0, 10.0], eps=1e-9)
+        assert report.passed
+        assert "PASSED" in report.render()

@@ -20,7 +20,6 @@ from repro.batch.scenarios import (
     Scenario,
     generate_scenarios,
     scenario_requests,
-    solve_scenarios,
 )
 from repro.cache import clear_caches
 from repro.exceptions import ModelError, UnknownMethodError
@@ -219,20 +218,31 @@ class TestExecution:
             assert a.ok and b.ok
             assert np.array_equal(a.value.values, b.value.values)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_backed_requests_equal_direct_bitwise(self, workers):
+        # A live model has no wire form, but it solves in process: the
+        # planner runs it inline, and the pool pickles it to a worker.
+        model = CTMC(np.array([[-1.0, 0.7, 0.3], [2.0, -2.5, 0.5],
+                               [0.0, 4.0, -4.0]]),
+                     initial=np.array([0.2, 0.3, 0.5]))
+        rewards = RewardStructure.indicator(3, [2])
+        reqs = [SolveRequest(model=model, rewards=rewards, measure=measure,
+                             times=(0.5, 3.0), eps=1e-9, method=method,
+                             key=(method, measure.value))
+                for method in ("SR", "RSD", "RR", "RRL")
+                for measure in Measure]
+        outs = SolveService(workers=workers).solve(reqs)
+        assert [o.key for o in outs] == [r.key for r in reqs]
+        for out, req in zip(outs, reqs):
+            assert out.ok, out.error
+            assert_bit_identical(out.value, direct_solve(req))
+
     def test_solutions_unwrap(self):
         sols = SolveService().execute(
             [_request(eps=1e-8), _request(method="RRL")]).solutions()
         assert len(sols) == 2
         assert sols[0].method == "SR"
         assert sols[1].method == "RRL"
-
-    def test_solve_scenarios_convenience(self):
-        scens = generate_scenarios(families=("birth_death",), seed=3,
-                                   random_count=2, times=(0.5, 2.0),
-                                   eps=1e-8)
-        outs = solve_scenarios(scens, methods=("RSD",))
-        assert [o.key for o in outs] == [(s.name, "RSD") for s in scens]
-        assert all(o.ok for o in outs)
 
     def test_unknown_method_rejected_at_construction(self):
         # Since the solver registry became the dispatch authority, a bad

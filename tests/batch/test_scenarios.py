@@ -10,7 +10,6 @@ from repro.batch.scenarios import (
     generate_scenarios,
     scenario_families,
     scenario_requests,
-    solve_scenarios,
 )
 from repro.exceptions import ModelError
 from repro.markov.rewards import Measure
@@ -85,17 +84,16 @@ class TestSolving:
     def test_solve_scenario_end_to_end(self):
         s = generate_scenarios(families=("birth_death",), random_count=1,
                                times=(1.0, 5.0), eps=1e-8)[0]
-        (out,) = solve_scenarios([s], methods=("SR",))
+        (out,) = SolveService().solve(scenario_requests([s], ("SR",)))
         sol = out.unwrap()
         assert sol.values.shape == (2,)
         assert np.all(sol.values >= 0.0)
 
-    def test_solve_scenarios_equals_direct_bitwise(self):
+    def test_solved_scenarios_equal_direct_bitwise(self):
         scs = generate_scenarios(families=("birth_death",), random_count=2,
                                  times=(1.0, 5.0), eps=1e-8)
-        methods = ("SR", "RSD", "RRL")
-        outs = solve_scenarios(scs, methods=methods)
-        requests = scenario_requests(scs, methods)
+        requests = scenario_requests(scs, ("SR", "RSD", "RRL"))
+        outs = SolveService().solve(requests)
         assert [o.key for o in outs] == [r.key for r in requests]
         for out, req in zip(outs, requests):
             assert out.ok

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InversionError
-from repro.laplace.inversion import invert, invert_bounded, invert_cumulative
+from repro.laplace.inversion import invert_bounded, invert_cumulative
 
 
 class TestBoundedInversion:
@@ -84,18 +84,6 @@ class TestCumulativeInversion:
         res = invert_cumulative(lambda s: 1.0 / (s * (s + 1.0)), t,
                                 eps=1e-11, r_max=1.0)
         assert res.value == pytest.approx(1.0, abs=1e-11 * t)
-
-
-class TestDispatch:
-    def test_kinds(self):
-        b = invert(lambda s: 1.0 / (s + 1.0), 1.0, eps=1e-9, bound=1.0,
-                   kind="bounded")
-        c = invert(lambda s: 1.0 / (s * s), 1.0, eps=1e-9, bound=1.0,
-                   kind="cumulative")
-        assert b.value == pytest.approx(np.exp(-1.0), abs=1e-9)
-        assert c.value == pytest.approx(1.0, abs=1e-9)
-        with pytest.raises(ValueError):
-            invert(lambda s: 1.0 / s, 1.0, eps=1e-9, bound=1.0, kind="nope")
 
 
 @settings(max_examples=30, deadline=None)

@@ -25,17 +25,16 @@ class TestConstruction:
         m = CTMC(sparse.csr_matrix(simple_q()))
         assert m.n_transitions == 4
 
-    def test_fix_diagonal_recomputes(self):
+    def test_diagonal_is_recomputed(self):
         q = simple_q()
         q[0, 0] = 123.0  # garbage diagonal, should be overwritten
-        m = CTMC(q, fix_diagonal=True)
+        m = CTMC(q)
         assert m.output_rates[0] == pytest.approx(1.0)
 
-    def test_validate_diagonal_strict(self):
-        q = simple_q()
-        q[0, 0] = -2.0  # rows no longer sum to zero
-        with pytest.raises(ModelError):
-            CTMC(q, fix_diagonal=False)
+    def test_fix_diagonal_keyword_is_gone(self):
+        # One construction path: there is no validate-only mode.
+        with pytest.raises(TypeError):
+            CTMC(simple_q(), fix_diagonal=False)
 
     def test_negative_rate_rejected(self):
         q = simple_q()
@@ -177,6 +176,20 @@ class TestCanonicalGenerator:
         after = sparse.csr_matrix(generator)
         assert (abs(after - before)).nnz == 0
 
+    def test_callers_csr_arrays_are_untouched(self):
+        # An unsorted float64 CSR with an explicit zero, a split rate and
+        # the diagonal stored first: construction reads its arrays (which
+        # it shares), never rewrites them.
+        q = sparse.csr_matrix(
+            ([-3.0, 0.0, 1.0, 2.0, -4.0, 4.0, 0.0],
+             [0, 2, 1, 1, 1, 0, 2],
+             [0, 4, 6, 7]), shape=(3, 3))
+        before = [a.tobytes() for a in (q.indptr, q.indices, q.data)]
+        model = CTMC(q)
+        assert [a.tobytes() for a in (q.indptr, q.indices, q.data)] == \
+            before
+        assert np.array_equal(model.output_rates, [3.0, 4.0, 0.0])
+
     def test_negative_rate_in_unsorted_csr_rejected(self):
         # Row 0 holds its diagonal after a negative off-diagonal rate.
         q = sparse.csr_matrix(([-1.0, 1.0, 2.0], [1, 0, 0], [0, 2, 3]),
@@ -193,7 +206,6 @@ class TestCanonicalGenerator:
         init = CTMC.__init__
 
         def spy(self, generator, *args, **kwargs):
-            assert kwargs.get("fix_diagonal", True)
             seen.append(sparse.csr_matrix(generator, dtype=np.float64,
                                           copy=True))
             init(self, generator, *args, **kwargs)
@@ -211,28 +223,6 @@ class TestCanonicalGenerator:
                     attr
             assert model.output_rates.tobytes() == \
                 np.maximum(out_rates, 0.0).tobytes()
-
-    def test_strict_mode_keeps_a_valid_generator_bitwise(self):
-        q = CTMC(_generator_inputs()["raid5-G3-off-diagonal"]).generator
-        model = CTMC(q, fix_diagonal=False)
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(model.generator, attr).tobytes() == \
-                getattr(q, attr).tobytes(), attr
-        assert model.output_rates.tobytes() == (-q.diagonal()).tobytes()
-
-    def test_strict_mode_canonicalises_duplicates_and_zeros(self):
-        # A valid generator given as an unsorted CSR with a split rate,
-        # an explicit zero and the diagonal stored first.
-        q = sparse.csr_matrix(
-            ([-3.0, 0.0, 1.0, 2.0, -4.0, 4.0, 0.0],
-             [0, 2, 1, 1, 1, 0, 2],
-             [0, 4, 6, 7]), shape=(3, 3))
-        model = CTMC(q, fix_diagonal=False)
-        got = model.generator
-        assert got.has_canonical_format
-        assert np.all(got.data != 0.0)
-        assert np.array_equal(got.toarray(), q.toarray())
-        assert np.array_equal(model.output_rates, [3.0, 4.0, 0.0])
 
 
 class TestFromTransitions:

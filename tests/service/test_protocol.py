@@ -1,8 +1,8 @@
 """Wire-protocol round trips: every protocol object must survive
 encode → JSON text → decode, and a decoded request must *solve*
 bit-identically to the in-memory original — for every scenario family
-and every method. Plus strict validation: wrong versions, unknown kinds
-and non-plain data are rejected loudly."""
+and every method. Plus strict validation: wrong versions, wrong kinds,
+live models and non-plain data are rejected loudly."""
 
 import json
 
@@ -16,12 +16,8 @@ from repro.batch.scenarios import Scenario, scenario_families
 from repro.exceptions import ProtocolError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
-from repro.service import protocol
 from repro.service.protocol import (
     SCHEMA_VERSION,
-    ctmc_from_dict,
-    ctmc_to_dict,
-    from_dict,
     outcome_from_dict,
     outcome_to_dict,
     request_from_dict,
@@ -32,7 +28,6 @@ from repro.service.protocol import (
     scenario_to_dict,
     solution_from_dict,
     solution_to_dict,
-    to_dict,
 )
 
 #: One representative (tiny) scenario per registered family.
@@ -59,9 +54,9 @@ FAMILY_SCENARIOS = {
 METHODS = ("SR", "RSD", "RR", "RRL")
 
 
-def _wire_trip(obj):
-    """Encode, force through actual JSON text, decode."""
-    return from_dict(json.loads(json.dumps(to_dict(obj))))
+def _wire_trip(request):
+    """Encode a request, force it through actual JSON text, decode."""
+    return request_from_dict(json.loads(json.dumps(request_to_dict(request))))
 
 
 def _solve(request: SolveRequest):
@@ -114,7 +109,7 @@ class TestScenarioCodec:
         assert scenario_from_dict(scenario_to_dict(s)).measure is Measure.MRR
 
 
-class TestModelCodec:
+class TestRequestCodec:
     def _model(self):
         q = np.array([[-1.0, 0.7, 0.3],
                       [2.0, -2.5, 0.5],
@@ -122,36 +117,37 @@ class TestModelCodec:
         return CTMC(q, initial=np.array([0.2, 0.3, 0.5]),
                     labels=[("up", 2), ("up", 1), ("down", 0)])
 
-    def test_ctmc_round_trip_is_bit_exact(self):
-        model = self._model()
-        decoded = ctmc_from_dict(
-            json.loads(json.dumps(ctmc_to_dict(model))))
-        assert np.array_equal(decoded.generator.indptr,
-                              model.generator.indptr)
-        assert np.array_equal(decoded.generator.indices,
-                              model.generator.indices)
-        assert np.array_equal(decoded.generator.data, model.generator.data)
-        assert np.array_equal(decoded.initial, model.initial)
-        assert list(decoded.labels) == list(model.labels)  # tuples kept
-
     def test_rewards_round_trip(self):
         r = RewardStructure(np.array([0.0, 0.25, 1.0 / 3.0]))
         decoded = rewards_from_dict(
             json.loads(json.dumps(rewards_to_dict(r))))
         assert np.array_equal(decoded.rates, r.rates)
 
-    def test_model_backed_request_solves_identically(self):
-        model = self._model()
-        rewards = RewardStructure.indicator(3, [2])
-        request = SolveRequest(model=model, rewards=rewards,
+    def test_model_backed_request_has_no_wire_form(self):
+        request = SolveRequest(model=self._model(),
+                               rewards=RewardStructure.indicator(3, [2]),
                                measure=Measure.TRR, times=(1.0, 5.0),
                                eps=1e-9, method="RRL", key="live-model")
-        decoded = _wire_trip(request)
-        assert np.array_equal(decoded.model.initial, model.initial)
-        original = _solve(request)
-        replayed = _solve(decoded)
-        assert np.array_equal(original.values, replayed.values)
-        assert np.array_equal(original.steps, replayed.steps)
+        with pytest.raises(ProtocolError, match="journal a Scenario"):
+            request_to_dict(request)
+
+    def test_model_backed_record_is_rejected(self):
+        # A record in the layout an earlier release journaled for a
+        # live-model request: the CSR and initial vector inline.
+        record = request_to_dict(SolveRequest(
+            scenario=FAMILY_SCENARIOS["birth_death"], measure=Measure.TRR,
+            times=(1.0,), eps=1e-8, method="RRL", key="old"))
+        assert record["model"] is None
+        record["scenario"] = None
+        record["model"] = {
+            "schema_version": 1, "kind": "ctmc", "n_states": 2,
+            "indptr": [0, 2, 4], "indices": [0, 1, 0, 1],
+            "data": [-1.0, 1.0, 2.0, -2.0], "initial": [1.0, 0.0],
+            "labels": None}
+        record["rewards"] = rewards_to_dict(
+            RewardStructure.indicator(2, [1]))
+        with pytest.raises(ProtocolError, match="model-backed"):
+            request_from_dict(json.loads(json.dumps(record)))
 
     def test_solver_kwargs_survive(self):
         request = SolveRequest(scenario=FAMILY_SCENARIOS["birth_death"],
@@ -256,10 +252,6 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="missing field 'times'"):
             request_from_dict(d)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown protocol kind"):
-            from_dict({"schema_version": SCHEMA_VERSION, "kind": "nope"})
-
     def test_non_plain_key_rejected_at_encode_time(self):
         request = SolveRequest(scenario=FAMILY_SCENARIOS["birth_death"],
                                measure=Measure.TRR, times=(1.0,),
@@ -267,20 +259,14 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="not wire-serializable"):
             request_to_dict(request)
 
-    def test_non_protocol_object_rejected(self):
-        with pytest.raises(ProtocolError, match="not a protocol type"):
-            to_dict(42)
-
-    def test_loads_rejects_malformed_json(self):
-        with pytest.raises(ProtocolError, match="malformed"):
-            protocol.loads("{not json")
-
-    def test_dumps_loads_round_trip(self):
+    def test_json_text_round_trip(self):
+        # The journal form: one compact JSON line per record.
         request = SolveRequest(scenario=FAMILY_SCENARIOS["block"],
                                measure=Measure.TRR, times=(1.0,),
                                eps=1e-8, method="RSD",
                                key=("a", ("b", 1), 2.5))
-        decoded = protocol.loads(protocol.dumps(request))
+        line = json.dumps(request_to_dict(request), separators=(",", ":"))
+        assert "\n" not in line
+        decoded = request_from_dict(json.loads(line))
         assert decoded.key == ("a", ("b", 1), 2.5)
         assert decoded.scenario == request.scenario
-        assert "\n" not in protocol.dumps(request)  # journal-line safe

@@ -8,8 +8,9 @@ import pytest
 
 from repro.batch.planner import SolveRequest
 from repro.batch.scenarios import Scenario
-from repro.exceptions import QueueError
-from repro.markov.rewards import Measure
+from repro.exceptions import ProtocolError, QueueError
+from repro.markov.ctmc import CTMC
+from repro.markov.rewards import Measure, RewardStructure
 from repro.service import JobQueue, SolveService
 from repro.service.protocol import SCHEMA_VERSION
 from tests.conftest import assert_bit_identical, direct_solve
@@ -39,6 +40,21 @@ class TestSubmitAndInspect:
         assert queue.submit(_requests(2)) == [3, 4]
         assert queue.status()["submitted"] == 5
         assert queue.status()["pending"] == 5
+
+    def test_refused_submit_takes_no_ids(self, tmp_path):
+        # A request over a live model has no wire form: the whole submit
+        # is refused, nothing is journaled and no job id is used up.
+        live = SolveRequest(model=CTMC(np.array([[-1.0, 1.0],
+                                                 [2.0, -2.0]])),
+                            rewards=RewardStructure.indicator(2, [1]),
+                            measure=Measure.TRR, times=(1.0,), eps=1e-8,
+                            method="SR", key="live")
+        queue = JobQueue(tmp_path / "q")
+        with pytest.raises(ProtocolError, match="journal a Scenario"):
+            queue.submit(_requests(2) + [live])
+        assert queue.status()["submitted"] == 0
+        assert queue.submit(_requests(1)) == [0]
+        assert JobQueue.resume(tmp_path / "q").status()["submitted"] == 1
 
     def test_poll_unknown_id_raises(self, tmp_path):
         queue = JobQueue(tmp_path / "q")

@@ -182,24 +182,6 @@ class TestUnknownMethodEntryPoints:
                            match="known methods: RR, RRL, RSD, SR"):
             request_from_dict(wire)
 
-    def test_cli_solve_choices_generated_from_registry(self, capsys):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["solve", "--method", "FFT"])
-        assert exc.value.code == 2
-        assert "FFT" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tag", ["MS", "ODE"])
-    def test_removed_tag_cli_solve_choice(self, tag, capsys):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["solve", "--method", tag])
-        assert exc.value.code == 2
-        assert f"'{tag}'" in capsys.readouterr().err
-
     def test_cli_batch_submit_unknown_method(self, tmp_path, capsys):
         from repro.cli import main
 

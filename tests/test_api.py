@@ -1,6 +1,10 @@
-"""Public API surface: exports, version, and the README quickstart."""
+"""Public API surface: exports, version, the README quickstart and the
+README's command lines."""
 
+import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +40,21 @@ class TestExports:
     def test_markov_and_core_reexports_consistent(self):
         from repro.core import RRLSolver as core_rrl
         assert repro.RRLSolver is core_rrl
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.service", "to_dict"), ("repro.service", "from_dict"),
+        ("repro.service", "dumps"), ("repro.service", "loads"),
+        ("repro.service.protocol", "ctmc_to_dict"),
+        ("repro.service.protocol", "ctmc_from_dict"),
+        ("repro.laplace", "invert"),
+        ("repro.batch", "solve_scenarios"),
+    ])
+    def test_removed_names_are_gone(self, module, name):
+        # 11.0.0: one wire form (scenario-backed requests, one codec
+        # pair per type) and no wrappers over a call that stays public.
+        mod = importlib.import_module(module)
+        assert name not in getattr(mod, "__all__", ())
+        assert not hasattr(mod, name)
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -112,3 +131,53 @@ class TestReadmeQuickstart:
         rewards = RewardStructure.indicator(2, [1])
         sol = RRLSolver().solve(model, rewards, TRR, [100.0], eps=1e-10)
         assert round(sol.values[0], 6) == 0.090909
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _cli_lines(text: str) -> list[list[str]]:
+    """The arguments of every ``python -m repro …`` command in ``text``
+    (continuation lines joined, ``#`` comments dropped); a bare mention
+    of ``python -m repro`` names no command and is skipped."""
+    text = re.sub(r"\\\n\s*", " ", text)
+    found = []
+    for match in re.finditer(r"python -m repro\b([^`\n]*)", text):
+        argv = shlex.split(match.group(1), comments=True)
+        if argv:
+            found.append(argv)
+    return found
+
+
+def _documented_commands() -> list[tuple[str, ...]]:
+    """The distinct commands shown by README.md and the ``repro.cli``
+    docstring."""
+    import repro.cli
+
+    return list(dict.fromkeys(
+        tuple(argv) for argv in _cli_lines(README.read_text(encoding="utf-8"))
+        + _cli_lines(repro.cli.__doc__)))
+
+
+class TestReadmeCommands:
+    """The docs may only show commands the CLI still has."""
+
+    def test_finds_the_documented_commands(self):
+        commands = {" ".join(argv[:2]) for argv in _documented_commands()}
+        assert {"solvers list", "batch submit", "batch run",
+                "batch status", "batch collect"} <= commands
+
+    @pytest.mark.parametrize("argv", _documented_commands(), ids=" ".join)
+    def test_readme_command_parses(self, argv):
+        from repro.cli import build_parser
+
+        build_parser().parse_args(list(argv))  # SystemExit(2) on drift
+
+    def test_a_removed_command_is_caught(self, capsys):
+        from repro.cli import build_parser
+
+        (argv,) = _cli_lines("run `python -m repro solve --groups 4`")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
