@@ -94,6 +94,19 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 12.0.0: twin schedules. The RR/RRL cells of a scenario's variants
+# (``Scenario.variant_key``) run as one planner task, and exact twin
+# setups (a chain that makes states of its base absorbing, checked by
+# ``repro.core._setup.link_twins``) step on one walk: the paper grid's
+# UR schedules ride its UA products, 24,799 -> 15,689 full products,
+# every number bit-identical. ``JobQueue.submit`` and ``run`` hold an
+# exclusive ``flock`` on the journal; a second writer gets
+# ``QueueError``. Breaking: ``ExecutionPlan.fused`` is
+# ``ExecutionPlan.kinds`` (``"walk"``, ``"twins"`` or ``"single"`` per
+# task); ``CTMC.reachable_from``, ``CTMC.restricted_to`` and
+# ``repro.laplace.error_control.aliasing_error_bounded`` /
+# ``aliasing_error_cumulative`` are gone (no workload reached them).
+#
 # 11.0.0: one wire form, one CTMC construction path, one front door.
 # Breaking: model-backed requests have no wire form (``ctmc_to_dict``,
 # ``ctmc_from_dict`` and the ``"model"`` record field are gone;
@@ -207,7 +220,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "__version__",

@@ -157,7 +157,7 @@ poisson_tail_cache_clear = _POISSON_TAIL.clear
 
 def _csr_product(a: sparse.csr_matrix, x: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ x`` for a square ``a`` and a dense vector ``x``.
+    """``a @ x`` for an ``m × n`` CSR ``a`` and a dense vector ``x``.
 
     The steps scipy's ``_matmul_vector`` takes once ``@`` has classified
     the operand: a float64 view or cast of it, a zeroed float64 output
@@ -170,24 +170,24 @@ def _csr_product(a: sparse.csr_matrix, x: np.ndarray,
     module the product is ``a @ x`` itself, copied into ``out`` when one
     is given.
     """
-    n = a.shape[0]
+    m, n = a.shape
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(
-            f"dimension mismatch: matrix is {n}×{n}, operand {x.shape}")
+            f"dimension mismatch: matrix is {m}×{n}, operand {x.shape}")
     if out is None:
-        out = np.zeros(n)
-    elif out.shape != x.shape or np.may_share_memory(out, x):
+        out = np.zeros(m)
+    elif out.shape != (m,) or np.may_share_memory(out, x):
         # A float64 dtype is checked by the csr routine itself.
         raise ValueError(
-            f"out must be a float64 {x.shape} array sharing no memory "
+            f"out must be a float64 {(m,)} array sharing no memory "
             "with the operand")
     else:
         out.fill(0.0)
     if _sparsetools is None:
         np.copyto(out, a @ x, casting="no")
     else:
-        _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, x, out)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
     return out
 
 
@@ -384,6 +384,17 @@ class UniformizationKernel:
             raise ValueError("rate must be positive")
         self._steps += 1
         return x + _csr_product(self._qt, x) / rate
+
+    def rows(self, index: np.ndarray) -> sparse.csr_matrix:
+        """The rows ``index`` of ``Pᵀ``, each with its entries in order.
+
+        A product with this block (through :func:`_csr_product`) gives
+        those entries of :meth:`step`'s result bit for bit, and does not
+        count as a step.
+        """
+        if self._pt is None:
+            raise ModelError("kernel was built without a transition matrix")
+        return self._pt[np.asarray(index, dtype=np.intp)]
 
     def window(self, t: float, eps: float) -> FoxGlynnWindow:
         """Cached Fox–Glynn window for ``(Λ·t, eps)``."""

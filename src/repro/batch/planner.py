@@ -24,7 +24,19 @@ cells into model-grouped work:
    models, and no model is built twice. The state bound is applied when
    the task runs, since a scenario's state count is unknown until it is
    built;
-3. **per-worker kernel caching** — cells that stay unfused (methods
+3. **twin groups** — RR/RRL cells whose scenarios share a variant key
+   (:meth:`~repro.batch.scenarios.Scenario.variant_key`: raid5's
+   ``kind`` with the other parameters equal) run as one task, whose
+   models share a window. The task builds the cells' schedule setups
+   together, so that exact twins step on one walk (the paper's UR
+   schedules on its UA products: the grid's ``kernel.matvecs`` fall
+   from 24,799 to 15,689 and its plan from 6 tasks to 4), then solves
+   each cell and returns one record per cell, a failure staying in its
+   cell. Pairing follows the exact check of
+   :func:`repro.core._setup.link_twins`; a pair that fails it steps
+   alone, bit-identically. Twin groups are not ``π_n``-walk cells;
+   ``fused_cells`` counts only the walks;
+4. **per-worker kernel caching** — cells that stay unfused (methods
    that do not stack, or a model's only fusable cell) still share one
    built model + kernel per worker process through the ``"models"``
    cache of :mod:`repro.cache`, keyed on the model fingerprint.
@@ -71,6 +83,7 @@ __all__ = [
     "plan_requests",
     "run_request",
     "run_fused_group",
+    "run_twin_group",
     "cached_model",
     "worker_cache_clear",
     "worker_cache_info",
@@ -348,6 +361,34 @@ def run_fused_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
     return records  # type: ignore[return-value]
 
 
+def run_twin_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
+    """Execute the RR/RRL cells of one variant group (picklable worker
+    entry point).
+
+    First builds the group's schedule setups together, so that exact
+    twins step on one walk
+    (:meth:`~repro.core.schedule_cache.ScheduleCache.prepare_twins`);
+    then runs every cell as :func:`run_request` would. Returns one
+    ``{"ok": ..., ...}`` record per request, in order: a failing cell
+    fails alone. Linking moves no number, so a group whose setups cannot
+    be built together just runs unlinked, and each cell meets that error
+    in its own solve.
+    """
+    members = []
+    try:
+        for req in requests:
+            model, rewards, kernel = _resolve_cached(req)
+            kwargs = req.solver_kwargs
+            members.append((model, rewards, kwargs.get("regenerative"),
+                            kwargs.get("rate"), kernel))
+        process_schedule_cache().prepare_twins(members)
+    except Exception:
+        # Each cell meets the same error in its own solve, which records
+        # it; unlinked setups step alone, bit-identically.
+        pass
+    return [_run_alone(req) for req in requests]
+
+
 # -- planning --------------------------------------------------------------
 
 @dataclass
@@ -365,7 +406,9 @@ class ExecutionPlan:
     requests: list[SolveRequest]
     tasks: list[BatchTask]
     assignments: list[list[list[int]]]
-    fused: list[bool]
+    kinds: list[str]
+    """Per task: ``"walk"`` (a window's fused ``π_n`` walk), ``"twins"``
+    (a variant group's RR/RRL cells) or ``"single"`` (one cell)."""
     coalesced: int
 
     @property
@@ -379,19 +422,27 @@ class ExecutionPlan:
     @property
     def fused_tasks(self) -> int:
         """Number of multi-cell fused tasks in the plan."""
-        return sum(1 for f in self.fused if f)
+        return self.kinds.count("walk")
 
     @property
     def fused_cells(self) -> int:
         """Number of distinct cells riding inside fused tasks."""
-        return sum(len(slots) for slots, f in zip(self.assignments,
-                                                  self.fused) if f)
+        return sum(len(slots) for slots, kind in zip(self.assignments,
+                                                     self.kinds)
+                   if kind == "walk")
+
+    @property
+    def twin_tasks(self) -> int:
+        """Number of variant-group tasks in the plan."""
+        return self.kinds.count("twins")
 
     def summary(self) -> str:
         """One-line human description (scripts print this)."""
+        twins = (f"{self.twin_tasks} twin groups, " if self.twin_tasks
+                 else "")
         return (f"{self.n_requests} requests -> {self.n_tasks} tasks "
                 f"({self.fused_tasks} fused covering {self.fused_cells} "
-                f"cells, {self.coalesced} coalesced)")
+                f"cells, {twins}{self.coalesced} coalesced)")
 
     def scatter(self, outcomes: list[BatchOutcome]) -> list[BatchOutcome]:
         """Per-request outcomes (request order) from per-task outcomes."""
@@ -400,9 +451,9 @@ class ExecutionPlan:
                 f"plan has {len(self.tasks)} tasks, got "
                 f"{len(outcomes)} outcomes")
         result: list[BatchOutcome | None] = [None] * len(self.requests)
-        for outcome, slots, fused in zip(outcomes, self.assignments,
-                                         self.fused):
-            if fused and outcome.ok:
+        for outcome, slots, kind in zip(outcomes, self.assignments,
+                                        self.kinds):
+            if kind != "single" and outcome.ok:
                 records = outcome.value
                 for slot, record in zip(slots, records):
                     for idx in slot:
@@ -433,57 +484,90 @@ def plan_requests(requests: Iterable[SolveRequest]) -> ExecutionPlan:
         by_signature.setdefault(_signature(req), []).append(i)
     coalesced = len(requests) - len(by_signature)
 
-    # 2. Group representatives of fusable methods by (model, kwargs).
+    # 2. Group representatives: fusable methods by (model, kwargs), the
+    # RR/RRL cells of scenario variants by variant key, the rest alone.
     groups: "OrderedDict[tuple, list[list[int]]]" = OrderedDict()
     for slot in by_signature.values():
         rep = requests[slot[0]]
-        if registry.get_spec(rep.method).stack_fusable:
+        spec = registry.get_spec(rep.method)
+        variant = rep.scenario.variant_key() \
+            if rep.scenario is not None else None
+        if spec.stack_fusable:
             gkey = ("fuse",) + _fusion_key(rep)
+        elif spec.schedule_memoizable and variant is not None:
+            gkey = ("twins", variant)
         else:
             gkey = ("single", len(groups))
         groups.setdefault(gkey, []).append(slot)
 
     # 3. Windows: runs of at most _MODEL_SLOTS models, in model-major
-    # order. A window's lanes (its models' fusable groups of two or more
-    # cells, per solver kwargs) make one fused task; its other cells
-    # follow, model by model, stable within a model. A window touches no
-    # more models than the worker's model cache holds, so no model is
-    # built twice.
+    # order; the models of one variant group share a window. A window's
+    # lanes (its models' fusable groups of two or more cells, per solver
+    # kwargs) make one fused task; its other cells follow, model by
+    # model, stable within a model; then its variant groups over two or
+    # more models, one task each. A group builds and keeps several
+    # models and setups, so it runs after the single cells (such as
+    # RSD's stationary solve) rather than adding to their peak memory.
+    # A window touches no more models than the worker's model cache
+    # holds, so no model is built twice.
     by_model: "OrderedDict[tuple, list]" = OrderedDict()
+    units: dict[tuple, list[tuple]] = {}
     for gkey, slots in groups.items():
-        by_model.setdefault(model_fingerprint(requests[slots[0][0]]),
-                            []).append((gkey, slots))
-    models = list(by_model.values())
+        fps = list(dict.fromkeys(model_fingerprint(requests[slot[0]])
+                                 for slot in slots))
+        by_model.setdefault(fps[0], []).append((gkey, slots))
+        for fp in fps:
+            by_model.setdefault(fp, [])
+        if len(fps) > 1:
+            units.update((fp, fps) for fp in fps)
+    windows: list[list[tuple]] = [[]]
+    placed: set[tuple] = set()
+    for fp in by_model:
+        if fp in placed:
+            continue
+        unit = units.get(fp, [fp])
+        if windows[-1] and len(windows[-1]) + len(unit) > _MODEL_SLOTS:
+            windows.append([])
+        windows[-1].extend(unit)
+        placed.update(unit)
 
     tasks: list[BatchTask] = []
     assignments: list[list[list[int]]] = []
-    fused_flags: list[bool] = []
-    for first in range(0, len(models), _MODEL_SLOTS):
+    kinds: list[str] = []
+
+    def add(fn, slots: list[list[int]], kind: str) -> None:
+        reps = tuple(requests[slot[0]] for slot in slots)
+        if kind == "single":
+            task = BatchTask(fn=fn, args=reps, key=reps[0].key)
+        else:
+            # weight: the task does N cells' worth of work, so pooled
+            # timeout budgets must scale accordingly.
+            task = BatchTask(fn=fn, args=(reps,),
+                             key=(kind, tuple(r.key for r in reps)),
+                             weight=len(reps))
+        tasks.append(task)
+        assignments.append(slots)
+        kinds.append(kind)
+
+    for window in windows:
         lanes: "OrderedDict[tuple, list[list[int]]]" = OrderedDict()
         alone: list[list[int]] = []
-        for gkey, slots in (group for model_groups
-                            in models[first:first + _MODEL_SLOTS]
-                            for group in model_groups):
+        twins: list[list[list[int]]] = []
+        for gkey, slots in (group for fp in window
+                            for group in by_model[fp]):
             if gkey[0] == "fuse" and len(slots) >= 2:
                 lanes.setdefault(gkey[2], []).extend(slots)
+            elif gkey[0] == "twins" and units.get(
+                    model_fingerprint(requests[slots[0][0]])):
+                twins.append(slots)
             else:
                 alone.extend(slots)
         for slots in lanes.values():
-            reps = tuple(requests[slot[0]] for slot in slots)
-            # weight: the window does N cells' worth of work in one
-            # task, so pooled timeout budgets must scale accordingly.
-            tasks.append(BatchTask(fn=run_fused_group, args=(reps,),
-                                   key=("fused",
-                                        tuple(r.key for r in reps)),
-                                   weight=len(reps)))
-            assignments.append(slots)
-            fused_flags.append(True)
+            add(run_fused_group, slots, "walk")
         for slot in alone:
-            rep = requests[slot[0]]
-            tasks.append(BatchTask(fn=run_request, args=(rep,),
-                                   key=rep.key))
-            assignments.append([slot])
-            fused_flags.append(False)
+            add(run_request, [slot], "single")
+        for slots in twins:
+            add(run_twin_group, slots, "twins")
     return ExecutionPlan(requests=requests, tasks=tasks,
-                         assignments=assignments, fused=fused_flags,
+                         assignments=assignments, kinds=kinds,
                          coalesced=coalesced)

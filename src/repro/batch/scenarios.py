@@ -99,6 +99,13 @@ _FAMILY_BUILDERS: dict[str, Callable[[dict], tuple[CTMC, RewardStructure]]] = {
     "block": _build_block,
 }
 
+#: The parameter that picks a family's variant, for families whose
+#: variants are twin chains: raid5's reliability model is its
+#: availability model with FAILED absorbing instead of repaired to the
+#: all-up hub, at the same rate. (The multiprocessor's variants are not:
+#: their randomization rates differ.)
+_VARIANT_PARAMS = {"raid5": "kind"}
+
 
 def scenario_families() -> tuple[str, ...]:
     """Registered model-family keys."""
@@ -125,6 +132,20 @@ class Scenario:
                 f"unknown scenario family {self.family!r}; "
                 f"known: {', '.join(scenario_families())}") from None
         return builder(dict(self.params))
+
+    def variant_key(self) -> tuple | None:
+        """Equal for scenarios that are variants of one chain, else
+        ``None``: the family and every parameter but the variant's.
+
+        The planner runs the RR/RRL cells of one key as one task, whose
+        schedules step on one walk where the chains are exact twins
+        (:func:`repro.core._setup.link_twins` decides).
+        """
+        variant = _VARIANT_PARAMS.get(self.family)
+        if variant is None:
+            return None
+        return (self.family, tuple(sorted(
+            (k, v) for k, v in self.params.items() if k != variant)))
 
     def with_measure(self, measure: Measure) -> "Scenario":
         """Copy of this scenario evaluating a different measure."""

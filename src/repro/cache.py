@@ -61,6 +61,10 @@ class BoundedCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` is cached; counts nothing, moves nothing."""
+        return key in self._entries
+
 
 _REGISTRY: dict[str, BoundedCache] = {}
 

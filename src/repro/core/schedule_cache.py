@@ -29,16 +29,31 @@ registered in :mod:`repro.cache` as ``"schedules"``; the planner's
 whose :class:`~repro.solvers.registry.SolverSpec` declares
 ``schedule_memoizable``. A direct ``solve`` call without a
 ``schedule_cache`` builds its own schedules.
+
+Setups can also be *linked*. :meth:`ScheduleCache.prepare_twins` builds
+the setups of one planner twin group (the RR/RRL cells of a model's
+variants) together, and links each pair that passes the exact check of
+:func:`~repro.core._setup.link_twins`: the same ``n``, resolved ``Λ``
+and ``r`` and initial vector, bit-equal CSR rows of ``P`` outside the
+twin's extra absorbing states ``D``, and base rows of ``D`` that lead
+only to ``r`` or ``D``. A linked pair steps on one walk, one full
+product per step instead of two (see :mod:`repro.core.schedules` for
+why that is exact). The check runs once per pair, when both setups are
+built; a warm pass finds them cached and repeats neither the check nor
+any product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from repro.cache import BoundedCache, shared_cache
 from repro.core._setup import (
     RegenerativeSetup,
     default_regenerative_state,
+    link_twins,
     prepare,
 )
 
@@ -110,6 +125,40 @@ class ScheduleCache(BoundedCache):
                            kernel=kernel)
         return self.get(key, lambda: prepare(model, rewards, regenerative,
                                              rate, kernel=kernel))
+
+    def prepare_twins(self, members: Sequence[tuple]) -> int:
+        """Build the setups of ``members`` together, linking exact twins.
+
+        Each member is ``(model, rewards, regenerative, rate, kernel)``,
+        as :meth:`setup_for` takes them. When none of their setups is
+        cached yet, all are built (each counts one miss) and every pair
+        of distinct models that :func:`~repro.core._setup.link_twins`
+        accepts steps on one walk from then on; a setup joins at most
+        one pair. When any is cached already, nothing is built or
+        checked: a warm pass repeats neither the check nor a product,
+        and a cold setup is left to its solver. Returns the number of
+        linked pairs.
+        """
+        by_key = {self.key_for(model, rewards, regenerative, rate,
+                               kernel=kernel): (model, rewards,
+                                                regenerative, rate, kernel)
+                  for model, rewards, regenerative, rate, kernel in members}
+        if any(key in self for key in by_key):
+            return 0
+        built = []
+        for key, (model, rewards, regenerative, rate, kernel) \
+                in by_key.items():
+            setup, _ = self.get(key, lambda: prepare(
+                model, rewards, regenerative, rate, kernel=kernel))
+            built.append((key[0], model, setup))
+        linked: set[int] = set()
+        for (i, (digest_a, model_a, setup_a)), \
+                (j, (digest_b, model_b, setup_b)) \
+                in combinations(enumerate(built), 2):
+            if digest_a != digest_b and not linked & {i, j} \
+                    and link_twins((model_a, setup_a), (model_b, setup_b)):
+                linked |= {i, j}
+        return len(linked) // 2
 
 
 #: The per-process instance batch workers share (one per pool worker —

@@ -27,16 +27,37 @@ A :class:`ScheduleBuilder` is *incremental*: truncation-point selection
 extends it on demand, and a sweep over increasing ``t`` reuses all
 previously computed steps (this is why RR/RRL step counts in the paper's
 tables are cumulative-friendly).
+
+Two builders can share one walk (:meth:`ScheduleBuilder.link_twin`).
+The *twin* chain equals its *base* except that it makes a set ``D`` of
+states absorbing, where the base's rows of ``D`` lead only to ``r`` or
+back into ``D``: the paper's UR model is its UA model with FAILED
+absorbed instead of repaired to the all-up hub. The twin's vector is
+then always the base's with ``D`` zeroed, and one step of both takes
+one full product ``Pᵀ w`` of the twin's vector ``w`` (exact for the
+twin: the extra entries multiply ``+0.0``, and adding ``+0.0`` to a
+sequential row sum of non-negative products changes no bit) plus one
+product of the ``|D| + 1`` rows ``r ∪ D`` of the base's ``Pᵀ``, the
+only entries where the base's next vector differs. Both schedules stay
+bit-identical to stepping each builder alone. A builder without a twin
+is a walk without a twin, not a second path: :meth:`ScheduleBuilder.step`
+is the one stepping loop. On the paper grid the UR schedules ride the
+UA walks, and ``kernel.matvecs`` falls from 24,799 to 15,689.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from repro.batch.kernel import UniformizationKernel, ensure_model_kernel
+from repro.batch.kernel import (
+    UniformizationKernel,
+    _csr_product,
+    ensure_model_kernel,
+)
 from repro.exceptions import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import RewardStructure
@@ -136,6 +157,14 @@ class ScheduleBuilder:
         self._buffers = (np.empty(0), np.empty(0), np.empty(0),
                          np.empty((0, self.n_absorbing)))
         self._filled = (0, 0)
+        # Once :meth:`link_twin` has run, a base holds its twin and the
+        # rows ``r ∪ D`` of its ``Pᵀ``; a twin refers back to its base
+        # weakly, so an evicted pair is freed without the cycle
+        # collector.
+        self._twin: ScheduleBuilder | None = None
+        self._base: weakref.ref[ScheduleBuilder] | None = None
+        self._fix_rows = np.zeros(0, dtype=np.intp)
+        self._fix: sparse.csr_matrix | None = None
 
     @classmethod
     def for_model(cls, model: CTMC, rewards: RewardStructure,
@@ -183,13 +212,19 @@ class ScheduleBuilder:
     # -- incremental stepping ---------------------------------------------
 
     @property
+    def kernel(self) -> UniformizationKernel:
+        """The kernel this builder steps through when it walks alone."""
+        return self._kernel
+
+    @property
     def n_recorded(self) -> int:
         """Number of steps with ``a(k)`` recorded (``k = 0 .. n-1``)."""
         return len(self._a)
 
     @property
     def steps_done(self) -> int:
-        """Number of DTMC matrix–vector products performed so far."""
+        """Number of steps recorded past ``u0`` (a twin's are taken on
+        its base's products)."""
         return self._steps_done
 
     @property
@@ -211,11 +246,70 @@ class ScheduleBuilder:
         """``a(k)`` for an already-recorded step ``k`` (O(1))."""
         return self._a[k]
 
+    def link_twin(self, twin: "ScheduleBuilder",
+                  drained: np.ndarray) -> None:
+        """Record ``twin`` on this builder's walk from now on.
+
+        ``twin`` must be a fresh builder over the same chain except that
+        it makes the states ``drained`` (``D``) absorbing, where this
+        chain's rows of ``D`` lead only to ``r`` or back into ``D``; the
+        caller checks the matrices (:func:`repro.core._setup.link_twins`).
+        Then the twin's vector is always this builder's with ``D``
+        zeroed, so one product ``Pᵀ w`` of the twin's vector ``w`` gives
+        its next vector exactly: the entries it lacks against the twin's
+        own ``Pᵀ`` multiply ``+0.0``, and adding ``+0.0`` to a sum of
+        non-negative products changes no bit. This builder's next vector
+        differs from that product only at ``r`` and ``D``, and a product
+        of those ``|D| + 1`` rows of ``Pᵀ`` with its own vector fills
+        them in, each row summed in its own order. Both schedules stay
+        bit-identical to stepping each builder alone.
+        """
+        drained = np.unique(np.asarray(drained, dtype=np.intp))
+        if self._steps_done or twin._steps_done \
+                or self._twin is not None or self._base is not None \
+                or twin._twin is not None or twin._base is not None:
+            raise ModelError("only two fresh, unlinked builders can be "
+                             "linked as twins")
+        if twin._kernel.n_states != self._kernel.n_states \
+                or twin._r_idx != self._r_idx \
+                or not drained.size or self._r_idx in drained \
+                or not np.array_equal(
+                    np.union1d(self._abs_idx, drained),
+                    np.sort(twin._abs_idx)) \
+                or not np.array_equal(twin._u, self._u):
+            raise ModelError("builders are not twins: they need the same "
+                             "states, regenerative state and start "
+                             "vector, and the twin exactly the extra "
+                             "absorbing states D")
+        self._fix_rows = np.concatenate(([self._r_idx], drained))
+        self._fix = self._kernel.rows(self._fix_rows)
+        self._twin = twin
+        twin._base = weakref.ref(self)
+
     def step(self) -> None:
-        """Advance one step (no-op when exhausted)."""
+        """Advance one step (no-op when exhausted).
+
+        A linked pair (see :meth:`link_twin`) advances together, whichever
+        of the two is asked: one walk records the base and, while it is
+        not exhausted, its twin. A builder without a live partner walks
+        alone on its own vector and kernel.
+        """
         if self._exhausted:
             return
-        y = self._kernel.step(self._u)
+        base = self._base() if self._base is not None else None
+        lead = base if base is not None and not base._exhausted else self
+        twin = lead._twin
+        if twin is None or twin._exhausted:
+            lead._record(lead._kernel.step(lead._u))
+            return
+        y = lead._kernel.step(twin._u)
+        full = y.copy()
+        full[lead._fix_rows] = _csr_product(lead._fix, lead._u)
+        lead._record(full)
+        twin._record(y)
+
+    def _record(self, y: np.ndarray) -> None:
+        """Take step ``k + 1`` from ``y = u_k P``, which becomes ``u``."""
         q = float(y[self._r_idx])
         y[self._r_idx] = 0.0
         if self._abs_idx.size:

@@ -28,8 +28,6 @@ import math
 __all__ = [
     "damping_for_bounded",
     "damping_for_cumulative",
-    "aliasing_error_bounded",
-    "aliasing_error_cumulative",
 ]
 
 
@@ -50,14 +48,6 @@ def damping_for_bounded(eps_quarter: float, bound: float, t_period: float) -> fl
     if bound == 0.0:
         return 0.0
     return math.log1p(bound / eps_quarter) / (2.0 * t_period)
-
-
-def aliasing_error_bounded(a: float, bound: float, t_period: float) -> float:
-    """Aliasing bound ``bound·x/(1−x)`` with ``x = e^{-2aT}`` (for tests)."""
-    x = math.exp(-2.0 * a * t_period)
-    if x >= 1.0:
-        return math.inf
-    return bound * x / (1.0 - x)
 
 
 def _cumulative_quadratic(eps_quarter: float, r_max: float, t: float,
@@ -94,12 +84,3 @@ def damping_for_cumulative(eps_quarter: float, r_max: float, t: float,
     disc = b_coef * b_coef - 4.0 * a_coef * c_coef
     x = 2.0 * c_coef / (b_coef + math.sqrt(disc))
     return -math.log(x) / (2.0 * t_period)
-
-
-def aliasing_error_cumulative(a: float, r_max: float, t: float,
-                              t_period: float) -> float:
-    """Aliasing bound ``r_max[(t+2T)x − t x²]/(1−x)²`` (for tests)."""
-    x = math.exp(-2.0 * a * t_period)
-    if x >= 1.0:
-        return math.inf
-    return r_max * ((t + 2.0 * t_period) * x - t * x * x) / (1.0 - x) ** 2

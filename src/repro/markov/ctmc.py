@@ -236,49 +236,12 @@ class CTMC:
         return DTMC(p, initial=self._initial, labels=self._labels,
                     renormalize=True), float(rate)
 
-    def reachable_from(self, sources: Iterable[int]) -> np.ndarray:
-        """Indices reachable (in the digraph of positive rates) from
-        ``sources``, including the sources themselves (BFS on CSR rows)."""
-        seen = np.zeros(self._n, dtype=bool)
-        stack = [int(s) for s in sources]
-        for s in stack:
-            seen[s] = True
-        indptr, indices, data = self._q.indptr, self._q.indices, self._q.data
-        while stack:
-            i = stack.pop()
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                if j != i and data[k] > 0.0 and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        return np.flatnonzero(seen)
-
     def is_irreducible(self) -> bool:
         """True when every state can reach every other state."""
         import scipy.sparse.csgraph as csgraph
         n_comp, _ = csgraph.connected_components(
             self._q, directed=True, connection="strong")
         return n_comp == 1
-
-    def restricted_to(self, states: Sequence[int],
-                      initial: np.ndarray | None = None) -> "CTMC":
-        """Sub-chain on ``states`` (rates leaving the subset are dropped,
-        so the result is a valid CTMC on the subset with the leak removed).
-
-        Mostly useful for analysis/testing; the solvers never need it.
-        """
-        idx = np.asarray(states, dtype=int)
-        sub = self._q[idx][:, idx]
-        labels = None
-        if self._labels is not None:
-            labels = [self._labels[i] for i in idx]
-        if initial is None:
-            initial = self._initial[idx]
-            s = initial.sum()
-            if s <= 0:
-                raise ModelError("restriction removes all initial mass")
-            initial = initial / s
-        return CTMC(sub, initial=initial, labels=labels)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CTMC(n_states={self._n}, "

@@ -23,19 +23,28 @@ unit is the ``checkpoint`` parameter of :meth:`run` (1 = one fsync per
 job, the safest and slowest; larger batches let the planner fuse more
 cells per :class:`~repro.service.service.SolveService` call).
 
-Concurrency contract: **single writer, many readers**. Read-only
-operations (``status``/``poll``/``collect``/plain replay) never mutate
-the journal — in particular, a torn tail seen by a reader might just be
-another process's in-flight append, so its repair (truncation) is
-deferred to this object's own first write.
+Concurrency contract: **single writer, many readers**. Each writing
+call (:meth:`JobQueue.submit`, :meth:`JobQueue.run`) holds an exclusive,
+non-blocking ``fcntl.flock`` on the journal for its whole duration and
+releases it when it returns or raises, so a second writer in any
+process fails at once with :class:`~repro.exceptions.QueueError`
+instead of interleaving records. The kernel drops the lock of a killed
+process, and a queue object between calls holds none, so a resume
+after a SIGKILL (or after dropping the object) takes it again. Read-only
+operations (``status``/``poll``/``collect``/plain replay) take no lock
+and never mutate the journal — in particular, a torn tail seen by a
+reader might just be another process's in-flight append, so its repair
+(truncation) is deferred to this object's own first write.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.batch.planner import SolveRequest
@@ -171,6 +180,24 @@ class JobQueue:
                     f"result for unknown job id {job_id}")
             self._outcomes[job_id] = outcome_from_dict(record["outcome"])
 
+    @contextmanager
+    def _writing(self) -> Iterator[None]:
+        """Hold the journal's exclusive writer lock for one call."""
+        fd = os.open(self._journal_path, os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise QueueError(
+                    f"{self._journal_path} is locked by another writer "
+                    "(one writer per queue)") from None
+            try:
+                yield
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
+
     def _append(self, records: list[dict]) -> None:
         if self._truncate_to is not None:
             # Deferred torn-tail repair (see __init__): cut the fragment
@@ -203,12 +230,14 @@ class JobQueue:
         # Encode first: a request with no wire form is refused before
         # any job id is taken.
         payloads = [request_to_dict(request) for request in requests]
-        ids = list(range(self._next_id, self._next_id + len(payloads)))
-        self._next_id += len(ids)
-        records = [{"schema_version": SCHEMA_VERSION, "kind": "job",
-                    "id": job_id, "request": payload}
-                   for job_id, payload in zip(ids, payloads)]
-        self._append(records)
+        with self._writing():
+            ids = list(range(self._next_id,
+                             self._next_id + len(payloads)))
+            self._next_id += len(ids)
+            records = [{"schema_version": SCHEMA_VERSION, "kind": "job",
+                        "id": job_id, "request": payload}
+                       for job_id, payload in zip(ids, payloads)]
+            self._append(records)
         # Journal first, memory second: a submit that cannot be made
         # durable must not look accepted.
         for job_id, request in zip(ids, requests):
@@ -284,16 +313,19 @@ class JobQueue:
         if limit is not None:
             todo = todo[:max(0, int(limit))]
         processed: list[tuple[int, BatchOutcome]] = []
-        for start in range(0, len(todo), checkpoint):
-            batch = todo[start:start + checkpoint]
-            outcomes = service.solve([req for _, req in batch])
-            records = []
-            for (job_id, _), outcome in zip(batch, outcomes):
-                records.append({"schema_version": SCHEMA_VERSION,
-                                "kind": "result", "id": job_id,
-                                "outcome": outcome_to_dict(outcome)})
-            self._append(records)
-            for (job_id, _), outcome in zip(batch, outcomes):
-                self._outcomes[job_id] = outcome
-                processed.append((job_id, outcome))
+        if not todo:
+            return processed
+        with self._writing():
+            for start in range(0, len(todo), checkpoint):
+                batch = todo[start:start + checkpoint]
+                outcomes = service.solve([req for _, req in batch])
+                records = []
+                for (job_id, _), outcome in zip(batch, outcomes):
+                    records.append({"schema_version": SCHEMA_VERSION,
+                                    "kind": "result", "id": job_id,
+                                    "outcome": outcome_to_dict(outcome)})
+                self._append(records)
+                for (job_id, _), outcome in zip(batch, outcomes):
+                    self._outcomes[job_id] = outcome
+                    processed.append((job_id, outcome))
         return processed

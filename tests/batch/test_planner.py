@@ -121,7 +121,7 @@ class TestPlanShape:
         assert plan.fused_tasks == 1
         assert plan.fused_cells == 2
         assert plan.n_tasks == 3
-        fused = plan.assignments[plan.fused.index(True)]
+        fused = plan.assignments[plan.kinds.index("walk")]
         assert sorted(idx for slot in fused for idx in slot) == [0, 1]
 
     def test_tasks_are_window_major(self):
@@ -140,7 +140,7 @@ class TestPlanShape:
                  for slots in plan.assignments]
         assert order == [["a-sr", "a-rsd", "b-sr", "b-rsd"], ["a-rrl"],
                          ["b-rrl"], ["c-sr"]]
-        assert plan.fused == [True, False, False, False]
+        assert plan.kinds == ["walk", "single", "single", "single"]
         outs = SolveService().solve(reqs)
         assert [o.key for o in outs] == ["a-sr", "b-sr", "b-rrl", "a-rrl",
                                          "a-rsd", "b-rsd", "c-sr"]
@@ -440,11 +440,15 @@ class TestWindows:
         assert all(o.ok for o in result.outcomes)
         windows = [{model_fingerprint(plan.requests[slot[0]])
                     for slot in slots}
-                   for slots, fused in zip(plan.assignments, plan.fused)
-                   if fused]
+                   for slots, kind in zip(plan.assignments, plan.kinds)
+                   if kind == "walk"]
         assert [len(w) for w in windows] == [8, 8, 8]
-        # Every SR and RSD cell rides in a window.
-        assert plan.fused_cells == 80 and plan.n_tasks == 35
+        # Every SR and RSD cell rides in a window. The 16 raid5 RRL
+        # cells run as 4 variant groups (each model's availability and
+        # reliability variant, TRR and MRR); the 16 multiprocessor RRL
+        # cells run alone: 3 walks + 4 groups + 16 cells.
+        assert plan.fused_cells == 80 and plan.n_tasks == 23
+        assert plan.twin_tasks == 4
         assert spies.stacks and all(sum(sizes) <= 2048
                                     for sizes in spies.stacks)
 

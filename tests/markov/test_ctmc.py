@@ -289,30 +289,11 @@ class TestStructure:
         m = CTMC.from_transitions(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert list(m.absorbing_states()) == [2]
 
-    def test_reachable_from(self):
-        m = CTMC.from_transitions(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0),
-                                      (3, 2, 1.0)])
-        assert list(m.reachable_from([0])) == [0, 1]
-        assert list(m.reachable_from([0, 2])) == [0, 1, 2, 3]
-
     def test_irreducible(self):
         m = CTMC.from_transitions(2, [(0, 1, 1.0), (1, 0, 1.0)])
         assert m.is_irreducible()
         m2 = CTMC.from_transitions(2, [(0, 1, 1.0)])
         assert not m2.is_irreducible()
-
-    def test_restricted_to(self):
-        m = CTMC(simple_q())
-        sub = m.restricted_to([0, 1])
-        assert sub.n_states == 2
-        assert sub.generator[1, 0] == pytest.approx(2.0)
-        # The 1 -> 2 leak is dropped, so state 1 exits at rate 2 only.
-        assert sub.output_rates[1] == pytest.approx(2.0)
-
-    def test_restricted_needs_initial_mass(self):
-        m = CTMC(simple_q())  # initial mass all on state 0
-        with pytest.raises(ModelError):
-            m.restricted_to([1, 2])
 
     def test_n_transitions_excludes_diagonal(self):
         m = CTMC(simple_q())

@@ -2,6 +2,10 @@
 survival and corruption handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +242,83 @@ class TestFailureCapture:
         queue = JobQueue(tmp_path / "q")
         with pytest.raises(ValueError, match="checkpoint"):
             queue.run(checkpoint=0)
+
+
+#: A second process that starts ``JobQueue.run`` on the queue at
+#: ``argv[1]`` and, holding the writer lock, waits for a line on stdin.
+_HOLDING_WRITER = """
+import sys
+from repro.service import JobQueue, SolveService
+
+class Paused(SolveService):
+    def solve(self, requests):
+        print("writing", flush=True)
+        sys.stdin.readline()
+        return super().solve(requests)
+
+JobQueue.resume(sys.argv[1]).run(Paused(), checkpoint=1, limit=1)
+"""
+
+
+def _holding_writer(path: Path) -> subprocess.Popen:
+    """Start :data:`_HOLDING_WRITER` and wait until it holds the lock."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    writer = subprocess.Popen(
+        [sys.executable, "-c", _HOLDING_WRITER, str(path)], env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert writer.stdout.readline().strip() == "writing"
+    return writer
+
+
+class TestSingleWriter:
+    def test_second_writer_in_another_process_is_refused(self, tmp_path):
+        path = tmp_path / "q"
+        JobQueue(path).submit(_requests(2))
+        writer = _holding_writer(path)
+        try:
+            other = JobQueue.resume(path)
+            with pytest.raises(QueueError, match="another writer"):
+                other.submit(_requests(1))
+            with pytest.raises(QueueError, match="another writer"):
+                other.run(checkpoint=1)
+            # Readers take no lock, and the refused calls wrote nothing.
+            assert other.status()["submitted"] == 2
+            assert other.status()["pending"] == 2
+            writer.stdin.write("\n")
+            writer.stdin.flush()
+            assert writer.wait(timeout=60) == 0
+        finally:
+            if writer.poll() is None:
+                writer.kill()
+                writer.wait()
+        # The lock went with the writer's call: a new writer proceeds.
+        resumed = JobQueue.resume(path)
+        assert resumed.status()["completed"] == 1
+        assert resumed.submit(_requests(1)) == [2]
+        resumed.run(checkpoint=2)
+        assert resumed.status()["pending"] == 0
+
+    def test_sigkilled_writer_leaves_no_lock(self, tmp_path):
+        path = tmp_path / "q"
+        JobQueue(path).submit(_requests(2))
+        writer = _holding_writer(path)
+        writer.kill()
+        writer.wait()
+        resumed = JobQueue.resume(path)
+        assert resumed.status()["pending"] == 2
+        assert len(resumed.run(checkpoint=1)) == 2
+
+    def test_lock_is_released_when_a_call_raises(self, tmp_path):
+        class Failing(SolveService):
+            def solve(self, requests):
+                raise RuntimeError("solver crashed")
+
+        queue = JobQueue(tmp_path / "q")
+        queue.submit(_requests(2))
+        with pytest.raises(RuntimeError, match="crashed"):
+            queue.run(Failing())
+        # Same process, another open file: still not locked.
+        assert JobQueue.resume(tmp_path / "q").submit(_requests(1)) == [2]
+        assert len(queue.run(checkpoint=3)) == 2
