@@ -27,8 +27,10 @@ cells into model-grouped work:
 3. **twin groups** — RR/RRL cells whose scenarios share a variant key
    (:meth:`~repro.batch.scenarios.Scenario.variant_key`: raid5's
    ``kind`` with the other parameters equal) run as one task, whose
-   models share a window. The task builds the cells' schedule setups
-   together, so that exact twins step on one walk (the paper's UR
+   models share a window, when the pool is inline or has more than two
+   tasks per worker (:func:`plan_requests`); on a wider pool they run
+   as single cells, side by side. The task builds the cells' schedule
+   setups together, so that exact twins step on one walk (the paper's UR
    schedules on its UA products: the grid's ``kernel.matvecs`` fall
    from 24,799 to 15,689 and its plan from 6 tasks to 4), then solves
    each cell and returns one record per cell, a failure staying in its
@@ -70,7 +72,7 @@ from repro.batch.runner import BatchOutcome, BatchTask
 from repro.batch.scenarios import Scenario
 from repro.cache import BoundedCache, shared_cache
 from repro.core.schedule_cache import process_schedule_cache
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, ReproError
 from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -371,8 +373,9 @@ def run_twin_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
     then runs every cell as :func:`run_request` would. Returns one
     ``{"ok": ..., ...}`` record per request, in order: a failing cell
     fails alone. Linking moves no number, so a group whose setups cannot
-    be built together just runs unlinked, and each cell meets that error
-    in its own solve.
+    be built together (a :class:`~repro.exceptions.ReproError`) just
+    runs unlinked, and each cell meets that error in its own solve; an
+    error of any other kind propagates.
     """
     members = []
     try:
@@ -382,9 +385,12 @@ def run_twin_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
             members.append((model, rewards, kwargs.get("regenerative"),
                             kwargs.get("rate"), kernel))
         process_schedule_cache().prepare_twins(members)
-    except Exception:
-        # Each cell meets the same error in its own solve, which records
-        # it; unlinked setups step alone, bit-identically.
+    except ReproError:
+        # A model, rewards or setup that cannot be built (a ModelError,
+        # such as a pinned rate below Λ): each cell meets the same error
+        # in its own solve, which records it; unlinked setups step
+        # alone, bit-identically. Any other error is a bug and
+        # propagates.
         pass
     return [_run_alone(req) for req in requests]
 
@@ -474,9 +480,33 @@ class ExecutionPlan:
         return result  # type: ignore[return-value]
 
 
-def plan_requests(requests: Iterable[SolveRequest]) -> ExecutionPlan:
-    """Compile requests into coalesced, window-fused batch tasks."""
+def plan_requests(requests: Iterable[SolveRequest], *,
+                  workers: int = 1) -> ExecutionPlan:
+    """Compile requests into coalesced, window-fused batch tasks.
+
+    ``workers`` is the size of the pool the plan runs on. A twin group
+    does fewer products than its cells apart, but runs them one after
+    another in one task, so it pays only when the pool could not run
+    them side by side anyway: inline (``workers=1``), or when the plan
+    without twin groups has more than two tasks per worker. Otherwise the
+    cells run as single tasks. The paper grid, 6 tasks without twin
+    groups, forms them at one or two workers and not at three or more.
+    No number depends on the choice.
+    """
     requests = list(requests)
+    plan = _compile(requests, twins=True)
+    if workers > 1 and plan.twin_tasks:
+        apart = plan.n_tasks + sum(
+            len(slots) - 1
+            for slots, kind in zip(plan.assignments, plan.kinds)
+            if kind == "twins")
+        if apart <= 2 * workers:
+            plan = _compile(requests, twins=False)
+    return plan
+
+
+def _compile(requests: list[SolveRequest], *, twins: bool
+             ) -> ExecutionPlan:
 
     # 1. Coalesce exact duplicates: one representative per signature.
     by_signature: "OrderedDict[tuple, list[int]]" = OrderedDict()
@@ -494,7 +524,7 @@ def plan_requests(requests: Iterable[SolveRequest]) -> ExecutionPlan:
             if rep.scenario is not None else None
         if spec.stack_fusable:
             gkey = ("fuse",) + _fusion_key(rep)
-        elif spec.schedule_memoizable and variant is not None:
+        elif twins and spec.schedule_memoizable and variant is not None:
             gkey = ("twins", variant)
         else:
             gkey = ("single", len(groups))

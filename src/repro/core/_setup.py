@@ -86,21 +86,23 @@ def link_twins(first: tuple[CTMC, RegenerativeSetup],
     entries all lie in ``{r} ∪ D``. Then every schedule entry of both
     setups is bit-identical to stepping them apart
     (:meth:`~repro.core.schedules.ScheduleBuilder.link_twin`), at one
-    full product per step instead of two. Anything else, including a
-    setup that has already stepped, is left as it is.
+    full product per step instead of two. A pair that fails the check is
+    left as it is. This is the one place the twin condition is checked:
+    ``link_twin`` only refuses, with :class:`~repro.exceptions.ModelError`,
+    setups that have stepped or are linked already. Equal initial vectors
+    and ``r`` give equal start vectors, since :func:`prepare` derives
+    both builders' from them.
     """
     (base_model, base), (twin_model, twin) = first, second
     if twin.absorbing.size < base.absorbing.size:
         (base_model, base), (twin_model, twin) = second, first
     drained = np.setdiff1d(twin.absorbing, base.absorbing)
-    builders = [base.main, twin.main, base.primed, twin.primed]
     if (base_model.n_states != twin_model.n_states
             or base.rate != twin.rate
             or base.regenerative != twin.regenerative
             or not np.array_equal(base_model.initial, twin_model.initial)
             or not drained.size
-            or not np.isin(base.absorbing, twin.absorbing).all()
-            or any(b is not None and b.steps_done for b in builders)):
+            or not np.isin(base.absorbing, twin.absorbing).all()):
         return False
     p = base.main.kernel.dtmc.transition_matrix
     q = twin.main.kernel.dtmc.transition_matrix

@@ -252,8 +252,10 @@ class ScheduleBuilder:
 
         ``twin`` must be a fresh builder over the same chain except that
         it makes the states ``drained`` (``D``) absorbing, where this
-        chain's rows of ``D`` lead only to ``r`` or back into ``D``; the
-        caller checks the matrices (:func:`repro.core._setup.link_twins`).
+        chain's rows of ``D`` lead only to ``r`` or back into ``D``. The
+        caller checks that, once, on the matrices and vectors
+        (:func:`repro.core._setup.link_twins`); this method only refuses
+        builders that have stepped or are linked already.
         Then the twin's vector is always this builder's with ``D``
         zeroed, so one product ``Pᵀ w`` of the twin's vector ``w`` gives
         its next vector exactly: the entries it lacks against the twin's
@@ -264,23 +266,12 @@ class ScheduleBuilder:
         them in, each row summed in its own order. Both schedules stay
         bit-identical to stepping each builder alone.
         """
-        drained = np.unique(np.asarray(drained, dtype=np.intp))
         if self._steps_done or twin._steps_done \
                 or self._twin is not None or self._base is not None \
                 or twin._twin is not None or twin._base is not None:
             raise ModelError("only two fresh, unlinked builders can be "
                              "linked as twins")
-        if twin._kernel.n_states != self._kernel.n_states \
-                or twin._r_idx != self._r_idx \
-                or not drained.size or self._r_idx in drained \
-                or not np.array_equal(
-                    np.union1d(self._abs_idx, drained),
-                    np.sort(twin._abs_idx)) \
-                or not np.array_equal(twin._u, self._u):
-            raise ModelError("builders are not twins: they need the same "
-                             "states, regenerative state and start "
-                             "vector, and the twin exactly the extra "
-                             "absorbing states D")
+        drained = np.unique(np.asarray(drained, dtype=np.intp))
         self._fix_rows = np.concatenate(([self._r_idx], drained))
         self._fix = self._kernel.rows(self._fix_rows)
         self._twin = twin

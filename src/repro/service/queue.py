@@ -34,7 +34,12 @@ after a SIGKILL (or after dropping the object) takes it again. Read-only
 operations (``status``/``poll``/``collect``/plain replay) take no lock
 and never mutate the journal — in particular, a torn tail seen by a
 reader might just be another process's in-flight append, so its repair
-(truncation) is deferred to this object's own first write.
+(truncation) is deferred to a write. Each writing call replays the
+journal again once it holds the lock, so it numbers new jobs, picks
+pending ones and cuts a torn tail from the journal as it stands, not
+from what this object saw earlier: two queue objects of one directory
+that write one after the other hand out distinct ids, and neither
+re-solves the other's finished jobs.
 """
 
 from __future__ import annotations
@@ -91,19 +96,7 @@ class JobQueue:
             raise QueueError(
                 f"no queue journal at {self._journal_path} "
                 "(nothing to resume)")
-        self._requests: "OrderedDict[int, SolveRequest]" = OrderedDict()
-        self._outcomes: dict[int, BatchOutcome] = {}
-        self._next_id = 0
-        # Journal repairs discovered during replay (torn tail to cut,
-        # missing final newline). They are *deferred to the first
-        # append*: replay itself must stay read-only, so that a `status`
-        # or `collect` in another process never mutates the journal of a
-        # live writer mid-flush. (Writing is single-writer by contract;
-        # reading is always safe.)
-        self._truncate_to: int | None = None
-        self._missing_newline = False
-        if self._journal_path.exists():
-            self._replay()
+        self._reload()
 
     @classmethod
     def resume(cls, path: str | Path) -> "JobQueue":
@@ -111,6 +104,22 @@ class JobQueue:
         return cls(path, create=False)
 
     # -- journal -----------------------------------------------------------
+
+    def _reload(self) -> None:
+        """Replace the in-memory state with a replay of the journal."""
+        self._requests: "OrderedDict[int, SolveRequest]" = OrderedDict()
+        self._outcomes: dict[int, BatchOutcome] = {}
+        self._next_id = 0
+        # Journal repairs discovered during replay (torn tail to cut,
+        # missing final newline). They are *deferred to the first
+        # append*: replay itself must stay read-only, so that a `status`
+        # or `collect` in another process never mutates the journal of a
+        # live writer mid-flush. A writer acts only on a replay made
+        # under its lock (see :meth:`_writing`).
+        self._truncate_to: int | None = None
+        self._missing_newline = False
+        if self._journal_path.exists():
+            self._replay()
 
     def _replay(self) -> None:
         raw = self._journal_path.read_bytes()
@@ -182,7 +191,14 @@ class JobQueue:
 
     @contextmanager
     def _writing(self) -> Iterator[None]:
-        """Hold the journal's exclusive writer lock for one call."""
+        """Hold the journal's exclusive writer lock for one call.
+
+        Under the lock the journal is replayed afresh, before the call
+        takes an id, picks a pending job or cuts a torn tail: another
+        queue object, in this process or another, may have written since
+        this one last replayed, and a tail that looked torn then may
+        since have been completed.
+        """
         fd = os.open(self._journal_path, os.O_WRONLY | os.O_CREAT, 0o644)
         try:
             try:
@@ -192,6 +208,7 @@ class JobQueue:
                     f"{self._journal_path} is locked by another writer "
                     "(one writer per queue)") from None
             try:
+                self._reload()
                 yield
             finally:
                 fcntl.flock(fd, fcntl.LOCK_UN)
@@ -309,13 +326,11 @@ class JobQueue:
         if checkpoint < 1:
             raise ValueError("checkpoint must be >= 1")
         service = service or SolveService()
-        todo = self.pending()
-        if limit is not None:
-            todo = todo[:max(0, int(limit))]
         processed: list[tuple[int, BatchOutcome]] = []
-        if not todo:
-            return processed
         with self._writing():
+            todo = self.pending()
+            if limit is not None:
+                todo = todo[:max(0, int(limit))]
             for start in range(0, len(todo), checkpoint):
                 batch = todo[start:start + checkpoint]
                 outcomes = service.solve([req for _, req in batch])

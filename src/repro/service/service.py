@@ -93,7 +93,7 @@ class SolveService:
     def plan(self, requests: Iterable[SolveRequest]) -> ExecutionPlan:
         """Compile requests through the planner (without executing —
         useful for cost inspection and ``plan.summary()``)."""
-        return plan_requests(requests)
+        return plan_requests(requests, workers=self._workers)
 
     def execute(self,
                 requests: Iterable[SolveRequest],
@@ -107,7 +107,7 @@ class SolveService:
         """
         requests = list(requests)
         tasks = list(tasks)
-        plan = plan_requests(requests)
+        plan = plan_requests(requests, workers=self._workers)
         outcomes = run_tasks(plan.tasks + tasks, workers=self._workers,
                              task_timeout=self._task_timeout)
         return ServiceResult(

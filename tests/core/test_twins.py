@@ -11,7 +11,11 @@ from repro.analysis.experiments import (
     grid_solve_requests,
 )
 from repro.batch.kernel import UniformizationKernel
-from repro.batch.planner import SolveRequest, plan_requests
+from repro.batch.planner import (
+    SolveRequest,
+    plan_requests,
+    run_twin_group,
+)
 from repro.batch.scenarios import Scenario, generate_scenarios
 from repro.cache import clear_caches
 from repro.core import schedule_cache as schedule_cache_module
@@ -218,6 +222,55 @@ class TestTwinGroups:
         # and setups each, and follow.
         assert plan.kinds == ["single", "single", "twins", "twins"]
         assert plan.fused_cells == 0
+
+    @pytest.mark.parametrize("workers, n_tasks", [(1, 4), (2, 4), (3, 6),
+                                                  (8, 6)])
+    def test_paper_grid_plan_follows_the_pool(self, workers, n_tasks):
+        # 6 tasks apart: twin groups while each worker would take more
+        # than two of them, single cells side by side on a wider pool.
+        plan = SolveService(workers=workers).plan(
+            grid_solve_requests(ExperimentConfig.paper()))
+        assert plan.n_tasks == n_tasks
+        assert plan.twin_tasks == (2 if n_tasks == 4 else 0)
+
+    def test_pair_apart_on_a_pool_equals_paired_inline(self):
+        clear_caches()
+        reqs = [SolveRequest(scenario=_raid5(2, kind), measure=Measure.TRR,
+                             times=(1.0, 100.0), eps=1e-10, method="RRL",
+                             key=kind)
+                for kind in ("availability", "reliability")]
+        assert SolveService(workers=1).plan(reqs).kinds == ["twins"]
+        assert SolveService(workers=2).plan(reqs).kinds == ["single"] * 2
+        inline = SolveService(workers=1).solve(reqs)
+        pooled = SolveService(workers=2).solve(reqs)
+        for a, b, req in zip(inline, pooled, reqs):
+            assert a.ok and b.ok
+            assert_bit_identical(a.value, b.value)
+            assert_bit_identical(a.value, direct_solve(req))
+
+    def test_group_setup_errors_stay_in_their_cells(self):
+        clear_caches()
+        reqs = tuple(
+            SolveRequest(scenario=_raid5(2, kind), measure=Measure.TRR,
+                         times=(1.0,), eps=1e-10, method="RRL",
+                         solver_kwargs=kwargs, key=kind)
+            for kind, kwargs in (("availability", {"rate": -1.0}),
+                                 ("reliability", {})))
+        records = run_twin_group(reqs)
+        assert [r["ok"] for r in records] == [False, True]
+        assert records[0]["error_type"] == "ModelError"
+        assert_bit_identical(records[1]["value"], direct_solve(reqs[1]))
+
+    def test_a_bug_in_the_link_code_propagates(self, monkeypatch):
+        clear_caches()
+
+        def broken(*pairs):
+            raise AttributeError("'NoneType' object has no attribute 'x'")
+
+        monkeypatch.setattr(schedule_cache_module, "link_twins", broken)
+        reqs = tuple(_sweep_raid5_requests(("RRL",))[:2])
+        with pytest.raises(AttributeError, match="NoneType"):
+            run_twin_group(reqs)
 
     def test_sweep_twin_cells_equal_direct_solves(self):
         clear_caches()

@@ -321,4 +321,52 @@ class TestSingleWriter:
             queue.run(Failing())
         # Same process, another open file: still not locked.
         assert JobQueue.resume(tmp_path / "q").submit(_requests(1)) == [2]
-        assert len(queue.run(checkpoint=3)) == 2
+        # The run replays under the lock, so it sees the other object's
+        # job too.
+        assert [job_id for job_id, _ in queue.run(checkpoint=3)] \
+            == [0, 1, 2]
+
+    def test_writers_one_after_another_take_distinct_ids(self, tmp_path):
+        first = JobQueue(tmp_path / "q")
+        second = JobQueue(tmp_path / "q")
+        assert first.submit(_requests(1)) == [0]
+        assert second.submit(_requests(2)) == [1, 2]
+        assert first.submit(_requests(1)) == [3]
+        assert first.status()["submitted"] == 4
+        assert JobQueue.resume(tmp_path / "q").status()["submitted"] == 4
+
+    def test_no_writer_re_solves_another_writers_jobs(self, tmp_path):
+        JobQueue(tmp_path / "q").submit(_requests(3))
+        first = JobQueue.resume(tmp_path / "q")
+        second = JobQueue.resume(tmp_path / "q")
+        assert [i for i, _ in first.run(limit=2, checkpoint=1)] == [0, 1]
+        assert [i for i, _ in second.run(checkpoint=1)] == [2]
+        assert first.run() == []
+        journal = (tmp_path / "q" / "journal.jsonl").read_text()
+        results = [json.loads(line)["id"] for line in journal.splitlines()
+                   if json.loads(line)["kind"] == "result"]
+        assert results == [0, 1, 2]
+
+    @pytest.mark.parametrize("write", ["submit", "run"])
+    def test_torn_tail_completed_before_the_write_is_kept(self, tmp_path,
+                                                          write):
+        # A reader replays while another writer is part-way through an
+        # append; the writer then finishes. The reader's first write must
+        # not cut the now complete record.
+        queue = JobQueue(tmp_path / "q")
+        queue.submit(_requests(2))
+        queue.run(limit=1, checkpoint=1)
+        journal = tmp_path / "q" / "journal.jsonl"
+        whole = journal.read_bytes()
+        journal.write_bytes(whole[:-20])
+        reader = JobQueue.resume(tmp_path / "q")
+        assert reader.status()["completed"] == 0
+        journal.write_bytes(whole)
+        if write == "submit":
+            assert reader.submit(_requests(1)) == [2]
+        else:
+            assert [i for i, _ in reader.run(checkpoint=1)] == [1]
+        assert journal.read_bytes().startswith(whole)
+        final = JobQueue.resume(tmp_path / "q").status()
+        assert final["completed"] == (1 if write == "submit" else 2)
+        assert final["submitted"] == (3 if write == "submit" else 2)
