@@ -87,8 +87,8 @@ def _assert_grids_equal(reference: GridResult, other: GridResult,
 
 
 def _direct_solve(request):
-    """The registry's solver on the request's freshly built model: no
-    shared kernel, no schedule cache, no plan."""
+    """The registry's solver on the request's freshly built model (with
+    a kernel of its own): no schedule cache, no plan."""
     model, rewards = request.resolve()
     return solve(model, rewards, request.measure, list(request.times),
                  request.eps, method=request.method,

@@ -94,6 +94,24 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 13.0.0: a cell is a scenario and a model owns its kernel.
+# ``CTMC.kernel()`` builds the default-rate kernel once, through
+# ``UniformizationKernel.from_model``, and keeps it; SR, RSD, RR, RRL,
+# ``PiSweep``, ``prepare`` and ``ScheduleCache`` ask the model for it,
+# and a pinned ``rate`` builds a fresh one per solve. Breaking: the
+# ``kernel=`` parameter of every solver's ``solve`` (and of
+# ``solve_shared``, ``ScheduleBuilder.for_model``, ``prepare`` and
+# ``ScheduleCache.key_for``/``setup_for``), the kernel slot of
+# ``solve_stacked`` lanes and ``prepare_twins`` members, ``PiSweep``'s
+# constructor argument, ``repro.batch.ensure_model_kernel``,
+# ``SolveRequest(model=, rewards=)`` (a request names its model by its
+# ``scenario`` alone), ``rewards_to_dict``/``rewards_from_dict``,
+# ``SteadyStateDetectionSolver.solve_fused`` and RSD's
+# ``check_irreducible`` are gone; ``from_model`` returns the kernel
+# alone (it carries ``dtmc`` and ``rate``). Request records keep schema
+# version 1 with ``"model"`` and ``"rewards"`` null; a record with
+# either set raises ``ProtocolError``. Every number is bit-identical.
+#
 # 12.0.0: twin schedules. The RR/RRL cells of a scenario's variants
 # (``Scenario.variant_key``) run as one planner task, and exact twin
 # setups (a chain that makes states of its base absorbing, checked by
@@ -220,7 +238,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "__version__",

@@ -12,7 +12,7 @@ Four layers, each usable on its own:
 * :mod:`repro.batch.planner` — the model-fused execution planner turning
   declarative :class:`~repro.batch.planner.SolveRequest` cells into
   coalesced, model-grouped, stack-fused batch tasks with a per-worker
-  kernel cache;
+  model cache;
 * :mod:`repro.batch.runner` — :func:`~repro.batch.runner.run_tasks`,
   running tasks inline or on a process pool with per-task timeouts,
   structured failure capture and deterministic result ordering.
@@ -41,7 +41,6 @@ import repro.markov  # noqa: E402,F401
 
 __all__ = [
     "UniformizationKernel",
-    "ensure_model_kernel",
     "shared_fox_glynn",
     "fox_glynn_cache_info",
     "fox_glynn_cache_clear",
@@ -63,7 +62,6 @@ __all__ = [
 
 _EXPORTS = {
     "UniformizationKernel": "repro.batch.kernel",
-    "ensure_model_kernel": "repro.batch.kernel",
     "shared_fox_glynn": "repro.batch.kernel",
     "fox_glynn_cache_info": "repro.batch.kernel",
     "fox_glynn_cache_clear": "repro.batch.kernel",

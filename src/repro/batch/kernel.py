@@ -64,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = [
     "UniformizationKernel",
-    "ensure_model_kernel",
     "shared_fox_glynn",
     "fox_glynn_cache_info",
     "fox_glynn_cache_clear",
@@ -74,9 +73,10 @@ __all__ = [
     "kernel_build_count",
 ]
 
-#: Process-wide count of kernel constructions. The fusion planner's whole
-#: point is that a grid over one model builds the CSR once per (model,
-#: worker), so the tests assert sharing by diffing this counter.
+#: Process-wide count of kernel constructions. A model keeps its
+#: default-rate kernel and the planner keeps its models, so a grid over
+#: one model builds the CSR once per (model, worker); the tests assert
+#: sharing by diffing this counter.
 _BUILD_COUNT = 0
 
 
@@ -257,22 +257,23 @@ class UniformizationKernel:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_model(cls, model: "CTMC", rate: float | None = None,
-                   slack: float = 1.0
-                   ) -> tuple["UniformizationKernel", "DTMC", float]:
-        """Uniformize ``model`` and wrap the result.
+    def from_model(cls, model: "CTMC",
+                   rate: float | None = None) -> "UniformizationKernel":
+        """Uniformize ``model`` at ``rate`` (default: its maximum output
+        rate) and wrap the result.
 
-        Returns ``(kernel, dtmc, Λ)`` — the solvers also need the
-        randomized chain's initial distribution and the realized rate.
-        The kernel keeps a reference to the randomized chain (see
-        :attr:`dtmc`), so a cached kernel can be handed to any solver
-        without re-uniformizing the model. It keeps no generator, so its
-        :meth:`step_rate` raises.
+        The one kernel builder: :meth:`CTMC.kernel
+        <repro.markov.ctmc.CTMC.kernel>` calls it once per model for the
+        default rate, and once per call for a pinned one. The kernel
+        keeps the randomized chain (:attr:`dtmc`) and the realized rate
+        (:attr:`rate`), which the solvers read for the initial
+        distribution and the Poisson windows. It keeps no generator, so
+        its :meth:`step_rate` raises.
         """
-        dtmc, lam = model.uniformize(rate, slack)
+        dtmc, lam = model.uniformize(rate)
         kernel = cls(dtmc.transition_matrix, rate=lam)
         kernel._dtmc = dtmc
-        return kernel, dtmc, lam
+        return kernel
 
     @classmethod
     def from_generator(cls, model: "CTMC") -> "UniformizationKernel":
@@ -348,8 +349,7 @@ class UniformizationKernel:
         """The randomized chain this kernel was built from, when known.
 
         Set by :meth:`from_model`; ``None`` for kernels wrapped around a
-        bare matrix. Solvers accepting an injected kernel need the chain
-        for its initial distribution.
+        bare matrix.
         """
         return self._dtmc
 
@@ -405,54 +405,3 @@ class UniformizationKernel:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"UniformizationKernel(n_states={self._n}, "
                 f"rate={self._rate}, steps_done={self._steps})")
-
-
-def ensure_model_kernel(model: "CTMC",
-                        kernel: UniformizationKernel | None,
-                        rate: float | None = None
-                        ) -> tuple[UniformizationKernel, "DTMC", float]:
-    """Validate an injected kernel against ``(model, rate)`` or build one.
-
-    The common preamble of every solver that accepts a pre-built kernel:
-    with ``kernel=None`` it is exactly ``UniformizationKernel.from_model``;
-    otherwise the injected kernel must have been produced by
-    ``from_model`` **for this model**, at the requested randomization
-    rate if the solver pinned one. Since ``from_model`` is deterministic,
-    a kernel built once (by the planner or a worker cache) and injected
-    everywhere yields bit-identical results to per-solve construction.
-
-    Validation is sanity-level, not cryptographic: state-space size, a
-    rate lower bound and the initial distribution are checked (catching
-    kernels built from a genuinely different model), but matrix contents
-    are not re-hashed — callers sharing kernels across cells are expected
-    to key them on a real model fingerprint, as the planner's worker
-    cache does.
-    """
-    if kernel is None:
-        return UniformizationKernel.from_model(model, rate)
-    dtmc = kernel.dtmc
-    if dtmc is None or kernel.rate is None:
-        raise ModelError(
-            "injected kernel must come from UniformizationKernel.from_model "
-            "(it carries no randomized chain)")
-    if kernel.n_states != model.n_states:
-        raise ModelError(
-            f"injected kernel has {kernel.n_states} states, "
-            f"model has {model.n_states}")
-    if rate is not None and not np.isclose(kernel.rate, rate,
-                                           rtol=1e-12, atol=0.0):
-        raise ModelError(
-            f"injected kernel rate {kernel.rate} != requested rate {rate}")
-    if kernel.rate < model.max_output_rate * (1.0 - 1e-12):
-        raise ModelError(
-            f"injected kernel rate {kernel.rate} is below the model's "
-            f"max output rate {model.max_output_rate} — built from a "
-            "different model?")
-    # Tight-but-tolerant: uniformization renormalizes the initial vector,
-    # which may perturb the last ulp relative to model.initial.
-    if not np.allclose(dtmc.initial, model.initial, rtol=1e-12,
-                       atol=1e-15):
-        raise ModelError(
-            "injected kernel was built from a model with a different "
-            "initial distribution")
-    return kernel, dtmc, float(kernel.rate)

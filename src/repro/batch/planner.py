@@ -38,21 +38,22 @@ cells into model-grouped work:
    :func:`repro.core._setup.link_twins`; a pair that fails it steps
    alone, bit-identically. Twin groups are not ``π_n``-walk cells;
    ``fused_cells`` counts only the walks;
-4. **per-worker kernel caching** — cells that stay unfused (methods
+4. **per-worker model caching** — cells that stay unfused (methods
    that do not stack, or a model's only fusable cell) still share one
-   built model + kernel per worker process through the ``"models"``
-   cache of :mod:`repro.cache`, keyed on the model fingerprint.
+   built model per worker process through the ``"models"`` cache of
+   :mod:`repro.cache`, keyed on the scenario; the model keeps its own
+   default-rate kernel (:meth:`CTMC.kernel
+   <repro.markov.ctmc.CTMC.kernel>`), so every cell of one cached model
+   steps one kernel.
 
 The planner emits ordinary :class:`~repro.batch.runner.BatchTask` objects,
 so fusion composes with :func:`~repro.batch.runner.run_tasks` pool
-fan-out unchanged: a fused window is simply one (bigger) task. Requests are
-picklable — scenario-backed requests ship only the scenario description;
-a request over a live model pickles its CSR into the task, which is how
-it reaches a pool worker (it has no wire form).
+fan-out unchanged: a fused window is simply one (bigger) task. Requests
+ship only their scenario description; the worker builds the model.
 
-A scenario-backed ``SolveRequest`` is transport-shaped (plain data + a
-registry method tag): it is the unit of work the service layer puts on
-the wire (:mod:`repro.service.protocol` gives it a versioned JSON form;
+A ``SolveRequest`` is transport-shaped (plain data + a registry method
+tag): it is the unit of work the service layer puts on the wire
+(:mod:`repro.service.protocol` gives it a versioned JSON form;
 :class:`repro.service.queue.JobQueue` journals it). Plans are executed by
 :class:`repro.service.service.SolveService`, which owns the planner
 policy, the pool shape and the scatter bookkeeping.
@@ -67,12 +68,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.batch.kernel import UniformizationKernel
 from repro.batch.runner import BatchOutcome, BatchTask
 from repro.batch.scenarios import Scenario
 from repro.cache import BoundedCache, shared_cache
 from repro.core.schedule_cache import process_schedule_cache
-from repro.exceptions import ModelError, ReproError
+from repro.exceptions import ReproError
 from repro.markov.base import SolveCell, TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -95,25 +95,20 @@ __all__ = [
 class SolveRequest:
     """One declarative solve cell: *what* to compute, never *how*.
 
-    The model is referenced either descriptively (``scenario`` — rebuilt
-    worker-side, the cheap-to-pickle path) or directly (``model`` +
-    ``rewards``). ``rewards=None`` with a scenario means "the scenario's
-    own reward structure".
-
     Parameters
     ----------
-    measure, times, eps, method:
+    measure, times:
         As for :func:`repro.analysis.runner.solve`; ``times`` is
-        normalized to a tuple of floats, ``method`` to upper case.
+        normalized to a tuple of floats.
     scenario:
-        A :class:`~repro.batch.scenarios.Scenario` describing the model
-        (mutually exclusive with ``model``).
-    model, rewards:
-        A live model; ``rewards`` is then required.
+        The :class:`~repro.batch.scenarios.Scenario` whose model and
+        rewards the cell solves; the worker builds them.
+    eps, method:
+        As for :func:`repro.analysis.runner.solve`; ``method`` is
+        normalized to upper case.
     solver_kwargs:
-        Forwarded to the solver constructor. A custom ``rate`` disables
-        kernel sharing for this request (the cached kernel is built at
-        the model's default randomization rate).
+        Forwarded to the solver constructor. A custom ``rate`` steps a
+        kernel of its own (the model keeps only its default-rate one).
     key:
         Caller identity attached to the request's
         :class:`~repro.batch.runner.BatchOutcome`.
@@ -121,23 +116,15 @@ class SolveRequest:
 
     measure: Measure
     times: tuple[float, ...]
+    scenario: Scenario
     eps: float = 1e-12
     method: str = "RRL"
-    scenario: Scenario | None = None
-    model: CTMC | None = None
-    rewards: RewardStructure | None = None
     solver_kwargs: Mapping[str, Any] = field(default_factory=dict)
     key: Any = None
 
     def __post_init__(self) -> None:
-        if (self.scenario is None) == (self.model is None):
-            raise ModelError(
-                "SolveRequest needs exactly one of scenario= or model=")
-        if self.model is not None and self.rewards is None:
-            raise ModelError("model-backed SolveRequest needs rewards=")
-        object.__setattr__(self, "times",
-                           tuple(float(t) for t in np.atleast_1d(
-                               np.asarray(self.times, dtype=np.float64))))
+        object.__setattr__(self, "times", tuple(np.atleast_1d(
+            np.asarray(self.times, dtype=np.float64)).tolist()))
         object.__setattr__(self, "method", str(self.method).upper())
         # Fail at construction, not deep inside a worker: the registry is
         # the one authority on method tags (raises UnknownMethodError
@@ -155,13 +142,8 @@ class SolveRequest:
                      float(self.eps)))
 
     def resolve(self) -> tuple[CTMC, RewardStructure]:
-        """Materialize ``(model, rewards)`` (worker-side for scenarios)."""
-        if self.scenario is not None:
-            model, default_rewards = self.scenario.build()
-            rewards = self.rewards if self.rewards is not None \
-                else default_rewards
-            return model, rewards
-        return self.model, self.rewards  # type: ignore[return-value]
+        """A freshly built ``(model, rewards)`` of the scenario."""
+        return self.scenario.build()
 
 
 # -- fingerprints ----------------------------------------------------------
@@ -176,35 +158,19 @@ def _freeze(value: Any) -> Any:
 
 
 def model_fingerprint(request: SolveRequest) -> tuple:
-    """Identity of the *model* a request runs against.
-
-    Scenario-backed requests fingerprint the (deterministic) scenario
-    description; model-backed requests fingerprint the matrix content
-    (``CTMC.content_digest``, memoized on the instance — planning
-    consults the fingerprint several times per request and execution once
-    more, and hashing a large CSR repeatedly would tax exactly the path
-    the planner speeds up). Two requests with equal fingerprints are
-    guaranteed to rebuild bit-identical models, which is what makes
-    cross-cell sharing safe.
-    """
-    if request.scenario is not None:
-        s = request.scenario
-        return ("scenario", s.family, _freeze(s.params))
-    return ("ctmc",
-            request.model.content_digest())  # type: ignore[union-attr]
-
-
-def _rewards_fingerprint(request: SolveRequest) -> tuple:
-    if request.rewards is None:
-        return ("scenario-default",)
-    return ("rewards", request.rewards.content_digest())
+    """Identity of the model and rewards a request runs against: its
+    scenario's family and parameters. Every family is deterministic or
+    seeded, so two requests with equal fingerprints build bit-identical
+    models, which is what makes cross-cell sharing safe."""
+    s = request.scenario
+    return ("scenario", s.family, _freeze(s.params))
 
 
 def _signature(request: SolveRequest) -> tuple:
     """Full identity: requests with equal signatures coalesce."""
-    return (model_fingerprint(request), _rewards_fingerprint(request),
-            request.method, request.measure, request.times,
-            float(request.eps), _freeze(request.solver_kwargs))
+    return (model_fingerprint(request), request.method, request.measure,
+            request.times, float(request.eps),
+            _freeze(request.solver_kwargs))
 
 
 def _fusion_key(request: SolveRequest) -> tuple:
@@ -212,22 +178,22 @@ def _fusion_key(request: SolveRequest) -> tuple:
     return (model_fingerprint(request), _freeze(request.solver_kwargs))
 
 
-# -- per-process model/kernel cache ----------------------------------------
+# -- per-process model cache -----------------------------------------------
 
-#: Models (and their kernels) an execution worker keeps warm, keyed on
-#: the model fingerprint: ``[model, scenario_default_rewards | None,
-#: kernel | None]``. A paper-style grid touches a handful of models, and
-#: the planner's windows (at most 8 models each) keep a larger sweep's
-#: models cached from their fused task to their last unfused cell; 8
-#: bounds a long-lived worker's memory. Each process-pool worker owns a
-#: private copy.
+#: Models an execution worker keeps warm, keyed on the model fingerprint:
+#: ``(model, rewards)`` as the scenario builds them; each model keeps its
+#: own default-rate kernel. A paper-style grid touches a handful of
+#: models, and the planner's windows (at most 8 models each) keep a
+#: larger sweep's models cached from their fused task to their last
+#: unfused cell; 8 bounds a long-lived worker's memory. Each process-pool
+#: worker owns a private copy.
 _MODEL_SLOTS = 8
 _MODELS = shared_cache("models", BoundedCache(_MODEL_SLOTS))
 
 
 def worker_cache_clear() -> None:
-    """Drop this process's model/kernel cache *and* its RR/RRL schedule
-    cache (tests, worker hygiene) — the two share a lifetime."""
+    """Drop this process's model cache *and* its RR/RRL schedule cache
+    (tests, worker hygiene) — the two share a lifetime."""
     _MODELS.clear()
     process_schedule_cache().clear()
 
@@ -236,43 +202,11 @@ def worker_cache_clear() -> None:
 worker_cache_info = _MODELS.info
 
 
-def _cache_entry(request: SolveRequest) -> list:
-    """Fetch-or-build the cache slot for a request's model."""
-    def build() -> list:
-        if request.scenario is not None:
-            return [*request.scenario.build(), None]
-        return [request.model, None, None]
-    return _MODELS.get(model_fingerprint(request), build)[0]
-
-
-def _resolve_cached(request: SolveRequest, *, with_kernel: bool = True
-                    ) -> tuple[CTMC, RewardStructure,
-                               UniformizationKernel | None]:
-    """Model, rewards and (when shareable) the cached default-rate kernel.
-
-    ``with_kernel=False`` never builds or returns a kernel.
-    """
-    entry = _cache_entry(request)
-    model = entry[0]
-    rewards = request.rewards if request.rewards is not None else entry[1]
-    if rewards is None:
-        raise ModelError("request resolves to no reward structure")
-    kernel: UniformizationKernel | None = None
-    if with_kernel and "rate" not in request.solver_kwargs:
-        if entry[2] is None:
-            entry[2] = UniformizationKernel.from_model(model)[0]
-        kernel = entry[2]
-    return model, rewards, kernel
-
-
 def cached_model(request: SolveRequest) -> tuple[CTMC, RewardStructure]:
-    """A request's model and rewards from this process's model cache.
-
-    Builds the model on a miss, like a solve would, but no kernel: for
-    callers that only read the model (rates, sizes).
-    """
-    model, rewards, _ = _resolve_cached(request, with_kernel=False)
-    return model, rewards
+    """A request's model and rewards from this process's model cache,
+    built from its scenario on a miss."""
+    return _MODELS.get(model_fingerprint(request),
+                       request.scenario.build)[0]
 
 
 # -- worker entry points ---------------------------------------------------
@@ -280,8 +214,9 @@ def cached_model(request: SolveRequest) -> tuple[CTMC, RewardStructure]:
 def run_request(request: SolveRequest) -> TransientSolution:
     """Execute one unfused request (picklable worker entry point).
 
-    Builds — or fetches from this worker's cache — the model and its
-    kernel, then runs the ordinary solver; when the method's
+    Builds — or fetches from this worker's cache — the model, then runs
+    the ordinary solver, which steps the model's own kernel; when the
+    method's
     :class:`~repro.solvers.registry.SolverSpec` declares
     ``schedule_memoizable`` (RR/RRL), the worker's process-wide
     :class:`~repro.core.schedule_cache.ScheduleCache` is injected so
@@ -290,11 +225,9 @@ def run_request(request: SolveRequest) -> TransientSolution:
     ``get_solver(method).solve(model, rewards, ...)``.
     """
     spec = registry.get_spec(request.method)
-    model, rewards, kernel = _resolve_cached(request)
+    model, rewards = cached_model(request)
     solver = spec.build(**dict(request.solver_kwargs))
     extra: dict[str, Any] = {}
-    if kernel is not None:
-        extra["kernel"] = kernel
     if spec.schedule_memoizable:
         extra["schedule_cache"] = process_schedule_cache()
     return solver.solve(model, rewards, request.measure,
@@ -340,16 +273,15 @@ def run_fused_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
     lanes, members = [], []
     for idx in by_model.values():
         try:
-            model, _, kernel = _resolve_cached(requests[idx[0]])
+            model, rewards = cached_model(requests[idx[0]])
             jobs = [(registry.get_solver(requests[i].method, **kwargs),
-                     _cell_for(requests[i],
-                               _resolve_cached(requests[i])[1]))
+                     _cell_for(requests[i], rewards))
                     for i in idx]
         except Exception:
             for i in idx:
                 records[i] = _run_alone(requests[i])
             continue
-        lanes.append((model, jobs, kernel))
+        lanes.append((model, jobs))
         members.append(idx)
     try:
         results = solve_stacked(lanes)
@@ -380,10 +312,10 @@ def run_twin_group(requests: tuple[SolveRequest, ...]) -> list[dict]:
     members = []
     try:
         for req in requests:
-            model, rewards, kernel = _resolve_cached(req)
+            model, rewards = cached_model(req)
             kwargs = req.solver_kwargs
             members.append((model, rewards, kwargs.get("regenerative"),
-                            kwargs.get("rate"), kernel))
+                            kwargs.get("rate")))
         process_schedule_cache().prepare_twins(members)
     except ReproError:
         # A model, rewards or setup that cannot be built (a ModelError,
@@ -520,8 +452,7 @@ def _compile(requests: list[SolveRequest], *, twins: bool
     for slot in by_signature.values():
         rep = requests[slot[0]]
         spec = registry.get_spec(rep.method)
-        variant = rep.scenario.variant_key() \
-            if rep.scenario is not None else None
+        variant = rep.scenario.variant_key()
         if spec.stack_fusable:
             gkey = ("fuse",) + _fusion_key(rep)
         elif twins and spec.schedule_memoizable and variant is not None:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch.kernel import UniformizationKernel
 from repro.core.schedules import ScheduleBuilder
 from repro.exceptions import ModelError
 from repro.markov.ctmc import CTMC
@@ -49,19 +48,14 @@ def default_regenerative_state(model: CTMC) -> int:
 
 
 def prepare(model: CTMC, rewards: RewardStructure,
-            regenerative: int | None, rate: float | None,
-            kernel: UniformizationKernel | None = None
+            regenerative: int | None, rate: float | None
             ) -> RegenerativeSetup:
-    """Uniformize the model and construct the schedule builders.
-
-    An injected pre-built ``kernel`` skips the re-uniformization and lets
-    both schedule builders step through the shared CSR; the resulting
-    setup is bit-identical.
-    """
+    """Construct the schedule builders, which step ``model.kernel(rate)``
+    (:meth:`CTMC.kernel <repro.markov.ctmc.CTMC.kernel>`)."""
     if regenerative is None:
         regenerative = default_regenerative_state(model)
     main, primed, lam, absorbing = ScheduleBuilder.for_model(
-        model, rewards, regenerative, rate, kernel=kernel)
+        model, rewards, regenerative, rate)
     return RegenerativeSetup(
         main=main,
         primed=primed,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.kernel import UniformizationKernel
 from repro.core._setup import prepare
 from repro.core.schedule_cache import ScheduleCache
 from repro.core.transforms import VklTransform
@@ -75,18 +74,16 @@ class RRLSolver:
               times: np.ndarray | list[float],
               eps: float = 1e-12,
               *,
-              kernel: UniformizationKernel | None = None,
               schedule_cache: ScheduleCache | None = None
               ) -> TransientSolution:
         """Compute the measure at every time point with total error ``eps``.
 
-        ``kernel`` may be a pre-built (cached/shared) kernel from
-        ``UniformizationKernel.from_model(model)``; the transformation
-        phase then steps through it instead of re-uniformizing, with
-        bit-identical results. ``schedule_cache`` additionally shares the
-        transformation itself across solve calls — RR and RRL cells on
-        one ``(model, rewards, regenerative, rate)`` pay the ``K + L``
-        stepping phase once per cache, bit-identically — see
+        The transformation phase steps the model's own kernel
+        (:meth:`CTMC.kernel <repro.markov.ctmc.CTMC.kernel>`).
+        ``schedule_cache`` shares the transformation itself across solve
+        calls — RR and RRL cells on one ``(model, rewards, regenerative,
+        rate)`` pay the ``K + L`` stepping phase once per cache,
+        bit-identically — see
         :mod:`repro.core.schedule_cache`.
         """
         rewards.check_model(model)
@@ -105,11 +102,9 @@ class RRLSolver:
         cache_hit: bool | None = None
         if schedule_cache is not None:
             setup, cache_hit = schedule_cache.setup_for(
-                model, rewards, self._regenerative, self._rate,
-                kernel=kernel)
+                model, rewards, self._regenerative, self._rate)
         else:
-            setup = prepare(model, rewards, self._regenerative, self._rate,
-                            kernel=kernel)
+            setup = prepare(model, rewards, self._regenerative, self._rate)
         values = np.empty(t_arr.size)
         steps = np.empty(t_arr.size, dtype=np.int64)
         k_points = np.empty(t_arr.size, dtype=np.int64)

@@ -58,7 +58,6 @@ from repro.core._setup import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.batch.kernel import UniformizationKernel
     from repro.markov.ctmc import CTMC
     from repro.markov.rewards import RewardStructure
 
@@ -90,8 +89,7 @@ class ScheduleCache(BoundedCache):
 
     @staticmethod
     def key_for(model: "CTMC", rewards: "RewardStructure",
-                regenerative: int | None, rate: float | None,
-                kernel: "UniformizationKernel | None" = None) -> tuple:
+                regenerative: int | None, rate: float | None) -> tuple:
         """The cache identity of a transformation request.
 
         ``regenerative``/``rate`` are resolved to the same defaults the
@@ -102,18 +100,13 @@ class ScheduleCache(BoundedCache):
         if regenerative is None:
             regenerative = default_regenerative_state(model)
         if rate is None:
-            if kernel is not None and kernel.rate is not None:
-                rate = kernel.rate
-            else:
-                rate = model.max_output_rate
+            rate = model.max_output_rate
         return (model.content_digest(), rewards.content_digest(),
                 int(regenerative), float(rate))
 
     def setup_for(self, model: "CTMC", rewards: "RewardStructure",
                   regenerative: int | None = None,
-                  rate: float | None = None,
-                  *,
-                  kernel: "UniformizationKernel | None" = None
+                  rate: float | None = None
                   ) -> tuple[RegenerativeSetup, bool]:
         """``(setup, was_hit)`` — cached when available, built otherwise.
 
@@ -121,16 +114,15 @@ class ScheduleCache(BoundedCache):
         the ``K + L`` prefix those cells paid for is free here; results
         remain bit-identical to a cold build (prefix stability).
         """
-        key = self.key_for(model, rewards, regenerative, rate,
-                           kernel=kernel)
+        key = self.key_for(model, rewards, regenerative, rate)
         return self.get(key, lambda: prepare(model, rewards, regenerative,
-                                             rate, kernel=kernel))
+                                             rate))
 
     def prepare_twins(self, members: Sequence[tuple]) -> int:
         """Build the setups of ``members`` together, linking exact twins.
 
-        Each member is ``(model, rewards, regenerative, rate, kernel)``,
-        as :meth:`setup_for` takes them. When none of their setups is
+        Each member is ``(model, rewards, regenerative, rate)``, as
+        :meth:`setup_for` takes them. When none of their setups is
         cached yet, all are built (each counts one miss) and every pair
         of distinct models that :func:`~repro.core._setup.link_twins`
         accepts steps on one walk from then on; a setup joins at most
@@ -139,18 +131,13 @@ class ScheduleCache(BoundedCache):
         and a cold setup is left to its solver. Returns the number of
         linked pairs.
         """
-        by_key = {self.key_for(model, rewards, regenerative, rate,
-                               kernel=kernel): (model, rewards,
-                                                regenerative, rate, kernel)
-                  for model, rewards, regenerative, rate, kernel in members}
+        by_key = {self.key_for(*member): member for member in members}
         if any(key in self for key in by_key):
             return 0
         built = []
-        for key, (model, rewards, regenerative, rate, kernel) \
-                in by_key.items():
-            setup, _ = self.get(key, lambda: prepare(
-                model, rewards, regenerative, rate, kernel=kernel))
-            built.append((key[0], model, setup))
+        for key, member in by_key.items():
+            setup, _ = self.get(key, lambda: prepare(*member))
+            built.append((key[0], member[0], setup))
         linked: set[int] = set()
         for (i, (digest_a, model_a, setup_a)), \
                 (j, (digest_b, model_b, setup_b)) \
@@ -162,7 +149,7 @@ class ScheduleCache(BoundedCache):
 
 
 #: The per-process instance batch workers share (one per pool worker —
-#: exactly the "per-worker LRU" granularity of the planner's model/kernel
+#: exactly the "per-worker LRU" granularity of the planner's model
 #: cache, and cleared together with it by ``worker_cache_clear``).
 _PROCESS_CACHE = shared_cache("schedules", ScheduleCache())
 

@@ -53,11 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.batch.kernel import (
-    UniformizationKernel,
-    _csr_product,
-    ensure_model_kernel,
-)
+from repro.batch.kernel import UniformizationKernel, _csr_product
 from repro.exceptions import ModelError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import RewardStructure
@@ -102,8 +98,10 @@ class ScheduleBuilder:
 
     Parameters
     ----------
-    transition:
-        CSR transition matrix of the randomized DTMC ``X̂``.
+    kernel:
+        Stepping kernel of the randomized DTMC ``X̂`` (the model's own,
+        :meth:`CTMC.kernel <repro.markov.ctmc.CTMC.kernel>`); the main
+        and primed builders share it.
     regenerative:
         Index of the regenerative state ``r``.
     absorbing:
@@ -115,25 +113,15 @@ class ScheduleBuilder:
         initial distribution restricted to ``S \\ {r}`` for the primed
         one). Entries at ``r``/absorbing states must already be zero
         except that ``u0 = e_r`` is of course allowed for the main chain.
-    kernel:
-        Optional pre-built stepping kernel over the same ``P``. The main
-        and primed builders (and any other consumer of the model) can
-        share one kernel — and hence one CSR transpose — instead of each
-        converting ``transition`` privately; stepping is bit-identical
-        either way.
     """
 
     def __init__(self,
-                 transition: sparse.csr_matrix,
+                 kernel: UniformizationKernel,
                  regenerative: int,
                  absorbing: np.ndarray,
                  reward: np.ndarray,
-                 u0: np.ndarray,
-                 kernel: UniformizationKernel | None = None) -> None:
-        self._kernel = kernel if kernel is not None \
-            else UniformizationKernel(transition)
-        if self._kernel.n_states != transition.shape[0]:
-            raise ModelError("kernel does not match transition matrix")
+                 u0: np.ndarray) -> None:
+        self._kernel = kernel
         self._r_idx = int(regenerative)
         self._abs_idx = np.asarray(absorbing, dtype=int)
         self._reward = np.asarray(reward, dtype=np.float64)
@@ -169,8 +157,7 @@ class ScheduleBuilder:
     @classmethod
     def for_model(cls, model: CTMC, rewards: RewardStructure,
                   regenerative: int,
-                  rate: float | None = None,
-                  kernel: UniformizationKernel | None = None
+                  rate: float | None = None
                   ) -> tuple["ScheduleBuilder", "ScheduleBuilder | None",
                              float, np.ndarray]:
         """Build the main and primed builders for a model.
@@ -178,13 +165,11 @@ class ScheduleBuilder:
         Returns ``(main, primed_or_None, rate, absorbing_indices)``.
         The primed builder is ``None`` when the initial distribution is
         concentrated on ``r`` (``α_r = 1``), the paper's ``V_K`` case.
-        With a pre-built ``kernel`` (from
-        ``UniformizationKernel.from_model(model)``) the model is not
-        re-uniformized and both builders step through the shared kernel;
-        the schedules are bit-identical either way.
+        Both builders step through ``model.kernel(rate)``
+        (:meth:`CTMC.kernel <repro.markov.ctmc.CTMC.kernel>`).
         """
         rewards.check_model(model)
-        kernel, dtmc, lam = ensure_model_kernel(model, kernel, rate)
+        kernel = model.kernel(rate)
         absorbing = model.absorbing_states()
         if regenerative in set(int(i) for i in absorbing):
             raise ModelError("the regenerative state cannot be absorbing")
@@ -193,21 +178,19 @@ class ScheduleBuilder:
             raise ModelError(
                 "initial probability on absorbing states must be zero "
                 "(paper assumption P[X(0)=f_i]=0)")
-        p = dtmc.transition_matrix
         r_vec = rewards.rates
 
         e_r = np.zeros(model.n_states)
         e_r[regenerative] = 1.0
-        main = cls(p, regenerative, absorbing, r_vec, e_r, kernel=kernel)
+        main = cls(kernel, regenerative, absorbing, r_vec, e_r)
 
         alpha_r = float(init[regenerative])
         primed: ScheduleBuilder | None = None
         if alpha_r < 1.0:
             u0 = init.copy()
             u0[regenerative] = 0.0
-            primed = cls(p, regenerative, absorbing, r_vec, u0,
-                         kernel=kernel)
-        return main, primed, lam, absorbing
+            primed = cls(kernel, regenerative, absorbing, r_vec, u0)
+        return main, primed, kernel.rate, absorbing
 
     # -- incremental stepping ---------------------------------------------
 

@@ -2,14 +2,15 @@
 
 Every registered solver — SR, RSD and the paper's RR/RRL — exposes::
 
-    solve(model, rewards, measure, times, eps, *, kernel=None)
-        -> TransientSolution
+    solve(model, rewards, measure, times, eps) -> TransientSolution
 
-computes both measures (TRR and MRR) within the total error ``eps``, and
-accepts an injected pre-built
-:class:`~repro.batch.kernel.UniformizationKernel` through ``kernel=``,
-so the experiment harness and the planner can swap methods freely. Work statistics (step
-counts, abscissa counts, wall time) ride along in the solution, because the
+and computes both measures (TRR and MRR) within the total error ``eps``,
+so the experiment harness and the planner can swap methods freely. All
+four start from the model's randomized chain ``P = I + Q/Λ``, whose
+stepping kernel the model owns (:meth:`CTMC.kernel
+<repro.markov.ctmc.CTMC.kernel>`): every solve of one model instance at
+the default rate steps one kernel. Work statistics (step counts,
+abscissa counts, wall time) ride along in the solution, because the
 paper's evaluation compares exactly those.
 """
 
@@ -33,9 +34,8 @@ class SolveCell:
     The solver-layer currency of the fusion planner
     (:mod:`repro.batch.planner`): SR and RSD cells sharing a model share
     one uniformization kernel and one ``π_n`` sweep
-    (:func:`repro.markov.sweep.solve_shared`, or one method's
-    ``solve_fused``). Deliberately minimal — a cell is everything
-    ``solve`` takes *except* the model.
+    (:func:`repro.markov.sweep.solve_shared`). Deliberately minimal — a
+    cell is everything ``solve`` takes *except* the model.
     """
 
     rewards: RewardStructure
@@ -78,7 +78,7 @@ class TransientSolution:
           any of its cells, SR or RSD (other models stacked into the
           same walk do not count);
         * ``fused_width`` — present **only** on solutions produced by a
-          fused multi-cell pass (``solve_fused`` or a planner window):
+          fused multi-cell pass (``solve_shared`` or a planner window):
           the number of cells of both methods, on this model, that
           shared the sweep. Absent on ordinary solves.
         * ``transformation_steps`` — **RR/RRL only**: DTMC steps the

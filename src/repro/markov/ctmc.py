@@ -19,13 +19,16 @@ Conventions
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ModelError
 from repro.markov.dtmc import DTMC
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from repro.batch.kernel import UniformizationKernel
 
 __all__ = ["CTMC"]
 
@@ -117,6 +120,7 @@ class CTMC:
                 raise ModelError("labels length does not match state count")
         self._labels = labels
         self._content_digest: str | None = None
+        self._kernel: UniformizationKernel | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -204,6 +208,27 @@ class CTMC:
             h.update(np.ascontiguousarray(self._initial).tobytes())
             self._content_digest = h.hexdigest()
         return self._content_digest
+
+    def kernel(self, rate: float | None = None) -> "UniformizationKernel":
+        """The stepping kernel of ``P = I + Q/Λ``, the chain SR, RSD, RR
+        and RRL all start from.
+
+        At the default rate (``Λ`` = :attr:`max_output_rate`) the kernel
+        is built once, on first use, and kept like
+        :meth:`content_digest`, so every solve of this instance shares
+        it. A pinned ``rate`` builds a fresh kernel per call. Both go
+        through :meth:`UniformizationKernel.from_model
+        <repro.batch.kernel.UniformizationKernel.from_model>`, which is
+        deterministic: a shared kernel steps bit-identically to a fresh
+        one.
+        """
+        from repro.batch.kernel import UniformizationKernel
+
+        if rate is not None:
+            return UniformizationKernel.from_model(self, rate)
+        if self._kernel is None:
+            self._kernel = UniformizationKernel.from_model(self)
+        return self._kernel
 
     @property
     def n_transitions(self) -> int:

@@ -25,8 +25,6 @@ it balances ``P − I``. The detection loop is the ``π_n`` walk of
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.batch.kernel import UniformizationKernel
@@ -93,68 +91,37 @@ class SteadyStateDetectionSolver:
         Randomization rate; defaults to the model's maximum output rate.
     max_steps:
         Hard cap on DTMC steps before declaring failure.
-    check_irreducible:
-        Verify irreducibility up front (the method is only sound for
-        ``A = 0`` models). Disable only when the caller guarantees it.
+
+    The method is only sound for irreducible (``A = 0``) models; every
+    solve checks that up front and raises
+    :class:`~repro.exceptions.ModelError` otherwise.
     """
 
     method_name = "RSD"
 
     def __init__(self, rate: float | None = None,
-                 max_steps: int = _MAX_STEPS_DEFAULT,
-                 check_irreducible: bool = True) -> None:
+                 max_steps: int = _MAX_STEPS_DEFAULT) -> None:
         self._rate = rate
         self._max_steps = int(max_steps)
-        self._check_irreducible = check_irreducible
 
     def solve(self,
               model: CTMC,
               rewards: RewardStructure,
               measure: Measure,
               times: np.ndarray | list[float],
-              eps: float = 1e-12,
-              *,
-              kernel: UniformizationKernel | None = None
-              ) -> TransientSolution:
-        """Compute the measure at every time point with total error ``eps``.
-
-        ``kernel`` may be a pre-built (cached/shared) kernel from
-        ``UniformizationKernel.from_model(model)``; results are
-        bit-identical to letting the solver build its own.
-        """
+              eps: float = 1e-12) -> TransientSolution:
+        """Compute the measure at every time point with total error ``eps``."""
         cell = SolveCell(rewards=rewards, measure=measure, times=times,
                          eps=eps)
-        (solution,) = solve_shared(model, [(self, cell)], kernel=kernel)
+        (solution,) = solve_shared(model, [(self, cell)])
         del solution.stats["fused_width"]
         return solution
-
-    def solve_fused(self,
-                    model: CTMC,
-                    cells: Sequence[SolveCell],
-                    *,
-                    kernel: UniformizationKernel | None = None
-                    ) -> list[TransientSolution]:
-        """Solve several cells against one model on one ``π_n`` sweep.
-
-        The randomized distribution ``π_n`` is stepped once for the whole
-        group (:mod:`repro.markov.sweep`); every cell gets its own
-        ``d_n = r_j π_n`` prefix and its own detection test (its ``δ``
-        depends on its ``eps`` and ``r_max``) and is weighted exactly as
-        alone, so each returned solution — values, steps, ``k_ss`` — is
-        bit-for-bit identical to the standalone run; ``stats`` gains
-        ``fused_width``. Raises
-        :class:`~repro.exceptions.TruncationError` when any cell's
-        pre-detection budget exceeds ``max_steps`` (callers wanting
-        per-cell failure isolation fall back to per-cell ``solve``).
-        """
-        return solve_shared(model, [(self, cell) for cell in cells],
-                            kernel=kernel)
 
     def join_sweep(self, sweep: PiSweep, model: CTMC,
                    cell: SolveCell) -> Finisher:
         """Ask ``sweep`` to detect stationarity for the cell; the returned
         function weights the stepped prefix."""
-        if self._check_irreducible and not model.is_irreducible():
+        if not model.is_irreducible():
             raise ModelError(
                 "steady-state detection requires an irreducible model")
         kernel, dtmc, rate = sweep.bind(model, self._rate)

@@ -147,42 +147,23 @@ class StandardRandomizationSolver:
               rewards: RewardStructure,
               measure: Measure,
               times: np.ndarray | list[float],
-              eps: float = 1e-12,
-              *,
-              kernel: UniformizationKernel | None = None
-              ) -> TransientSolution:
-        """Compute the measure at every time point with total error ``eps``.
-
-        ``kernel`` may be a pre-built (cached/shared) kernel from
-        ``UniformizationKernel.from_model(model)``; results are
-        bit-identical to letting the solver build its own.
-        """
+              eps: float = 1e-12) -> TransientSolution:
+        """Compute the measure at every time point with total error ``eps``."""
         cell = SolveCell(rewards=rewards, measure=measure, times=times,
                          eps=eps)
-        (solution,) = solve_shared(model, [(self, cell)], kernel=kernel)
+        (solution,) = solve_shared(model, [(self, cell)])
         del solution.stats["fused_width"]
         return solution
 
-    def solve_fused(self,
-                    model: CTMC,
-                    cells: Sequence[SolveCell],
-                    *,
-                    kernel: UniformizationKernel | None = None
+    def solve_fused(self, model: CTMC, cells: Sequence[SolveCell]
                     ) -> list[TransientSolution]:
-        """Solve several cells against one model on one ``π_n`` sweep.
+        """``solve_shared(model, [(self, cell) for cell in cells])``.
 
-        The sweep (:mod:`repro.markov.sweep`) steps to the largest
-        horizon any cell needs, with one dot per distinct reward vector;
-        cell ``j``'s solution is bit-for-bit identical to
-        ``solve(model, cells[j].rewards, ...)`` on its own, except that
-        ``stats`` gains ``fused_width`` and ``shared_steps`` reflects the
-        group-wide sweep. Raises
-        :class:`~repro.exceptions.TruncationError` when *any* cell exceeds
-        ``max_steps`` (callers wanting per-cell failure isolation fall
-        back to per-cell ``solve``).
+        Kept only because ``perfbench/make_reference.py`` calls it by
+        name; everything else shares walks through
+        :func:`~repro.markov.sweep.solve_shared` or the planner.
         """
-        return solve_shared(model, [(self, cell) for cell in cells],
-                            kernel=kernel)
+        return solve_shared(model, [(self, cell) for cell in cells])
 
     def join_sweep(self, sweep: PiSweep, model: CTMC,
                    cell: SolveCell) -> Finisher:

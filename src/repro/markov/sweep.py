@@ -23,9 +23,12 @@ bit-identical.
 
 Solvers take part through ``join_sweep(sweep, model, cell)``, which
 registers the cell's need and returns the function that weights the
-walked prefix. :func:`solve_stacked` solves the cells of several models
-on stacked walks (the planner's fused windows); :func:`solve_shared` is
-its one-model case, which the solvers' ``solve``/``solve_fused`` call.
+walked prefix. Every lane steps its model's own kernel
+(:meth:`CTMC.kernel <repro.markov.ctmc.CTMC.kernel>`), or a fresh one
+when its solvers pin a rate. :func:`solve_stacked` solves the cells of
+several models on stacked walks (the planner's fused windows);
+:func:`solve_shared` is its one-model case, which the solvers' ``solve``
+calls.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.batch.kernel import UniformizationKernel, ensure_model_kernel
+from repro.batch.kernel import UniformizationKernel
 from repro.exceptions import ModelError
 from repro.markov.base import SolveCell, TransientSolution, as_time_array
 from repro.markov.ctmc import CTMC
@@ -68,15 +71,13 @@ class SweepNeed:
 
 class PiSweep:
     """One lane of a ``π_n`` walk: the SR and RSD cells of one model (see
-    the module docstring).
-
-    ``kernel`` comes from ``UniformizationKernel.from_model(model)``; with
-    ``None`` the first :meth:`bind` builds one.
+    the module docstring). The first :meth:`bind` sets its kernel.
     """
 
-    def __init__(self, kernel: UniformizationKernel | None = None) -> None:
-        self.kernel = kernel
+    def __init__(self) -> None:
+        self.kernel: UniformizationKernel | None = None
         self.dtmc: "DTMC | None" = None
+        self._rate: float | None = None
         #: ``π_∞`` and its residual, set by the first detecting cell's
         #: solver.
         self.pi_inf: np.ndarray | None = None
@@ -100,11 +101,17 @@ class PiSweep:
 
     def bind(self, model: CTMC, rate: float | None
              ) -> tuple[UniformizationKernel, "DTMC", float]:
-        """``ensure_model_kernel`` for a joining solver: builds the kernel
-        on first use and checks it against every later solver's rate."""
-        self.kernel, self.dtmc, lam = ensure_model_kernel(
-            model, self.kernel, rate)
-        return self.kernel, self.dtmc, lam
+        """``(kernel, dtmc, Λ)`` for a joining solver: the first takes
+        ``model.kernel(rate)`` for the lane, every later one must ask for
+        the same ``rate``."""
+        if self.kernel is None:
+            self.kernel, self._rate = model.kernel(rate), rate
+            self.dtmc = self.kernel.dtmc
+        elif rate != self._rate:
+            raise ModelError(
+                f"a lane steps one randomization: rate {rate} joins a "
+                f"lane bound at rate {self._rate}")
+        return self.kernel, self.dtmc, self.kernel.rate
 
     def need(self, rewards: np.ndarray, terms: int,
              delta: float | None = None) -> SweepNeed:
@@ -296,11 +303,10 @@ Finisher = Callable[[], tuple[np.ndarray, np.ndarray, dict]]
 Job = tuple[object, SolveCell]
 
 
-def solve_stacked(lanes: Sequence[tuple[CTMC, Sequence[Job],
-                                        UniformizationKernel | None]]
+def solve_stacked(lanes: Sequence[tuple[CTMC, Sequence[Job]]]
                   ) -> list[list[TransientSolution] | Exception]:
-    """Solve the jobs of several models, one lane per ``(model, jobs,
-    kernel)``, on stacked ``π_n`` walks.
+    """Solve the jobs of several models, one lane per ``(model, jobs)``,
+    on stacked ``π_n`` walks.
 
     Each solver must implement ``join_sweep(sweep, model, cell)`` (the
     registry's ``stack_fusable`` methods do). Lanes are walked together
@@ -312,8 +318,8 @@ def solve_stacked(lanes: Sequence[tuple[CTMC, Sequence[Job],
     """
     results: list = [None] * len(lanes)
     joined = []
-    for i, (model, jobs, kernel) in enumerate(lanes):
-        sweep = PiSweep(kernel)
+    for i, (model, jobs) in enumerate(lanes):
+        sweep = PiSweep()
         try:
             finishers = [solver.join_sweep(sweep, model, cell)
                          for solver, cell in jobs]
@@ -343,13 +349,12 @@ def _solution(solver, cell: SolveCell, finish: Finisher,
         method=solver.method_name, stats=stats)
 
 
-def solve_shared(model: CTMC, jobs: Sequence[Job], *,
-                 kernel: UniformizationKernel | None = None
+def solve_shared(model: CTMC, jobs: Sequence[Job]
                  ) -> list[TransientSolution]:
     """Solve every ``(solver, cell)`` job of one model on one ``π_n``
     walk: :func:`solve_stacked` of one lane, which raises what its
     solvers raise."""
-    (result,) = solve_stacked([(model, jobs, kernel)])
+    (result,) = solve_stacked([(model, jobs)])
     if isinstance(result, Exception):
         raise result
     return result

@@ -4,15 +4,14 @@ This package is the **canonical public API** for running solve workloads.
 The three layers:
 
 * :mod:`repro.service.protocol` — a versioned (``SCHEMA_VERSION``) JSON
-  codec, one encoder/decoder pair per type, for scenario-backed
-  :class:`~repro.batch.planner.SolveRequest` cells,
-  :class:`~repro.batch.runner.BatchOutcome`,
+  codec, one encoder/decoder pair per type, for
+  :class:`~repro.batch.planner.SolveRequest` cells (each names its model
+  by a scenario), :class:`~repro.batch.runner.BatchOutcome`,
   :class:`~repro.markov.base.TransientSolution`, scenario specs and
   structured failures — a request that round-trips through JSON solves
-  bit-identically to the in-memory object. A request over a live model
-  is solved in process only (the pool pickles it); it has no wire form;
+  bit-identically to the in-memory object;
 * :mod:`repro.service.service` — :class:`SolveService`, the one entry
-  point wrapping planner → runner → scatter (kernel-cache policy
+  point wrapping planner → runner → scatter (model-cache policy
   included), which ``analysis``, the CLI and the scripts all route
   through;
 * :mod:`repro.service.queue` — :class:`JobQueue`, a resumable on-disk

@@ -4,9 +4,8 @@ Every journaled experiment cell — and everything a cell produces — is
 expressible as a portable, versioned JSON artifact that any worker can
 replay bit-identically:
 
-* scenario-backed :class:`~repro.batch.planner.SolveRequest` cells (a
-  request over a live model solves in process only: the planner and the
-  pool pickle it; journal its :class:`~repro.batch.scenarios.Scenario`),
+* :class:`~repro.batch.planner.SolveRequest` cells, each naming its
+  model by a :class:`~repro.batch.scenarios.Scenario`,
 * :class:`~repro.batch.scenarios.Scenario` specs,
 * :class:`~repro.markov.base.TransientSolution` results,
 * :class:`~repro.batch.runner.BatchOutcome` envelopes, including
@@ -46,7 +45,7 @@ from repro.batch.runner import BatchOutcome
 from repro.batch.scenarios import Scenario
 from repro.exceptions import ProtocolError, UnknownMethodError
 from repro.markov.base import TransientSolution
-from repro.markov.rewards import Measure, RewardStructure
+from repro.markov.rewards import Measure
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -59,8 +58,6 @@ __all__ = [
     "solution_from_dict",
     "scenario_to_dict",
     "scenario_from_dict",
-    "rewards_to_dict",
-    "rewards_from_dict",
 ]
 
 #: Wire schema version. Bump on any change to the dict layouts below;
@@ -197,29 +194,12 @@ def scenario_from_dict(data: Mapping) -> Scenario:
         eps=float(_field(d, "eps", "scenario")))
 
 
-# -- rewards ---------------------------------------------------------------
-
-def rewards_to_dict(rewards: RewardStructure) -> dict:
-    """Wire form of a reward structure (the rate vector)."""
-    return _envelope("rewards",
-                     {"rates": np.asarray(rewards.rates).tolist()})
-
-
-def rewards_from_dict(data: Mapping) -> RewardStructure:
-    d = _expect(data, "rewards")
-    return RewardStructure(
-        np.asarray(_field(d, "rates", "rewards"), dtype=np.float64))
-
-
 # -- requests --------------------------------------------------------------
 
 def request_to_dict(request: SolveRequest) -> dict:
     """Wire form of one declarative solve cell: its scenario description
-    (the worker rebuilds the model), never a live model's CSR."""
-    if request.model is not None:
-        raise ProtocolError(
-            "solve_request: a request over a live model has no wire form; "
-            "journal a Scenario instead")
+    (the worker rebuilds the model). ``"model"`` and ``"rewards"`` are
+    always null; the layout is schema version 1's."""
     return _envelope("solve_request", {
         "measure": request.measure.value,
         "times": [float(t) for t in request.times],
@@ -227,8 +207,7 @@ def request_to_dict(request: SolveRequest) -> dict:
         "method": request.method,
         "scenario": scenario_to_dict(request.scenario),
         "model": None,
-        "rewards": (rewards_to_dict(request.rewards)
-                    if request.rewards is not None else None),
+        "rewards": None,
         "solver_kwargs": _encode_plain(dict(request.solver_kwargs),
                                        where="request solver_kwargs"),
         "key": _encode_plain(request.key, where="request key"),
@@ -237,13 +216,13 @@ def request_to_dict(request: SolveRequest) -> dict:
 
 def request_from_dict(data: Mapping) -> SolveRequest:
     d = _expect(data, "solve_request")
-    scenario = _field(d, "scenario", "solve_request")
-    rewards = _field(d, "rewards", "solve_request")
+    for name in ("model", "rewards"):
+        if _field(d, name, "solve_request") is not None:
+            raise ProtocolError(
+                f"solve_request: a record with a {name!r} payload is not "
+                "decoded; a request names its model and rewards by its "
+                "scenario")
     method = _field(d, "method", "solve_request")
-    if _field(d, "model", "solve_request") is not None:
-        raise ProtocolError(
-            "solve_request: model-backed records are no longer decoded; "
-            "journal a Scenario instead")
     # SolveRequest checks the method against the solver registry; a
     # journal written by a newer/older deployment then fails as a
     # protocol problem (with the known-method list), not as a deep
@@ -253,10 +232,10 @@ def request_from_dict(data: Mapping) -> SolveRequest:
             measure=_measure_from(_field(d, "measure", "solve_request")),
             times=tuple(float(t)
                         for t in _field(d, "times", "solve_request")),
+            scenario=scenario_from_dict(
+                _field(d, "scenario", "solve_request")),
             eps=float(_field(d, "eps", "solve_request")),
             method=method,
-            scenario=scenario_from_dict(scenario) if scenario else None,
-            rewards=rewards_from_dict(rewards) if rewards else None,
             solver_kwargs=_decode_plain(
                 _field(d, "solver_kwargs", "solve_request")),
             key=_decode_plain(_field(d, "key", "solve_request")))

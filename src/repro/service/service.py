@@ -5,7 +5,7 @@ one ad-hoc solve of a live model. Everything batch-shaped goes through
 ``SolveService``: it owns the planner (coalescing + fusion), the pool
 shape its tasks run on (:func:`~repro.batch.runner.run_tasks`: inline,
 or ``workers`` processes with per-task deadlines, and with it the
-per-worker kernel-cache behaviour), and the scatter bookkeeping that
+per-worker model-cache behaviour), and the scatter bookkeeping that
 maps task results back onto requests — so ``analysis``, the CLI and
 the scripts never touch planner or runner internals.
 

@@ -64,11 +64,10 @@ class SolverSpec:
     """Everything the execution layers need to know about one solver.
 
     Every registered solver computes both measures (TRR and MRR) and
-    accepts an injected pre-built
-    :class:`~repro.batch.kernel.UniformizationKernel`
-    (``solve(..., kernel=...)``), so the planner's per-worker kernel
-    cache applies to every method; the flags below declare only what
-    sets solvers apart.
+    steps the model's own kernel (:meth:`CTMC.kernel
+    <repro.markov.ctmc.CTMC.kernel>`), so every cell of one model cached
+    by the planner steps one kernel, whatever its method; the flags
+    below declare only what sets solvers apart.
 
     Parameters
     ----------
@@ -80,10 +79,9 @@ class SolverSpec:
     summary:
         One-line human description (``repro solvers list``, docs).
     stack_fusable:
-        The solver implements ``solve_fused(model, cells, kernel=...)``
-        and ``join_sweep(sweep, model, cell)``: the cells of *all*
-        stack-fusable methods that share a model (and solver kwargs)
-        merge into one task and one ``π_n`` sweep
+        The solver implements ``join_sweep(sweep, model, cell)``: the
+        cells of *all* stack-fusable methods that share a model (and
+        solver kwargs) merge into one task and one ``π_n`` sweep
         (:mod:`repro.markov.sweep`).
     schedule_memoizable:
         The solver's per-model *schedule transformation* (RR/RRL's

@@ -9,9 +9,11 @@ from repro.analysis.experiments import (
     PAPER_TABLE2,
     PAPER_UR_1E5,
     ExperimentConfig,
+    _timing_column,
     grid_solve_requests,
     run_grid,
 )
+from repro.batch.kernel import kernel_build_count
 from repro.solvers.registry import get_spec
 from tests.conftest import direct_solve
 
@@ -74,6 +76,17 @@ class TestTimingTable:
         assert all(v is not None and v > 0 for v in rrl)
         out = fig.render()
         assert "Figure 4" in out and "—" in out
+
+    @pytest.mark.parametrize("method", ["RRL", "RSD"])
+    def test_timed_cells_keep_their_own_uniformization(self, method):
+        # Each timed solve runs on a model built for it, so it builds its
+        # own kernel: a model that kept one across cells would time the
+        # later cells without their uniformization.
+        cfg = ExperimentConfig.quick()
+        before = kernel_build_count()
+        series = _timing_column(cfg, cfg.groups[0], "UA", method)
+        assert all(v is not None for v in series)
+        assert kernel_build_count() - before == len(cfg.times)
 
     def test_config_paper_grid(self):
         cfg = ExperimentConfig.paper()

@@ -11,7 +11,6 @@ import pytest
 
 from repro.batch.kernel import (
     UniformizationKernel,
-    ensure_model_kernel,
     fox_glynn_cache_clear,
     fox_glynn_cache_info,
     kernel_build_count,
@@ -33,8 +32,8 @@ def _steps(kernel, x, n):
 @pytest.fixture
 def kernel_and_model():
     model = random_ctmc(40, density=0.2, seed=7)
-    kernel, dtmc, rate = UniformizationKernel.from_model(model)
-    return kernel, dtmc, rate, model
+    kernel = UniformizationKernel.from_model(model)
+    return kernel, kernel.dtmc, kernel.rate, model
 
 
 class TestPropagation:
@@ -116,7 +115,7 @@ class TestStack:
     @staticmethod
     def _kernels():
         return [UniformizationKernel.from_model(
-            random_ctmc(n, density=0.3, seed=n))[0] for n in (5, 40, 17)]
+            random_ctmc(n, density=0.3, seed=n)) for n in (5, 40, 17)]
 
     def test_stacked_step_equals_each_kernel_bitwise(self):
         kernels = self._kernels()
@@ -241,10 +240,10 @@ class TestStepRate:
         # Solvers never step at a varying rate, so the kernel they build
         # keeps no Qᵀ.
         model, _ = two_state_availability()
-        kernel, dtmc, rate = UniformizationKernel.from_model(model)
+        kernel = UniformizationKernel.from_model(model)
         assert not kernel.has_generator
         with pytest.raises(ModelError):
-            kernel.step_rate(dtmc.initial, rate)
+            kernel.step_rate(kernel.dtmc.initial, kernel.rate)
 
     def test_rejects_nonpositive_rate(self):
         model, _ = two_state_availability()
@@ -290,7 +289,7 @@ class TestFoxGlynnCache:
 
     def test_kernel_window_uses_shared_cache(self):
         model, _ = two_state_availability()
-        kernel, _, rate = UniformizationKernel.from_model(model)
+        kernel = UniformizationKernel.from_model(model)
         fox_glynn_cache_clear()
         kernel.window(5.0, 1e-10)
         kernel.window(5.0, 1e-10)
@@ -311,56 +310,42 @@ class TestValidation:
             UniformizationKernel(np.ones((2, 3)))
 
 
-class TestEnsureModelKernel:
-    def test_builds_when_none(self):
-        model, _ = two_state_availability()
-        kernel, dtmc, rate = ensure_model_kernel(model, None)
-        assert kernel.dtmc is dtmc
-        assert rate == pytest.approx(model.max_output_rate)
+class TestModelKernel:
+    """``CTMC.kernel``: a model keeps its default-rate kernel; a pinned
+    rate builds a fresh one."""
 
-    def test_accepts_matching_injected_kernel(self):
+    def test_default_kernel_is_built_once(self):
         model, _ = two_state_availability()
-        built, _, _ = UniformizationKernel.from_model(model)
         before = kernel_build_count()
-        kernel, dtmc, rate = ensure_model_kernel(model, built)
-        assert kernel is built
-        assert dtmc is built.dtmc
-        assert kernel_build_count() == before  # no rebuild
+        kernel = model.kernel()
+        assert model.kernel() is kernel
+        assert kernel_build_count() - before == 1
+        assert kernel.rate == model.max_output_rate
+        assert np.array_equal(kernel.dtmc.initial,
+                              model.uniformize()[0].initial)
 
-    def test_rejects_kernel_without_dtmc(self):
+    def test_default_kernel_steps_as_a_fresh_build_bitwise(self):
+        model = random_ctmc(40, density=0.2, seed=7)
+        shared = model.kernel()
+        fresh = UniformizationKernel.from_model(model)
+        x = fresh.dtmc.initial
+        assert _steps(shared, x, 5).tobytes() == \
+            _steps(fresh, x, 5).tobytes()
+        assert shared.rate == fresh.rate
+
+    def test_pinned_rate_builds_a_fresh_kernel_per_call(self):
         model, _ = two_state_availability()
-        dtmc, rate = model.uniformize()
-        bare = UniformizationKernel(dtmc.transition_matrix, rate=rate)
-        with pytest.raises(ModelError, match="from_model"):
-            ensure_model_kernel(model, bare)
+        rate = 2.0 * model.max_output_rate
+        before = kernel_build_count()
+        first, second = model.kernel(rate), model.kernel(rate)
+        assert first is not second and first is not model.kernel()
+        assert first.rate == second.rate == rate
+        assert kernel_build_count() - before == 3
 
-    def test_rejects_size_and_rate_mismatch(self):
+    def test_rate_below_max_output_rate_is_refused(self):
         model, _ = two_state_availability()
-        other = random_ctmc(5, density=0.5, seed=1)
-        wrong_size, _, _ = UniformizationKernel.from_model(other)
-        with pytest.raises(ModelError, match="states"):
-            ensure_model_kernel(model, wrong_size)
-        built, _, _ = UniformizationKernel.from_model(model)
-        with pytest.raises(ModelError, match="rate"):
-            ensure_model_kernel(model, built,
-                                rate=2.0 * model.max_output_rate)
-
-    def test_rejects_kernel_from_different_same_size_model(self):
-        import numpy as _np
-        from repro.markov.ctmc import CTMC
-
-        slow = CTMC(_np.array([[-0.5, 0.5], [1.0, -1.0]]))
-        fast = CTMC(_np.array([[-4.0, 4.0], [8.0, -8.0]]))
-        slow_kernel, _, _ = UniformizationKernel.from_model(slow)
-        # Same size, but the kernel's rate cannot dominate fast's rates.
-        with pytest.raises(ModelError, match="max output rate"):
-            ensure_model_kernel(fast, slow_kernel)
-        # Same size and compatible rates, different initial distribution.
-        shifted = CTMC(_np.array([[-0.5, 0.5], [1.0, -1.0]]),
-                       initial=_np.array([0.25, 0.75]))
-        shifted_kernel, _, _ = UniformizationKernel.from_model(shifted)
-        with pytest.raises(ModelError, match="initial"):
-            ensure_model_kernel(slow, shifted_kernel)
+        with pytest.raises(ModelError, match="below max output rate"):
+            model.kernel(0.5 * model.max_output_rate)
 
 
 _NO_SPARSETOOLS = r"""
@@ -378,7 +363,7 @@ from repro.batch.kernel import UniformizationKernel
 from repro.models.library import random_ctmc
 
 assert kernel._sparsetools is None
-step, _, _ = UniformizationKernel.from_model(
+step = UniformizationKernel.from_model(
     random_ctmc(40, density=0.2, seed=7))
 x = np.random.default_rng(5).random(40)
 expected = step._pt @ x

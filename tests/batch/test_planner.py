@@ -22,7 +22,7 @@ from repro.batch.scenarios import (
     scenario_requests,
 )
 from repro.cache import clear_caches
-from repro.exceptions import ModelError, UnknownMethodError
+from repro.exceptions import UnknownMethodError
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 from repro.service import SolveService
@@ -45,19 +45,18 @@ def _request(method="SR", eps=1e-8, times=(0.5, 2.0),
 
 
 class TestSolveRequest:
-    def test_requires_exactly_one_model_source(self):
+    def test_requires_a_scenario(self):
+        # A scenario is the only way a request names its model.
         model = CTMC(np.array([[-1.0, 1.0], [2.0, -2.0]]))
         rewards = RewardStructure.indicator(2, [1])
-        with pytest.raises(ModelError, match="exactly one"):
+        with pytest.raises(TypeError, match="scenario"):
             SolveRequest(measure=Measure.TRR, times=(1.0,))
-        with pytest.raises(ModelError, match="exactly one"):
+        with pytest.raises(TypeError, match="model"):
             SolveRequest(measure=Measure.TRR, times=(1.0,), model=model,
                          rewards=rewards, scenario=_bd_scenario())
-
-    def test_model_backed_needs_rewards(self):
-        model = CTMC(np.array([[-1.0, 1.0], [2.0, -2.0]]))
-        with pytest.raises(ModelError, match="rewards"):
-            SolveRequest(measure=Measure.TRR, times=(1.0,), model=model)
+        with pytest.raises(TypeError, match="rewards"):
+            SolveRequest(measure=Measure.TRR, times=(1.0,),
+                         rewards=rewards, scenario=_bd_scenario())
 
     def test_normalization(self):
         req = _request(method="sr", times=[1, 10])
@@ -88,17 +87,6 @@ class TestFingerprints:
         assert model_fingerprint(_request(n=8)) != \
             model_fingerprint(_request(n=9))
 
-    def test_live_model_fingerprint_is_content_based(self):
-        q = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        rewards = RewardStructure.indicator(2, [1])
-        a = SolveRequest(measure=Measure.TRR, times=(1.0,), model=CTMC(q),
-                         rewards=rewards)
-        b = SolveRequest(measure=Measure.TRR, times=(1.0,), model=CTMC(q),
-                         rewards=rewards)
-        c = SolveRequest(measure=Measure.TRR, times=(1.0,),
-                         model=CTMC(2.0 * q), rewards=rewards)
-        assert model_fingerprint(a) == model_fingerprint(b)
-        assert model_fingerprint(a) != model_fingerprint(c)
 
 
 class TestPlanShape:
@@ -219,14 +207,12 @@ class TestExecution:
             assert np.array_equal(a.value.values, b.value.values)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_model_backed_requests_equal_direct_bitwise(self, workers):
-        # A live model has no wire form, but it solves in process: the
-        # planner runs it inline, and the pool pickles it to a worker.
-        model = CTMC(np.array([[-1.0, 0.7, 0.3], [2.0, -2.5, 0.5],
-                               [0.0, 4.0, -4.0]]),
-                     initial=np.array([0.2, 0.3, 0.5]))
-        rewards = RewardStructure.indicator(3, [2])
-        reqs = [SolveRequest(model=model, rewards=rewards, measure=measure,
+    def test_every_method_and_measure_equals_direct_bitwise(self,
+                                                             workers):
+        # Every cell of one cached model steps the model's own kernel,
+        # inline and on a pool; each equals a solve on a fresh model.
+        scenario = _bd_scenario(n=3, birth=0.7, death=2.0)
+        reqs = [SolveRequest(scenario=scenario, measure=measure,
                              times=(0.5, 3.0), eps=1e-9, method=method,
                              key=(method, measure.value))
                 for method in ("SR", "RSD", "RR", "RRL")
@@ -255,6 +241,13 @@ class TestExecution:
             _request(method="FFT")
 
 
+#: A small RAID-5 reliability model (13 states, FAILED absorbing).
+_ABSORBING = Scenario(name="raid5-G1-relia", family="raid5",
+                      params={"groups": 1, "spare_disks": 0,
+                              "spare_controllers": 1,
+                              "kind": "reliability"})
+
+
 class TestFailureIsolation:
     def test_over_budget_cell_fails_alone_in_fused_group(self):
         # max_steps=1 makes every real solve raise TruncationError; fuse
@@ -281,12 +274,10 @@ class TestFailureIsolation:
     def test_rsd_on_reducible_model_fails_alone_in_mixed_group(self):
         # One SR+RSD group on an absorbing model: the RSD cell fails with
         # ModelError, its SR siblings still match their standalone solves.
-        model = CTMC(np.array([[-1.0, 1.0, 0.0], [2.0, -2.5, 0.5],
-                               [0.0, 0.0, 0.0]]))
-        rewards = RewardStructure([1.0, 0.5, 0.0])
+        model, rewards = _ABSORBING.build()
 
         def req(method, measure, key):
-            return SolveRequest(model=model, rewards=rewards,
+            return SolveRequest(scenario=_ABSORBING,
                                 measure=measure, times=(0.5, 3.0),
                                 eps=1e-9, method=method, key=key)
 
@@ -309,10 +300,8 @@ class TestFailureIsolation:
         # healthy lanes: its RSD cell fails with ModelError, its SR cells
         # match their standalone solves, and its stack-mates match the
         # same window without it, stats included.
-        model = CTMC(np.array([[-1.0, 1.0, 0.0], [2.0, -2.5, 0.5],
-                               [0.0, 0.0, 0.0]]))
-        rewards = RewardStructure([1.0, 0.5, 0.0])
-        bad = [SolveRequest(model=model, rewards=rewards, measure=measure,
+        model, rewards = _ABSORBING.build()
+        bad = [SolveRequest(scenario=_ABSORBING, measure=measure,
                             times=(0.5, 3.0), eps=1e-9, method=method,
                             key=(method, measure.value))
                for method, measure in (("SR", Measure.TRR),

@@ -67,9 +67,9 @@ def make_stiff_model() -> tuple[CTMC, RewardStructure]:
 
 
 def direct_solve(request):
-    """A request's registry solver run on its freshly built model, with
-    no shared kernel, no schedule cache and no plan: the reference every
-    planned execution must match bit for bit."""
+    """A request's registry solver run on its freshly built model (which
+    builds a kernel of its own), with no schedule cache and no plan: the
+    reference every planned execution must match bit for bit."""
     from repro.analysis.runner import solve
 
     model, rewards = request.resolve()

@@ -91,7 +91,7 @@ class TestTwinStepping:
         ua, ur = _pair(groups)
         linked = _setups(ua, ur)
         assert link_twins((ua[0], linked[0]), (ur[0], linked[1]))
-        lone = _setups(ua, ur)
+        lone = _setups(*_pair(groups))  # own models, own kernels
         order = (0, 1) if first == "UA" else (1, 0)
         for i in order:  # the second one finds its steps recorded
             linked[i].main.extend_to(steps)
@@ -150,7 +150,7 @@ class TestRefusedPairs:
     def _assert_refused(self, members):
         cache = ScheduleCache()
         linked = cache.prepare_twins(
-            [(m, r, kw.get("regenerative"), kw.get("rate"), None)
+            [(m, r, kw.get("regenerative"), kw.get("rate"))
              for m, r, kw in members])
         assert linked == 0
         for got, want in zip(self._solve_both(cache, members),
@@ -164,8 +164,7 @@ class TestRefusedPairs:
         avail, rel = (Scenario(name=kind, family="multiprocessor",
                                params={**params, "kind": kind}).build()
                       for kind in ("availability", "reliability"))
-        lam = [UniformizationKernel.from_model(m)[2] for m, _ in (avail,
-                                                                 rel)]
+        lam = [m.kernel().rate for m, _ in (avail, rel)]
         assert lam[0] != lam[1]
         self._assert_refused([(*avail, {}), (*rel, {})])
 

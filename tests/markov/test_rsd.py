@@ -82,13 +82,6 @@ class TestGuards:
             SteadyStateDetectionSolver().solve(model, rewards, TRR, [1.0],
                                                eps=1e-9)
 
-    def test_check_can_be_disabled(self, two_state):
-        model, rewards, *_ = two_state
-        solver = SteadyStateDetectionSolver(check_irreducible=False)
-        sol = solver.solve(model, rewards, TRR, [1.0], eps=1e-9)
-        assert sol.values[0] == pytest.approx(exact_two_state_ua(1.0),
-                                              abs=1e-9)
-
     def test_zero_rewards(self, two_state):
         model, _, *_ = two_state
         rewards = RewardStructure.indicator(2, [])

@@ -111,6 +111,23 @@ class TestSequences:
         sweep.run()
         assert kernel.steps_done == 0
 
+    def test_binds_the_models_own_kernel(self, bound):
+        sweep, kernel, dtmc, model = bound
+        assert kernel is model.kernel() and dtmc is kernel.dtmc
+        assert sweep.bind(model, None)[0] is kernel
+
+    def test_a_lane_steps_one_rate(self, bound):
+        sweep, kernel, _, model = bound
+        rate = 2.0 * kernel.rate
+        with pytest.raises(ModelError, match="one randomization"):
+            sweep.bind(model, rate)
+        pinned = PiSweep()
+        got, _, lam = pinned.bind(model, rate)
+        assert got is not kernel and lam == rate
+        assert pinned.bind(model, rate)[0] is got
+        with pytest.raises(ModelError, match="one randomization"):
+            pinned.bind(model, None)
+
 
 def _detection_loop(kernel, dtmc, pi_inf, r, budget, delta):
     """The standalone detection loop, step by step."""
@@ -284,8 +301,8 @@ def _walked(lanes):
     needs."""
     sweeps, needs = [], []
     for kernel, dtmc, pi_inf, lane_needs in lanes:
-        sweep = PiSweep(kernel)
-        sweep.dtmc, sweep.pi_inf = dtmc, pi_inf
+        sweep = PiSweep()
+        sweep.kernel, sweep.dtmc, sweep.pi_inf = kernel, dtmc, pi_inf
         needs.append([sweep.need(r, terms, delta)
                       for r, terms, delta in lane_needs])
         sweeps.append(sweep)
@@ -314,8 +331,8 @@ def _sweep_lanes(seed):
     lanes = []
     for i, scenario in enumerate(models.values()):
         model, rewards = scenario.build()
-        kernel, dtmc, _ = UniformizationKernel.from_model(model)
-        n = model.n_states
+        kernel = UniformizationKernel.from_model(model)
+        dtmc, n = kernel.dtmc, model.n_states
         pi_inf = (stationary_distribution(dtmc) if model.is_irreducible()
                   else np.full(n, 1.0 / n))
         r = rewards.rates
@@ -421,7 +438,8 @@ def test_stacked_lanes_leave_their_kernels_alone():
 
 def test_stacks_hold_at_most_2048_states_and_big_lanes_alone():
     def lane(n):
-        sweep = PiSweep(UniformizationKernel(sparse.identity(n)))
+        sweep = PiSweep()
+        sweep.kernel = UniformizationKernel(sparse.identity(n))
         sweep.need(np.ones(n), 1)
         return sweep
 
@@ -449,9 +467,8 @@ def test_failing_lane_leaves_stack_mates_alone():
     jobs = [(get_solver("SR"), cell), (get_solver("RSD"), cell)]
     alone = solve_shared(model, jobs)
     results = solve_stacked([(absorbing, [(get_solver("SR"), bad_cell),
-                                          (get_solver("RSD"), bad_cell)],
-                              None),
-                             (model, jobs, None)])
+                                          (get_solver("RSD"), bad_cell)]),
+                             (model, jobs)])
     assert isinstance(results[0], ModelError)
     for got, solo in zip(results[1], alone):
         _assert_same(got, solo)

@@ -2,7 +2,7 @@
 encode → JSON text → decode, and a decoded request must *solve*
 bit-identically to the in-memory original — for every scenario family
 and every method. Plus strict validation: wrong versions, wrong kinds,
-live models and non-plain data are rejected loudly."""
+model or reward payloads and non-plain data are rejected loudly."""
 
 import json
 
@@ -14,16 +14,13 @@ from repro.batch.planner import SolveRequest
 from repro.batch.runner import BatchOutcome
 from repro.batch.scenarios import Scenario, scenario_families
 from repro.exceptions import ProtocolError
-from repro.markov.ctmc import CTMC
-from repro.markov.rewards import Measure, RewardStructure
+from repro.markov.rewards import Measure
 from repro.service.protocol import (
     SCHEMA_VERSION,
     outcome_from_dict,
     outcome_to_dict,
     request_from_dict,
     request_to_dict,
-    rewards_from_dict,
-    rewards_to_dict,
     scenario_from_dict,
     scenario_to_dict,
     solution_from_dict,
@@ -109,45 +106,54 @@ class TestScenarioCodec:
         assert scenario_from_dict(scenario_to_dict(s)).measure is Measure.MRR
 
 
+#: A scenario-request record as a journal of schema version 1 holds it
+#: (compact, sorted keys), written by the release before ``"model"`` and
+#: ``"rewards"`` became always null.
+JOURNALED_REQUEST = (
+    '{"eps":1e-08,"key":{"__tuple__":["bd","RRL",0.1]},'
+    '"kind":"solve_request","measure":"mrr","method":"RRL","model":null,'
+    '"rewards":null,"scenario":{"eps":1e-08,"family":"birth_death",'
+    '"kind":"scenario","measure":"trr","name":"p-bd",'
+    '"params":{"birth":0.5,"death":1.5,"n":6},"schema_version":1,'
+    '"times":[0.5,2.0]},"schema_version":1,'
+    '"solver_kwargs":{"regenerative":2},"times":[0.5,2.0]}')
+
+
 class TestRequestCodec:
-    def _model(self):
-        q = np.array([[-1.0, 0.7, 0.3],
-                      [2.0, -2.5, 0.5],
-                      [0.0, 4.0, -4.0]])
-        return CTMC(q, initial=np.array([0.2, 0.3, 0.5]),
-                    labels=[("up", 2), ("up", 1), ("down", 0)])
-
-    def test_rewards_round_trip(self):
-        r = RewardStructure(np.array([0.0, 0.25, 1.0 / 3.0]))
-        decoded = rewards_from_dict(
-            json.loads(json.dumps(rewards_to_dict(r))))
-        assert np.array_equal(decoded.rates, r.rates)
-
-    def test_model_backed_request_has_no_wire_form(self):
-        request = SolveRequest(model=self._model(),
-                               rewards=RewardStructure.indicator(3, [2]),
-                               measure=Measure.TRR, times=(1.0, 5.0),
-                               eps=1e-9, method="RRL", key="live-model")
-        with pytest.raises(ProtocolError, match="journal a Scenario"):
-            request_to_dict(request)
+    def test_journaled_record_decodes_and_re_encodes_to_its_bytes(self):
+        request = request_from_dict(json.loads(JOURNALED_REQUEST))
+        assert request.scenario == FAMILY_SCENARIOS["birth_death"]
+        assert request.key == ("bd", "RRL", 0.1)
+        assert request.measure is Measure.MRR
+        assert dict(request.solver_kwargs) == {"regenerative": 2}
+        again = json.dumps(request_to_dict(request), separators=(",", ":"),
+                           sort_keys=True)
+        assert again == JOURNALED_REQUEST
 
     def test_model_backed_record_is_rejected(self):
         # A record in the layout an earlier release journaled for a
         # live-model request: the CSR and initial vector inline.
-        record = request_to_dict(SolveRequest(
-            scenario=FAMILY_SCENARIOS["birth_death"], measure=Measure.TRR,
-            times=(1.0,), eps=1e-8, method="RRL", key="old"))
-        assert record["model"] is None
+        record = json.loads(JOURNALED_REQUEST)
         record["scenario"] = None
         record["model"] = {
             "schema_version": 1, "kind": "ctmc", "n_states": 2,
             "indptr": [0, 2, 4], "indices": [0, 1, 0, 1],
             "data": [-1.0, 1.0, 2.0, -2.0], "initial": [1.0, 0.0],
             "labels": None}
-        record["rewards"] = rewards_to_dict(
-            RewardStructure.indicator(2, [1]))
-        with pytest.raises(ProtocolError, match="model-backed"):
-            request_from_dict(json.loads(json.dumps(record)))
+        record["rewards"] = {"schema_version": 1, "kind": "rewards",
+                             "rates": [0.0, 1.0]}
+        with pytest.raises(ProtocolError, match="'model' payload"):
+            request_from_dict(record)
+
+    @pytest.mark.parametrize("name", ["model", "rewards"])
+    def test_record_with_a_payload_is_rejected(self, name):
+        # A scenario record that also carries a model or a reward
+        # override: neither is decoded, so neither may be dropped.
+        record = json.loads(JOURNALED_REQUEST)
+        record[name] = {"schema_version": 1, "kind": name,
+                        "rates": [0.0, 1.0, 0.0, 0.0, 1.0, 1.0]}
+        with pytest.raises(ProtocolError, match=f"'{name}' payload"):
+            request_from_dict(record)
 
     def test_solver_kwargs_survive(self):
         request = SolveRequest(scenario=FAMILY_SCENARIOS["birth_death"],

@@ -7,14 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.batch.planner import SolveRequest
 from repro.batch.scenarios import Scenario
 from repro.exceptions import ProtocolError, QueueError
-from repro.markov.ctmc import CTMC
-from repro.markov.rewards import Measure, RewardStructure
+from repro.markov.rewards import Measure
 from repro.service import JobQueue, SolveService
 from repro.service.protocol import SCHEMA_VERSION
 from tests.conftest import assert_bit_identical, direct_solve
@@ -46,16 +44,15 @@ class TestSubmitAndInspect:
         assert queue.status()["pending"] == 5
 
     def test_refused_submit_takes_no_ids(self, tmp_path):
-        # A request over a live model has no wire form: the whole submit
-        # is refused, nothing is journaled and no job id is used up.
-        live = SolveRequest(model=CTMC(np.array([[-1.0, 1.0],
-                                                 [2.0, -2.0]])),
-                            rewards=RewardStructure.indicator(2, [1]),
-                            measure=Measure.TRR, times=(1.0,), eps=1e-8,
-                            method="SR", key="live")
+        # A request whose key is not plain data has no wire form: the
+        # whole submit is refused, nothing is journaled and no job id is
+        # used up.
+        unencodable = SolveRequest(scenario=_scenario(),
+                                   measure=Measure.TRR, times=(1.0,),
+                                   eps=1e-8, method="SR", key=object())
         queue = JobQueue(tmp_path / "q")
-        with pytest.raises(ProtocolError, match="journal a Scenario"):
-            queue.submit(_requests(2) + [live])
+        with pytest.raises(ProtocolError, match="not wire-serializable"):
+            queue.submit(_requests(2) + [unencodable])
         assert queue.status()["submitted"] == 0
         assert queue.submit(_requests(1)) == [0]
         assert JobQueue.resume(tmp_path / "q").status()["submitted"] == 1

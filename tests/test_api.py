@@ -52,11 +52,17 @@ class TestExports:
         ("repro.laplace.error_control", "aliasing_error_cumulative"),
         ("repro.markov.ctmc:CTMC", "reachable_from"),
         ("repro.markov.ctmc:CTMC", "restricted_to"),
+        ("repro.batch", "ensure_model_kernel"),
+        ("repro.batch.kernel", "ensure_model_kernel"),
+        ("repro.service.protocol", "rewards_to_dict"),
+        ("repro.service.protocol", "rewards_from_dict"),
+        ("repro.markov.rsd:SteadyStateDetectionSolver", "solve_fused"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # 11.0.0: one wire form (scenario-backed requests, one codec
         # pair per type) and no wrappers over a call that stays public.
         # 12.0.0: no surface that no workload reaches.
+        # 13.0.0: a cell is a scenario and a model owns its kernel.
         module, _, cls = module.partition(":")
         mod = importlib.import_module(module)
         if cls:

@@ -132,7 +132,8 @@ def test_fused_equals_unfused_bitwise(scenario):
     shared = solve_shared(model, [(get_solver(m), c) for m in methods
                                   for c in cells])
     for i, method in enumerate(methods):
-        fused = get_solver(method).solve_fused(model, cells)
+        fused = solve_shared(model, [(get_solver(method), c)
+                                     for c in cells])
         mixed = shared[4 * i: 4 * i + 4]
         assert len(fused) == len(mixed) == 4
         for got, in_group, ref_cell in zip(fused, mixed, cells):

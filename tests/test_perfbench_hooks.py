@@ -12,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.batch.planner import SolveRequest
@@ -81,3 +82,24 @@ def test_clearers_leave_every_registered_cache_cold():
     workloads.clear_caches()
     assert all(info["size"] == 0 for info in cache_stats().values()), \
         cache_stats()
+
+
+def test_make_reference_sr_solve_fused_is_solve_shared():
+    # ``perfbench/make_reference.py`` builds its references through
+    # ``StandardRandomizationSolver().solve_fused(model, cells)``.
+    from repro.markov.base import SolveCell
+    from repro.markov.standard import StandardRandomizationSolver
+    from repro.markov.sweep import solve_shared
+
+    model, rewards = Scenario(
+        name="ref-bd", family="birth_death",
+        params={"n": 6, "birth": 0.5, "death": 1.5}).build()
+    cells = [SolveCell(rewards=rewards, measure=m, times=(1.0, 10.0),
+                       eps=1e-12) for m in (Measure.TRR, Measure.MRR)]
+    solver = StandardRandomizationSolver()
+    fused = solver.solve_fused(model, cells)
+    shared = solve_shared(model, [(solver, cell) for cell in cells])
+    for got, want in zip(fused, shared):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.steps, want.steps)
+        assert got.stats == want.stats
