@@ -7,7 +7,8 @@ Three production niceties built on the paper's machinery:
    under-counts rewards, and the closed-form transform of the truncation
    state's probability turns that into an a-posteriori sandwich
    ``lower <= UR(t) <= upper`` (the bounding idea of the paper's
-   reference [2]);
+   reference [2]), from ``RRLSolver.solve_bounds`` on the same ``K, L``
+   as ``RRLSolver.solve``;
 2. **MTTF cross-check** — the mean time to absorption from a sparse
    linear solve must be consistent with RRL's UR(t) when the failure
    time is near-exponential (cv² ≈ 1);
@@ -20,7 +21,7 @@ Run:  python examples/bounds_and_diagnostics.py
 
 import numpy as np
 
-from repro import TRR, RRLBoundsSolver
+from repro import TRR, RRLSolver
 from repro.analysis.convergence import (
     compare_regenerative_states,
     excursion_decay,
@@ -40,8 +41,7 @@ def main() -> None:
     print(f"RAID-5 reliability model, G={G}: {model.n_states} states\n")
 
     # 1 — certified bounds.
-    b = RRLBoundsSolver().solve_bounds(model, rewards, TRR, TIMES,
-                                       eps=1e-12)
+    b = RRLSolver().solve_bounds(model, rewards, TRR, TIMES, eps=1e-12)
     rows = [[f"{t:g}", f"{lo:.8e}", f"{up:.8e}", f"{w:.1e}"]
             for t, lo, up, w in zip(TIMES, b.lower, b.upper, b.width)]
     print(format_table("Certified bounds on UR(t)  (width = realized "

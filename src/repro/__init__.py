@@ -58,7 +58,7 @@ _EXPORTS = {
     "TransientSolution": "repro.markov.base",
     **dict.fromkeys(
         ("BoundedSolution", "RegenerativeRandomizationSolver",
-         "RRLBoundsSolver", "RRLSolver", "ScheduleCache"), "repro.core"),
+         "RRLSolver", "ScheduleCache"), "repro.core"),
     "SolverSpec": "repro.solvers.registry",
     "UniformizationKernel": "repro.batch.kernel",
     "SolveRequest": "repro.batch.planner",
@@ -94,6 +94,17 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
 
+# 14.0.0: one RRL class and one per-t loop. RR, RRL and the certified
+# bounds share ``repro.core.rrl_solver.solve_per_t`` (the checks, the
+# zero-reward shortcut, the setup, the ascending-t ``K, L`` selection
+# and the step stats) and supply only their per-t evaluation. Breaking:
+# the separate bounds class and its module are gone; certified bounds
+# are ``RRLSolver.solve_bounds`` (the same arguments and the same
+# ``BoundedSolution``, which now lives in ``repro.core.rrl_solver``),
+# whose all-zero-reward result reports ``stats == {"rate": Λ}`` like
+# ``solve``. ``SolverSpec`` lost its irreducibility flag, which nothing
+# read. Every number is bit-identical.
+#
 # 13.0.0: a cell is a scenario and a model owns its kernel.
 # ``CTMC.kernel()`` builds the default-rate kernel once, through
 # ``UniformizationKernel.from_model``, and keeps it; SR, RSD, RR, RRL,
@@ -238,7 +249,7 @@ def __dir__() -> list[str]:
 # solver self-registers a SolverSpec, and the runner, planner, protocol
 # and CLI resolve method tags through it — and RR/RRL gained cross-cell
 # schedule-transformation memoization (``ScheduleCache``).
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "__version__",
@@ -252,7 +263,7 @@ __all__ = [
     # solvers + registry
     "RRLSolver", "RegenerativeRandomizationSolver",
     "StandardRandomizationSolver", "SteadyStateDetectionSolver",
-    "RRLBoundsSolver", "BoundedSolution", "SolverSpec", "ScheduleCache",
+    "BoundedSolution", "SolverSpec", "ScheduleCache",
     # batch subsystem
     "UniformizationKernel", "BatchTask", "BatchOutcome",
     "Scenario", "generate_scenarios", "SolveRequest",

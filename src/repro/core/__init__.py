@@ -15,7 +15,14 @@ Pipeline
    * :mod:`repro.core.transforms` evaluates the closed-form Laplace
      transform of ``TRR^a_{K,L}`` / ``C_{K,L}`` and
      :mod:`repro.core.rrl_solver` inverts it numerically (**RRL**, the
-     paper's new variant).
+     paper's new variant), or
+   * ``RRLSolver.solve_bounds`` inverts it and the transform of the
+     truncation state's probability into certified lower and upper bounds
+     (:class:`~repro.core.rrl_solver.BoundedSolution`).
+
+Steps 2 and 3 are one loop, :func:`repro.core.rrl_solver.solve_per_t`,
+which RR, RRL and the bounds share; each supplies only its per-``t``
+evaluation of step 3.
 """
 
 from repro.core.schedules import RegenerativeSchedule, ScheduleBuilder
@@ -29,8 +36,7 @@ from repro.core.truncation import select_truncation, truncation_error_bound
 from repro.core.transforms import VklTransform
 from repro.core.vkl import build_vkl
 from repro.core.rr_solver import RegenerativeRandomizationSolver
-from repro.core.rrl_solver import RRLSolver
-from repro.core.bounds import BoundedSolution, RRLBoundsSolver
+from repro.core.rrl_solver import BoundedSolution, RRLSolver
 
 __all__ = [
     "RegenerativeSchedule",
@@ -46,5 +52,4 @@ __all__ = [
     "RegenerativeRandomizationSolver",
     "RRLSolver",
     "BoundedSolution",
-    "RRLBoundsSolver",
 ]

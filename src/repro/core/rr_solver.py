@@ -11,17 +11,21 @@ Error budget: ``eps/2`` for the model truncation (selection of ``K, L``)
 and ``eps/2`` for the inner standard-randomization solution, as in the
 paper. The inner budget is capped at half of ``V_{K,L}``'s largest reward
 rate, so SR's relative budget stays a probability below 1.
+
+The rest of the solve (checks, setup, the ascending-t selection of
+``K, L`` and the step stats) is shared with RRL:
+:func:`repro.core.rrl_solver.solve_per_t`. RR supplies only the inner
+solve of ``V_{K,L}``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core._setup import prepare
+from repro.core.rrl_solver import solve_per_t
 from repro.core.schedule_cache import ScheduleCache
-from repro.core.truncation import select_truncation
 from repro.core.vkl import build_vkl
-from repro.markov.base import TransientSolution, as_time_array
+from repro.markov.base import TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.standard import StandardRandomizationSolver
@@ -74,41 +78,9 @@ class RegenerativeRandomizationSolver:
         rewards, regenerative, rate)`` per cache), bit-identically — see
         :mod:`repro.core.schedule_cache`.
         """
-        rewards.check_model(model)
-        t_arr = as_time_array(times)
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        r_max = rewards.max_rate
-        if r_max == 0.0:
-            return TransientSolution(
-                times=t_arr, values=np.zeros_like(t_arr), measure=measure,
-                eps=eps, steps=np.zeros(t_arr.size, dtype=int),
-                method=self.method_name,
-                stats={"rate": self._rate if self._rate is not None
-                       else model.max_output_rate})
-
-        cache_hit: bool | None = None
-        if schedule_cache is not None:
-            setup, cache_hit = schedule_cache.setup_for(
-                model, rewards, self._regenerative, self._rate)
-        else:
-            setup = prepare(model, rewards, self._regenerative, self._rate)
         inner = StandardRandomizationSolver(max_steps=self._inner_max_steps)
 
-        values = np.empty(t_arr.size)
-        steps = np.empty(t_arr.size, dtype=np.int64)
-        k_points = np.empty(t_arr.size, dtype=np.int64)
-        l_points = np.full(t_arr.size, -1, dtype=np.int64)
-        inner_steps = np.empty(t_arr.size, dtype=np.int64)
-        order = np.argsort(t_arr)  # ascending t reuses schedule prefixes
-        # Steps already on the (possibly shared) builders before
-        # this solve: the difference is what *this* call charged.
-        reused_steps = setup.main.steps_done \
-            + (setup.primed.steps_done if setup.primed else 0)
-        for i in order:
-            t = float(t_arr[i])
-            choice = select_truncation(setup.main, setup.primed,
-                                       setup.rate, t, eps / 2.0, r_max)
+        def solve_vkl(t, choice, setup, r_max):
             v_model, v_rewards = build_vkl(
                 setup.main.snapshot(),
                 setup.primed.snapshot()
@@ -123,29 +95,16 @@ class RegenerativeRandomizationSolver:
             if v_rewards.max_rate > 0.0:
                 inner_eps = min(inner_eps, 0.5 * v_rewards.max_rate)
             sol = inner.solve(v_model, v_rewards, measure, [t], inner_eps)
-            values[i] = sol.values[0]
-            steps[i] = choice.steps
-            k_points[i] = choice.k_point
-            l_points[i] = choice.l_point \
-                if choice.l_point is not None else -1
-            inner_steps[i] = sol.steps[0]
-        transformation_steps = setup.main.steps_done \
-            + (setup.primed.steps_done if setup.primed else 0) \
-            - reused_steps
-        stats = {
-            "rate": setup.rate,
-            "regenerative": setup.regenerative,
-            "alpha_r": setup.alpha_r,
-            "K": k_points,
-            "L": l_points,
-            "inner_sr_steps": inner_steps,
-            "transformation_steps": transformation_steps,
-        }
-        if cache_hit is not None:
-            stats["schedule_cache_hit"] = cache_hit
-            stats["transformation_steps_reused"] = reused_steps
+            return sol.values[0], sol.steps[0]
+
+        t_arr, steps, out, stats = solve_per_t(
+            model, rewards, times, eps, solve_vkl,
+            {"value": float, "inner_sr_steps": np.int64},
+            ("alpha_r", "K", "L", "inner_sr_steps"),
+            regenerative=self._regenerative, rate=self._rate,
+            schedule_cache=schedule_cache)
         return TransientSolution(
-            times=t_arr, values=values, measure=measure, eps=eps,
+            times=t_arr, values=out["value"], measure=measure, eps=eps,
             steps=steps, method=self.method_name, stats=stats)
 
 

@@ -161,5 +161,4 @@ register(SolverSpec(
     summary="Randomization with steady-state detection (irreducible "
             "models only)",
     stack_fusable=True,
-    requires_irreducible=True,
 ))

@@ -98,10 +98,6 @@ class SolverSpec:
         Name of the constructor kwarg capping the solver's inner O(Λt)
         stepping (``"max_steps"`` for SR, ``"inner_max_steps"`` for RR);
         ``None`` for methods whose cost does not grow with ``Λt``.
-    requires_irreducible:
-        The method is only sound on irreducible models (RSD's
-        steady-state detection); callers generating method matrices use
-        this to skip absorbing models.
     table_label:
         Display label for the paper's step tables (``"RR/RRL"`` — RR and
         RRL share the transformation phase, so the paper prints one
@@ -115,7 +111,6 @@ class SolverSpec:
     schedule_memoizable: bool = False
     predict_steps: Callable[..., int] | None = None
     step_budget_kwarg: str | None = None
-    requires_irreducible: bool = False
     table_label: str | None = None
 
     def __post_init__(self) -> None:

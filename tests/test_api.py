@@ -57,12 +57,15 @@ class TestExports:
         ("repro.service.protocol", "rewards_to_dict"),
         ("repro.service.protocol", "rewards_from_dict"),
         ("repro.markov.rsd:SteadyStateDetectionSolver", "solve_fused"),
+        ("repro", "RRLBoundsSolver"), ("repro.core", "RRLBoundsSolver"),
+        ("repro.solvers.registry:SolverSpec", "requires_irreducible"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # 11.0.0: one wire form (scenario-backed requests, one codec
         # pair per type) and no wrappers over a call that stays public.
         # 12.0.0: no surface that no workload reaches.
         # 13.0.0: a cell is a scenario and a model owns its kernel.
+        # 14.0.0: bounds are RRLSolver.solve_bounds; no unread flags.
         module, _, cls = module.partition(":")
         mod = importlib.import_module(module)
         if cls:

@@ -162,10 +162,10 @@ def test_rrl_invariant_to_randomization_rate(mr, slack, t):
        t=st.floats(min_value=0.1, max_value=30.0))
 def test_bounds_sandwich_property(mr, t):
     """RRL's certified bounds must bracket SR's rigorous value."""
-    from repro import RRLBoundsSolver
+    from repro import RRLSolver
     model, rewards = mr
     ref = solve(model, rewards, TRR, [t], eps=1e-13, method="SR")
-    b = RRLBoundsSolver().solve_bounds(model, rewards, TRR, [t], eps=1e-9)
+    b = RRLSolver().solve_bounds(model, rewards, TRR, [t], eps=1e-9)
     slack = 1e-8 * max(1.0, rewards.max_rate)
     assert b.lower[0] <= ref.values[0] + slack
     assert ref.values[0] <= b.upper[0] + slack
