@@ -13,8 +13,8 @@ cell must pay its own standalone setup to mean what the paper's figures
 mean. Everything executes through one
 :class:`~repro.service.service.SolveService` fan-out (the canonical API
 — this module never touches planner or runner internals), so the whole
-grid rides a process pool: ``ExperimentConfig(workers=4)`` or
-``run_grid(config, service=...)``. With ``workers=1`` (the default) the
+grid rides a process pool: ``ExperimentConfig(workers=4)``, the one
+holder of the grid's pool shape. With ``workers=1`` (the default) the
 tasks run inline and the results are identical — neither the task
 decomposition nor the fusion plan ever changes any number. Timing
 columns are measured per-cell *inside* a worker; on an oversubscribed
@@ -55,7 +55,7 @@ from repro.batch.planner import SolveRequest, cached_model
 from repro.batch.runner import BatchTask
 from repro.service.service import SolveService
 from repro.batch.scenarios import Scenario
-from repro.exceptions import RegistryError, TruncationError
+from repro.exceptions import TruncationError
 from repro.markov.base import TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
@@ -99,6 +99,13 @@ PAPER_UR_1E5: dict[int, float] = {20: 0.50480, 40: 0.74750}
 PAPER_TIMES: tuple[float, ...] = (1.0, 10.0, 1e2, 1e3, 1e4, 1e5)
 PAPER_GROUPS: tuple[int, ...] = (20, 40)
 
+#: The paper's RAID-5 spares (``D_H = 3``, ``C_H = 1``) at every ``G``.
+SPARE_DISKS = 3
+SPARE_CONTROLLERS = 1
+
+#: Inner-step budget of RR's timing cells (its inner SR solve).
+RR_INNER_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -115,9 +122,6 @@ class ExperimentConfig:
     times: tuple[float, ...] = (1.0, 10.0, 1e2, 1e3, 1e4)
     eps: float = 1e-12
     sr_step_budget: int = 2_000_000
-    rr_inner_budget: int = 10_000_000
-    spare_disks: int = 3
-    spare_controllers: int = 1
     workers: int = 1
     """Pool size for the grid; 1 = inline (identical results)."""
     backend: str | None = None
@@ -128,13 +132,11 @@ class ExperimentConfig:
 
     @classmethod
     def paper(cls, *, sr_step_budget: int = 10_000_000,
-              rr_inner_budget: int = 10_000_000,
               workers: int = 1,
               backend: str | None = None) -> "ExperimentConfig":
         """The paper's exact grid (G ∈ {20,40}, t up to 10⁵ h)."""
         return cls(groups=PAPER_GROUPS, times=PAPER_TIMES,
                    sr_step_budget=sr_step_budget,
-                   rr_inner_budget=rr_inner_budget,
                    workers=workers, backend=backend)
 
     @classmethod
@@ -147,17 +149,13 @@ class ExperimentConfig:
 
     def service(self) -> SolveService:
         """The :class:`~repro.service.service.SolveService` this
-        configuration asks for (its pool shape).
-
-        (Replaces the pre-2.0 ``runner()`` accessor: the pool now rides
-        inside the service instead of being wired up by callers.)
-        """
+        configuration asks for (its pool shape)."""
         return SolveService(workers=self.workers, backend=self.backend)
 
     def params_for(self, g: int) -> Raid5Params:
         """RAID parameters for group count ``g`` (other knobs fixed)."""
-        return Raid5Params(groups=g, spare_disks=self.spare_disks,
-                           spare_controllers=self.spare_controllers)
+        return Raid5Params(groups=g, spare_disks=SPARE_DISKS,
+                           spare_controllers=SPARE_CONTROLLERS)
 
     def step_budget_for(self, spec: SolverSpec) -> int | None:
         """This configuration's inner-step budget for one solver, keyed
@@ -165,16 +163,8 @@ class ExperimentConfig:
         cost does not grow with ``Λt``)."""
         if spec.step_budget_kwarg is None:
             return None
-        budgets = {"max_steps": self.sr_step_budget,
-                   "inner_max_steps": self.rr_inner_budget}
-        try:
-            return budgets[spec.step_budget_kwarg]
-        except KeyError:
-            raise RegistryError(
-                f"solver {spec.name!r} declares step_budget_kwarg="
-                f"{spec.step_budget_kwarg!r}, which ExperimentConfig has "
-                "no budget field for; teach step_budget_for the mapping "
-                "before running timing sweeps with this method") from None
+        return {"max_steps": self.sr_step_budget,
+                "inner_max_steps": RR_INNER_BUDGET}[spec.step_budget_kwarg]
 
 
 @dataclass
@@ -476,7 +466,6 @@ class GridResult:
 
 
 def run_grid(config: ExperimentConfig | None = None,
-             service: SolveService | None = None,
              include_timings: bool = True) -> GridResult:
     """Run the full evaluation grid through one service fan-out.
 
@@ -495,8 +484,7 @@ def run_grid(config: ExperimentConfig | None = None,
     if include_timings:
         tasks += _timing_table_tasks(config, "UA")
         tasks += _timing_table_tasks(config, "UR")
-    result = (service or config.service()).execute(
-        grid_solve_requests(config), tasks)
+    result = config.service().execute(grid_solve_requests(config), tasks)
     outcomes, plan = result.all_outcomes, result.plan
     by_kind: dict[str, list] = {}
     for out in outcomes:

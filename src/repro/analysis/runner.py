@@ -1,9 +1,8 @@
 """One-call front door: ``solve(model, rewards, measure, times, method=...)``.
 
-Method tags (``"RRL"``, ``"RR"``, ``"SR"``, ``"RSD"``)
-resolve through the capability-declaring solver registry
-(:mod:`repro.solvers.registry`) — the solvers self-register, so this
-module carries no import ladder and new solvers need no edit here.
+Method tags (``"RRL"``, ``"RR"``, ``"SR"``, ``"RSD"``) resolve through
+the solver table (:mod:`repro.solvers.registry`), so this module
+carries no import ladder.
 
 This stays the right call for *one ad-hoc solve of a live model*. For
 anything batch-shaped — grids, sweeps, queued work — the canonical API is
@@ -29,8 +28,8 @@ def get_solver(method: str, **kwargs) -> TransientSolver:
     """Instantiate a solver by its method tag (case-insensitive).
 
     Raises :class:`~repro.exceptions.UnknownMethodError` (a
-    :class:`ValueError`) for unregistered tags, with the registry's
-    known-method list in the message.
+    :class:`ValueError`) for an unknown tag, with the known-method list
+    in the message.
     """
     return registry.get_solver(method, **kwargs)
 

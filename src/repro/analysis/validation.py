@@ -1,6 +1,6 @@
 """Cross-method validation: run several solvers and compare.
 
-Every registered solver carries a guaranteed total error budget ``eps``,
+Every solver carries a guaranteed total error budget ``eps``,
 but a *model* can still be wrong — and the strongest practical check is
 agreement between methods that share no code path (SR sums Poisson-
 weighted DTMC steps; RSD closes the series at a detected steady state;

@@ -32,7 +32,7 @@ import os
 import time
 import traceback as _traceback
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["BatchTask", "BatchOutcome", "BatchExecutionError", "run_tasks",
@@ -53,11 +53,10 @@ class BatchExecutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class BatchTask:
-    """One unit of work: ``fn(*args, **kwargs)`` under identity ``key``."""
+    """One unit of work: ``fn(*args)`` under identity ``key``."""
 
     fn: Callable[..., Any]
     args: tuple = ()
-    kwargs: dict[str, Any] = field(default_factory=dict)
     key: Any = None
     weight: int = 1
     """Logical cells this task covers. A fused task doing the work of
@@ -96,7 +95,7 @@ def _run_one(task: BatchTask) -> BatchOutcome:
     """Execute one task, converting any exception into a failure outcome."""
     start = time.perf_counter()
     try:
-        value = task.fn(*task.args, **task.kwargs)
+        value = task.fn(*task.args)
     except Exception as exc:  # KeyboardInterrupt/SystemExit must propagate
         return BatchOutcome(
             key=task.key, ok=False,

@@ -29,7 +29,6 @@ from repro.markov.base import TransientSolution
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.standard import StandardRandomizationSolver
-from repro.solvers.registry import SolverSpec, register
 
 __all__ = ["RegenerativeRandomizationSolver"]
 
@@ -106,14 +105,3 @@ class RegenerativeRandomizationSolver:
         return TransientSolution(
             times=t_arr, values=out["value"], measure=measure, eps=eps,
             steps=steps, method=self.method_name, stats=stats)
-
-
-register(SolverSpec(
-    name="RR",
-    constructor=RegenerativeRandomizationSolver,
-    summary="Original regenerative randomization (transform model, solve "
-            "V_KL by inner SR)",
-    schedule_memoizable=True,
-    step_budget_kwarg="inner_max_steps",
-    table_label="RR/RRL",
-))

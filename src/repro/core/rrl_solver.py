@@ -52,7 +52,6 @@ from repro.laplace.inversion import invert_bounded, invert_cumulative
 from repro.markov.base import TransientSolution, as_time_array
 from repro.markov.ctmc import CTMC
 from repro.markov.rewards import Measure, RewardStructure
-from repro.solvers.registry import SolverSpec, register
 
 __all__ = ["BoundedSolution", "RRLSolver", "solve_per_t"]
 
@@ -307,13 +306,3 @@ class RRLSolver:
         return BoundedSolution(
             times=t_arr, lower=out["lower"], upper=out["upper"],
             measure=measure, eps=eps, steps=steps, stats=stats)
-
-
-register(SolverSpec(
-    name="RRL",
-    constructor=RRLSolver,
-    summary="Regenerative randomization with Laplace transform inversion "
-            "(the paper's method)",
-    schedule_memoizable=True,
-    table_label="RR/RRL",
-))

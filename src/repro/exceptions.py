@@ -48,7 +48,7 @@ class InversionError(ReproError):
 
 
 class UnknownMethodError(ReproError, ValueError):
-    """A solver method tag is not present in the solver registry.
+    """A solver method tag is not in the solver table.
 
     Subclasses :class:`ValueError` for backward compatibility with the
     pre-registry ``get_solver`` behaviour (callers catching ValueError
@@ -59,7 +59,7 @@ class UnknownMethodError(ReproError, ValueError):
     method:
         The unrecognized method tag as given by the caller.
     known:
-        Sorted tuple of the registered method tags at raise time.
+        Sorted tuple of the known method tags.
     """
 
     def __init__(self, method: str, known: tuple[str, ...]) -> None:
@@ -68,11 +68,6 @@ class UnknownMethodError(ReproError, ValueError):
             + ", ".join(known))
         self.method = method
         self.known = known
-
-
-class RegistryError(ReproError):
-    """A solver registration conflicts with an existing entry (same name,
-    different spec) or is otherwise malformed."""
 
 
 class ProtocolError(ReproError):

@@ -1,6 +1,6 @@
 """Common result container and interface for transient solvers.
 
-Every registered solver — SR, RSD and the paper's RR/RRL — exposes::
+Every solver — SR, RSD and the paper's RR/RRL — exposes::
 
     solve(model, rewards, measure, times, eps) -> TransientSolution
 

@@ -96,10 +96,6 @@ class DTMC:
                 raise ModelError("labels length does not match state count")
         self._labels = labels
 
-        # Cached CSC form of P^T for fast left multiplication: x @ P is
-        # computed as (P.T @ x.T).T; scipy's CSR rmatvec already does this
-        # efficiently, so we simply keep CSR and use the `.T` product.
-
     @property
     def n_states(self) -> int:
         """Number of states."""
@@ -119,28 +115,6 @@ class DTMC:
     def labels(self) -> Sequence[Hashable] | None:
         """Optional per-state labels."""
         return self._labels
-
-    def step(self, distribution: np.ndarray) -> np.ndarray:
-        """One synchronous step: return ``distribution @ P``.
-
-        Works for any non-negative (sub-stochastic) row vector, which is
-        what the regenerative-randomization recursion feeds it.
-        """
-        return self._p.T @ distribution
-
-    def step_n(self, distribution: np.ndarray, n: int) -> np.ndarray:
-        """Apply ``n`` steps (``n >= 0``)."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        out = np.asarray(distribution, dtype=np.float64)
-        for _ in range(n):
-            out = self._p.T @ out
-        return out
-
-    def absorbing_states(self) -> np.ndarray:
-        """States whose only transition is a self-loop with probability 1."""
-        diag = self._p.diagonal()
-        return np.flatnonzero(np.isclose(diag, 1.0, rtol=0.0, atol=1e-12))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DTMC(n_states={self._n}, nnz={self._p.nnz})"

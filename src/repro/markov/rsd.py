@@ -42,7 +42,6 @@ from repro.markov.steady_state import (
     stationary_distribution,
     stationary_residual,
 )
-from repro.solvers.registry import SolverSpec, register
 
 __all__ = ["SteadyStateDetectionSolver"]
 
@@ -153,12 +152,3 @@ class SteadyStateDetectionSolver:
                 "stationary_residual": sweep.pi_residual}
 
         return finish
-
-
-register(SolverSpec(
-    name="RSD",
-    constructor=SteadyStateDetectionSolver,
-    summary="Randomization with steady-state detection (irreducible "
-            "models only)",
-    stack_fusable=True,
-))

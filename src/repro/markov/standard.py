@@ -41,7 +41,6 @@ from repro.markov.poisson import (
 )
 from repro.markov.rewards import Measure, RewardStructure
 from repro.markov.sweep import Finisher, PiSweep, checked_cell, solve_shared
-from repro.solvers.registry import SolverSpec, register
 
 __all__ = ["StandardRandomizationSolver", "sr_required_steps"]
 
@@ -186,14 +185,3 @@ class StandardRandomizationSolver:
             _sr_values(kernel, need.d, t_arr, terms, rate, cell.eps, r_max,
                        cell.measure),
             terms - 1, {"rate": rate, "shared_steps": sweep.steps})
-
-
-register(SolverSpec(
-    name="SR",
-    constructor=StandardRandomizationSolver,
-    summary="Standard randomization (uniformization) — the classic "
-            "O(Λt) comparator",
-    stack_fusable=True,
-    predict_steps=sr_required_steps,
-    step_budget_kwarg="max_steps",
-))

@@ -1,4 +1,4 @@
-"""DTMC container: validation, stepping, renormalization."""
+"""DTMC container: validation and renormalization."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ class TestConstruction:
     def test_basic(self):
         d = DTMC(simple_p())
         assert d.n_states == 3
-        assert list(d.absorbing_states()) == [2]
 
     def test_rows_must_be_stochastic(self):
         p = simple_p()
@@ -51,37 +50,3 @@ class TestConstruction:
         with pytest.raises(ModelError):
             DTMC(simple_p(), labels=["x"])
 
-
-class TestStepping:
-    def test_step_matches_dense(self):
-        d = DTMC(simple_p())
-        pi = np.array([0.2, 0.3, 0.5])
-        out = d.step(pi)
-        assert np.allclose(out, pi @ simple_p())
-
-    def test_step_preserves_mass(self):
-        d = DTMC(simple_p())
-        pi = d.initial
-        for _ in range(20):
-            pi = d.step(pi)
-            assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_substochastic_vector_ok(self):
-        d = DTMC(simple_p())
-        out = d.step(np.array([0.1, 0.0, 0.0]))
-        assert out.sum() == pytest.approx(0.1)
-
-    def test_step_n(self):
-        d = DTMC(simple_p())
-        pi = d.initial
-        out3 = d.step_n(pi, 3)
-        manual = d.step(d.step(d.step(pi)))
-        assert np.allclose(out3, manual)
-        assert np.allclose(d.step_n(pi, 0), pi)
-        with pytest.raises(ValueError):
-            d.step_n(pi, -1)
-
-    def test_absorbing_fixed_point(self):
-        d = DTMC(simple_p())
-        e2 = np.array([0.0, 0.0, 1.0])
-        assert np.allclose(d.step(e2), e2)

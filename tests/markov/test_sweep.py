@@ -63,7 +63,7 @@ class TestSequences:
         pi = dtmc.initial.copy()
         for n in range(9):
             assert need.d[n] == r @ pi
-            pi = dtmc.step(pi)
+            pi = dtmc.transition_matrix.T @ pi
 
     def test_shorter_needs_get_prefixes(self, bound):
         sweep, _, _, model = bound

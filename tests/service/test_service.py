@@ -116,18 +116,6 @@ class TestConfigurationPlumbing:
 
 
 class TestExperimentsIntegration:
-    def test_run_grid_accepts_explicit_service(self):
-        from repro.analysis.experiments import ExperimentConfig, run_grid
-
-        cfg = ExperimentConfig(groups=(2,), times=(1.0, 10.0))
-        default = run_grid(cfg, include_timings=False)
-        explicit = run_grid(cfg, SolveService(workers=1),
-                            include_timings=False)
-        assert explicit.table1.columns == default.table1.columns
-        assert explicit.table2.columns == default.table2.columns
-        assert explicit.ur_values == default.ur_values
-        assert explicit.ur_abscissae == default.ur_abscissae
-
     def test_config_service_carries_pool_shape(self):
         from repro.analysis.experiments import ExperimentConfig
 

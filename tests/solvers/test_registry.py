@@ -1,10 +1,12 @@
-"""The capability-declaring solver registry: registration semantics,
+"""The solver table: each spec agrees with its solver class,
 capability-derived dispatch sets, and unknown-method errors across every
 entry point (runner, planner, protocol, CLI)."""
 
+import inspect
+
 import pytest
 
-from repro.exceptions import ProtocolError, RegistryError, UnknownMethodError
+from repro.exceptions import ProtocolError, UnknownMethodError
 from repro.solvers import registry
 from repro.solvers.registry import SolverSpec
 
@@ -34,62 +36,39 @@ class TestRegistrations:
 
     def test_case_insensitive_lookup(self):
         assert registry.get_spec("rrl").name == "RRL"
-        assert registry.is_registered("sr")
-        assert not registry.is_registered("FFT")
 
     def test_get_solver_forwards_kwargs(self):
         solver = registry.get_solver("RRL", t_factor=4.0)
         assert solver._t_factor == 4.0
 
-    def test_reregistration_is_idempotent(self):
-        spec = registry.get_spec("SR")
-        before = registry.known_methods()
-        assert registry.register(spec) is spec
-        # An equal rebuilt spec is also a no-op keeping the entry.
-        import dataclasses
 
-        clone = dataclasses.replace(spec)
-        registry.register(clone)
-        assert registry.known_methods() == before
-        assert registry.get_spec("SR") is spec
+class TestTable:
+    """Each spec's metadata agrees with the solver class it builds."""
 
-    def test_conflicting_registration_raises(self):
-        spec = SolverSpec(name="SR", constructor=lambda **kw: None,
-                          summary="impostor")
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register(spec)
+    @pytest.mark.parametrize("spec", registry.specs(), ids=lambda s: s.name)
+    def test_name_is_the_solvers_upper_case_method_name(self, spec):
+        assert spec.name == spec.name.upper()
+        assert spec.build().method_name == spec.name
 
-    def test_capability_change_is_a_conflict_even_same_constructor(self):
-        # Capability flags drive planner policy: flipping one under an
-        # existing name must be an explicit replace, never a silent no-op.
-        import dataclasses
+    @pytest.mark.parametrize("spec", registry.specs(), ids=lambda s: s.name)
+    def test_stack_fusable_iff_class_defines_join_sweep(self, spec):
+        assert spec.stack_fusable == hasattr(spec.constructor, "join_sweep")
 
-        spec = registry.get_spec("SR")
-        flipped = dataclasses.replace(spec, stack_fusable=False)
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register(flipped)
-        assert registry.get_spec("SR").stack_fusable is True
+    @pytest.mark.parametrize("spec", registry.specs(), ids=lambda s: s.name)
+    def test_schedule_memoizable_iff_solve_takes_schedule_cache(self, spec):
+        params = inspect.signature(spec.constructor.solve).parameters
+        assert spec.schedule_memoizable == ("schedule_cache" in params)
 
-    def test_register_replace_and_unregister(self):
-        spec = SolverSpec(name="XX", constructor=lambda **kw: None,
-                          summary="scratch solver")
-        try:
-            registry.register(spec)
-            assert registry.is_registered("XX")
-            other = SolverSpec(name="XX", constructor=lambda **kw: 1,
-                               summary="other")
-            with pytest.raises(RegistryError):
-                registry.register(other)
-            registry.register(other, replace=True)
-            assert registry.get_spec("xx") is other
-        finally:
-            registry.unregister("XX")
-        assert not registry.is_registered("XX")
+    @pytest.mark.parametrize("spec", registry.specs(), ids=lambda s: s.name)
+    def test_step_budget_kwarg_is_a_constructor_parameter(self, spec):
+        if spec.step_budget_kwarg is not None:
+            params = inspect.signature(spec.constructor).parameters
+            assert spec.step_budget_kwarg in params
 
-    def test_lower_case_name_rejected(self):
-        with pytest.raises(RegistryError, match="upper-case"):
-            SolverSpec(name="sr", constructor=lambda **kw: None,
-                       summary="bad")
+    def test_known_methods_sorted(self):
+        methods = registry.known_methods()
+        assert methods == tuple(sorted(methods))
+        assert tuple(s.name for s in registry.specs()) == methods
 
 
 class TestCapabilities:
@@ -104,7 +83,8 @@ class TestCapabilities:
         assert registry.get_spec("RRL").capabilities() == \
             ("schedule_memoizable",)
         assert registry.get_spec("SR").capabilities() == ("stack_fusable",)
-        bare = SolverSpec(name="X", constructor=dict, summary="x")
+        bare = SolverSpec(name="X", constructor=dict, summary="x",
+                          table_label="X")
         assert bare.capabilities() == ()
 
     def test_step_budget_metadata(self):
@@ -113,16 +93,6 @@ class TestCapabilities:
             "inner_max_steps"
         assert registry.get_spec("RRL").step_budget_kwarg is None
         assert registry.get_spec("SR").predict_steps is not None
-
-    def test_unmapped_step_budget_kwarg_raises_structured_error(self):
-        import dataclasses
-
-        from repro.analysis.experiments import ExperimentConfig
-
-        alien = dataclasses.replace(registry.get_spec("SR"),
-                                    step_budget_kwarg="budget")
-        with pytest.raises(RegistryError, match="step_budget_kwarg"):
-            ExperimentConfig().step_budget_for(alien)
 
     def test_table_labels(self):
         assert registry.get_spec("RR").table_label == "RR/RRL"

@@ -3,6 +3,7 @@ README's command lines."""
 
 import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -59,6 +60,10 @@ class TestExports:
         ("repro.markov.rsd:SteadyStateDetectionSolver", "solve_fused"),
         ("repro", "RRLBoundsSolver"), ("repro.core", "RRLBoundsSolver"),
         ("repro.solvers.registry:SolverSpec", "requires_irreducible"),
+        ("repro", "RegistryError"), ("repro.exceptions", "RegistryError"),
+        ("repro.solvers", "register"), ("repro.solvers", "unregister"),
+        ("repro.solvers", "is_registered"),
+        ("repro.analysis.experiments:ExperimentConfig", "rr_inner_budget"),
     ])
     def test_removed_names_are_gone(self, module, name):
         # 11.0.0: one wire form (scenario-backed requests, one codec
@@ -66,6 +71,7 @@ class TestExports:
         # 12.0.0: no surface that no workload reaches.
         # 13.0.0: a cell is a scenario and a model owns its kernel.
         # 14.0.0: bounds are RRLSolver.solve_bounds; no unread flags.
+        # 15.0.0: a closed solver table and no grid knob nobody sets.
         module, _, cls = module.partition(":")
         mod = importlib.import_module(module)
         if cls:
@@ -90,23 +96,18 @@ class TestImports:
                              "repro.CTMC; assert len(repro.cache_stats()) == 4")
         assert proc.returncode == 0, proc.stderr
 
-    def test_registry_query_loads_no_ode_integrator(self):
-        # The registry holds the four randomization solvers only, so
-        # querying it never imports scipy's ODE integrators.
+    def test_fresh_table_lists_the_four_methods(self):
         proc = _fresh_python(
-            "import sys\n"
             "from repro.solvers import registry\n"
             "methods = registry.known_methods()\n"
-            "assert methods == ('RR', 'RRL', 'RSD', 'SR'), methods\n"
-            "assert 'scipy.integrate' not in sys.modules\n")
+            "assert methods == ('RR', 'RRL', 'RSD', 'SR'), methods\n")
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("module", ["repro.batch.kernel",
-                                        "repro.batch.planner", "repro.core",
-                                        "repro.service"])
+    @pytest.mark.parametrize("module", [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")])
     def test_submodule_imports_first(self, module):
-        # The kernel and the solver package import each other; whichever
-        # a program imports first must load.
+        # The kernel, the solver modules and the solver table import each
+        # other; whichever a program imports first must load.
         proc = _fresh_python(f"import {module}")
         assert proc.returncode == 0, proc.stderr
 

@@ -98,10 +98,10 @@ def test_values_bounded_by_rmax(mr, times):
 def test_probability_conservation_under_uniformization(mr, t):
     """SR's stepped distribution stays a probability vector."""
     model, _ = mr
-    dtmc, rate = model.uniformize()
-    pi = dtmc.initial.copy()
+    kernel = model.kernel()
+    pi = kernel.dtmc.initial.copy()
     for _ in range(30):
-        pi = dtmc.step(pi)
+        pi = kernel.step(pi)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pi >= -1e-15)
 
